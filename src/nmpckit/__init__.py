@@ -21,8 +21,8 @@ from .integrator import IntegratorConfig
 from .transcription import Multipliers, QPData, References, Trajectory
 from .cmon import CMoNConfig, SensitivityStore
 from .schemes import (ControllerState, OCProblem, SchemeConfig, SQPResult,
-                      StepDiagnostics, cmon_sqp, controller_step,
-                      gn_sqp_exact, initialize_controller)
+                      StepDiagnostics, controller_step, initialize_controller,
+                      sqp_solve)
 from .harness import (ReferenceSchedule, ScenarioConfig, SimulationLog,
                       TrialSummary, closed_loop_simulate, load_scenario,
                       randomized_chain_trials, stabilizing_time)
@@ -39,8 +39,7 @@ __all__ = [
     "Trajectory", "Multipliers", "References", "QPData",
     "CMoNConfig", "SensitivityStore",
     "SchemeConfig", "ControllerState", "StepDiagnostics", "OCProblem",
-    "SQPResult", "initialize_controller", "controller_step", "gn_sqp_exact",
-    "cmon_sqp",
+    "SQPResult", "initialize_controller", "controller_step", "sqp_solve",
     "ReferenceSchedule", "ScenarioConfig", "SimulationLog", "TrialSummary",
     "closed_loop_simulate", "randomized_chain_trials", "stabilizing_time",
     "load_scenario",

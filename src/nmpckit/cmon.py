@@ -167,11 +167,12 @@ def update_decision(kappa: np.ndarray, kappa_dual: np.ndarray,
     """Boolean mask of blocks to recompute.
 
     A block is kept only when both measures sit at or below their
-    thresholds; blocks never computed are always refreshed. When fewer
-    than ``floor_count`` blocks are selected, the largest primal measures
-    (lowest index on ties) top up the selection.
+    thresholds, so a NaN measure refreshes its block; blocks never
+    computed are always refreshed. When fewer than ``floor_count`` blocks
+    are selected, the largest primal measures (lowest index on ties) top
+    up the selection.
     """
-    refresh = (kappa > eta_pri) | (kappa_dual > eta_dual)
+    refresh = ~((kappa <= eta_pri) & (kappa_dual <= eta_dual))
     if invalid is not None:
         refresh = refresh | invalid
     short = floor_count - int(refresh.sum())

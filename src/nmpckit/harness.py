@@ -22,8 +22,8 @@ from .cmon import CMoNConfig
 from .errors import ConfigError, NMPCError
 from .models import (ChainParams, PendulumParams, chain_steady_state,
                      make_chain_model, make_pendulum_model, ModelSpec)
-from .schemes import (ControllerState, OCProblem, SchemeConfig, cmon_sqp,
-                      controller_step, initialize_controller)
+from .schemes import (OCProblem, SchemeConfig, controller_step,
+                      initialize_controller, sqp_solve)
 from .transcription import Multipliers, References, Trajectory
 
 __all__ = [
@@ -272,8 +272,7 @@ def steady_horizon(scenario: ScenarioConfig) -> Trajectory:
 def perfect_horizon(scenario: ScenarioConfig, x0: np.ndarray):
     """Solve the first-instant horizon problem to optimality.
 
-    Runs the zero-tolerance partial-update iteration (equivalent to exact
-    Gauss-Newton SQP) from the steady guess.
+    Runs exact Gauss-Newton SQP (the ``rti`` policy) from the steady guess.
     """
     model = scenario.model
     guess = steady_horizon(scenario)
@@ -283,9 +282,8 @@ def perfect_horizon(scenario: ScenarioConfig, x0: np.ndarray):
                     x_hat=np.asarray(x0, dtype=float),
                     refs=scenario.schedule.window(0.0, scenario.horizon,
                                                   scenario.t_s))
-    res = cmon_sqp(ocp, guess, mult0,
-                   cmon=CMoNConfig(eps_abs=0.0, eps_rel=0.0),
-                   tol=1e-8, max_iter=100)
+    res = sqp_solve(ocp, guess, mult0, SchemeConfig("rti", qp_tol=1e-10),
+                    tol=1e-8, max_iter=100)
     if not res.converged:
         raise NMPCError("perfect initialization failed to converge")
     return res.traj, res.mult
@@ -339,7 +337,7 @@ def _collect_log(scenario, times, states, controls, diags, windows,
         cols["refreshed"][i] = d.refreshed
         cols["refresh_fraction"][i] = d.refresh_fraction
         cols["qp_iterations"][i] = d.qp_iterations
-        cols["integration_calls"][i] = scenario.horizon
+        cols["integration_calls"][i] = d.horizon_passes
         cols["sens_blocks"][i] = d.sens_blocks
         cols["adjoint_seeds"][i] = d.adjoint_seeds
         cols["kappa_max"][i] = d.kappa_max

@@ -5,8 +5,7 @@ steps with the control held constant. Sensitivities differentiate the
 discrete scheme itself (variational RK4), so forward and adjoint products
 agree with each other to rounding and with the integrator map exactly.
 
-All cores are batched over a leading node dimension; the single-node
-wrappers are the convenience surface used in tests and small scripts.
+All cores are batched over a leading node dimension.
 """
 
 from dataclasses import dataclass
@@ -27,14 +26,6 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.substeps < 1:
             raise ValueError("dt must be positive and substeps >= 1")
-
-
-@dataclass
-class SensitivityBlock:
-    """One node's sensitivity ``d(end state)/d(x0, u)`` with a staleness flag."""
-
-    value: np.ndarray
-    stale: bool = False
 
 
 def _finite_or_blowup(x):
@@ -83,12 +74,6 @@ def integrate_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
     return x
 
 
-def integrate(model: ModelSpec, x0, u, cfg: IntegratorConfig):
-    """Single-node shooting map; returns the end state."""
-    return integrate_batch(model, np.asarray(x0, dtype=float),
-                           np.asarray(u, dtype=float), cfg)
-
-
 def forward_sensitivity_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
     """End states and forward sensitivities for a batch of nodes.
 
@@ -123,14 +108,6 @@ def forward_sensitivity_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
             S = S + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
             _finite_or_blowup(x)
     return x, S
-
-
-def integrate_with_forward_sensitivity(model: ModelSpec, x0, u,
-                                       cfg: IntegratorConfig):
-    """Single-node variant returning ``(x_end, SensitivityBlock)``."""
-    x_end, S = forward_sensitivity_batch(model, np.asarray(x0, dtype=float),
-                                         np.asarray(u, dtype=float), cfg)
-    return x_end, SensitivityBlock(value=S, stale=False)
 
 
 def adjoint_batch(model: ModelSpec, x, u, cfg: IntegratorConfig, seeds):
@@ -187,12 +164,3 @@ def adjoint_batch(model: ModelSpec, x, u, cfg: IntegratorConfig, seeds):
         lu = lu + w1 @ B1 + w2 @ B2 + w3 @ B3 + w4 @ B4
         lam = lam + t1 + t2 + t3 + t4
     return np.concatenate([lam, lu], axis=-1)
-
-
-def adjoint_directional_sensitivity(model: ModelSpec, x0, u,
-                                    cfg: IntegratorConfig, seed):
-    """Single-node, single-seed adjoint row ``seed^T d(phi)/d(x0, u)``."""
-    seed = np.asarray(seed, dtype=float)
-    rows = adjoint_batch(model, np.asarray(x0, dtype=float),
-                         np.asarray(u, dtype=float), cfg, seed[None, :])
-    return rows[0]

@@ -1,10 +1,15 @@
-"""Receding-horizon iteration schemes and their SQP counterparts.
+"""Receding-horizon iteration schemes and their SQP counterpart.
 
 One controller instant performs a single Newton-type step on the current
-horizon problem: integrate the trajectory, decide which sensitivity blocks
-to recompute, assemble the subproblem with an exactly corrected gradient,
-solve it and apply the full increment. Schemes differ only in the block
-update policy:
+horizon problem, in three stages:
+
+1. integrate the trajectory and, for ``cmon``, measure each interval's
+   nonlinearity along the previous step;
+2. choose the sensitivity blocks to recompute;
+3. assemble the subproblem with an exactly corrected gradient, solve it,
+   update the measure caches and apply the full increment.
+
+Schemes differ only in the block update policy of stage 2:
 
 ``rti``
     every block, every instant.
@@ -15,10 +20,11 @@ update policy:
 ``cmon``
     per-block nonlinearity measures against auto-tuned thresholds.
 
-The fixed-measurement variants iterate the same step to convergence.
+:func:`sqp_solve` iterates the same step at a frozen measurement until the
+residual meets its tolerance.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, List
 
 import numpy as np
@@ -67,6 +73,7 @@ class StepDiagnostics:
     refresh_fraction: float
     sens_blocks: int            # forward sensitivity block evaluations
     adjoint_seeds: int          # single-seed adjoint sweeps
+    horizon_passes: int         # integrate_batch plus adjoint_batch calls
     qp_iterations: int
     kappa_max: float = 0.0
     kappa_dual_max: float = 0.0
@@ -90,10 +97,7 @@ class ControllerState:
     n_dim: int = 0              # primal + dual dimension of the subproblem
     rho0: float = np.nan
     gamma0: float = np.nan
-    eta_pri: float = np.inf
-    eta_dual: float = np.inf
-    e_bar: float = np.nan
-    prev_dy_norm: float = 0.0
+    e_bar: float = np.nan       # tolerance the next step's thresholds use
 
 
 def _triple_dim(model: ModelSpec, N: int) -> int:
@@ -101,6 +105,21 @@ def _triple_dim(model: ModelSpec, N: int) -> int:
     n_eq = (N + 1) * model.n_x
     n_in = N * model.n_r + model.n_l
     return n_w + n_eq + n_in
+
+
+def _new_state(model: ModelSpec, integ: intg.IntegratorConfig,
+               cfg: SchemeConfig, traj: Trajectory, mult: Multipliers
+               ) -> ControllerState:
+    """State with copies of the iterate and no sensitivity block yet."""
+    N = traj.horizon
+    state = ControllerState(
+        model=model, integ=integ, cfg=cfg, traj=traj.copy(),
+        mult=mult.copy(),
+        store=SensitivityStore.empty(N, model.n_x, model.n_u),
+        n_dim=_triple_dim(model, N))
+    if cfg.scheme == "cmon":
+        state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, 0.0)
+    return state
 
 
 def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
@@ -115,32 +134,22 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
 
     ``offline_traj`` fixes the linearization point of the prepared blocks
     (``adj`` keeps them there for good); it defaults to ``traj0``. The
-    auto-threshold mode needs ``refs0`` to solve the preparation
-    subproblem once.
+    ``cmon`` scheme needs ``refs0`` to solve the preparation subproblem
+    once.
     """
-    traj = traj0.copy()
-    mult = mult0.copy()
-    store = SensitivityStore.empty(traj.horizon, model.n_x, model.n_u)
-    base = offline_traj if offline_traj is not None else traj
-    store.refresh(model, base, integ)
-    store.mark_moved(traj)
-
-    state = ControllerState(model=model, integ=integ, cfg=cfg, traj=traj,
-                            mult=mult, store=store,
-                            n_dim=_triple_dim(model, traj.horizon))
+    state = _new_state(model, integ, cfg, traj0, mult0)
+    base = offline_traj if offline_traj is not None else state.traj
+    state.store.refresh(model, base, integ)
+    state.store.mark_moved(state.traj)
     if cfg.scheme == "cmon":
-        state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, 0.0)
-        if cfg.cmon.threshold_mode == "fixed":
-            state.eta_pri = cfg.cmon.fixed_eta_pri
-            state.eta_dual = cfg.cmon.fixed_eta_dual
-        else:
-            if refs0 is None:
-                raise ConfigError(
-                    "auto threshold mode needs preparation references")
-            x_hat = traj.xs[0] if x_hat0 is None else np.asarray(x_hat0, float)
-            qp = build_qp(traj, mult, x_hat, store, model, integ, refs0)
-            sol = solve(qp, tol=cfg.qp_tol)
-            state.rho0, state.gamma0 = conditioning_constants(build_m(qp, sol))
+        if refs0 is None:
+            raise ConfigError("the cmon scheme needs preparation references")
+        x_hat = state.traj.xs[0] if x_hat0 is None \
+            else np.asarray(x_hat0, float)
+        qp = build_qp(state.traj, state.mult, x_hat, state.store, model,
+                      integ, refs0)
+        sol = solve(qp, tol=cfg.qp_tol)
+        state.rho0, state.gamma0 = conditioning_constants(build_m(qp, sol))
     return state
 
 
@@ -157,134 +166,96 @@ def _exact_blocks(state: ControllerState) -> np.ndarray:
     return S
 
 
-def _assemble_and_solve(state: ControllerState, x_hat, refs: References,
-                        phis: np.ndarray):
-    """Build the subproblem with an exact gradient and solve it.
+def _linearize(state: ControllerState, x_hat, refs: References):
+    """Stages 1 and 2 of the step and the assembly of stage 3.
 
-    Returns ``(qp, sol, kkt, n_stale)`` where ``n_stale`` counts the
-    adjoint sweeps spent on the gradient correction.
+    Returns ``(qp, phis, diag)``: the subproblem, the integration values
+    at the nodes, and the instant's diagnostics without the solve's
+    entries.
     """
-    fresh = state.store.fresh_mask()
-    lam_dphi = exact_gradient_rows(state.model, state.traj, state.integ,
-                                   state.mult.lam[1:], fresh_mask=fresh,
-                                   blocks=state.store.blocks)
-    qp = build_qp(state.traj, state.mult, x_hat, state.store, state.model,
-                  state.integ, refs, phis=phis, lam_dphi=lam_dphi)
-    kkt = float(np.linalg.norm(qp.gradient))
-    sol = solve(qp, tol=state.cfg.qp_tol)
-    return qp, sol, kkt, int(state.store.horizon - fresh.sum())
-
-
-def _apply(state: ControllerState, sol) -> float:
-    state.traj, state.mult = apply_step(state.traj, state.mult, sol)
-    state.store.mark_moved(state.traj)
-    return float(np.linalg.norm(sol.stacked()))
-
-
-def _fixed_policy_step(state: ControllerState, x_hat, refs: References,
-                       refresh_all: bool) -> StepDiagnostics:
-    """Shared instant for the rti / ml / adj family."""
-    N = state.traj.horizon
-    phis = intg.integrate_batch(state.model, state.traj.xs[:-1],
-                                state.traj.us, state.integ)
-    refreshed = state.store.refresh(state.model, state.traj, state.integ) \
-        if refresh_all else 0
-    qp, sol, kkt, n_stale = _assemble_and_solve(state, x_hat, refs, phis)
-    dto = None
-    if state.cfg.track_dto:
-        dto = measure_dto(qp, sol, _exact_blocks(state), state.e_bar,
-                          tol=state.cfg.qp_tol)
-    dy = _apply(state, sol)
-    diag = StepDiagnostics(
-        instant=state.instant, kkt_residual=kkt, dy_norm=dy,
-        refreshed=refreshed, refresh_fraction=refreshed / N,
-        sens_blocks=refreshed, adjoint_seeds=n_stale,
-        qp_iterations=sol.iterations)
-    diag.dto = dto
-    state.instant += 1
-    state.prev_dy_norm = dy
-    return diag
-
-
-def _cmon_step(state: ControllerState, x_hat, refs: References
-               ) -> StepDiagnostics:
-    cfg = state.cfg
-    cmon = cfg.cmon
-    N = state.traj.horizon
-    phis = intg.integrate_batch(state.model, state.traj.xs[:-1],
-                                state.traj.us, state.integ)
-
-    adjoint_seeds = 0
-    if state.store.has_caches():
-        kappa = primal_cmon(phis, state.store.prev_phi,
-                            state.store.prev_dir_pri)
-        rows_now = adjoint_rows(state.model, state.traj, state.integ,
-                                state.store.prev_dlam)
-        adjoint_seeds += N
-        kappa_dual = dual_cmon(rows_now, state.store.prev_dir_dual)
+    model, integ, cfg = state.model, state.integ, state.cfg
+    store, traj = state.store, state.traj
+    N = traj.horizon
+    phis = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
+    passes, seeds = 1, 0
+    kappa = kappa_dual = np.zeros(N)
+    eta_pri = eta_dual = np.inf
+    if cfg.scheme == "cmon":
+        # before the first step no direction exists; zero norms leave the
+        # automatic thresholds unbounded unless the tolerance is zero
+        v_pri = v_dual = 0.0
+        if store.has_caches():
+            kappa = primal_cmon(phis, store.prev_phi, store.prev_dir_pri)
+            rows_now = adjoint_rows(model, traj, integ, store.prev_dlam)
+            kappa_dual = dual_cmon(rows_now, store.prev_dir_dual)
+            passes, seeds = 2, N
+            v_pri = float(np.linalg.norm(store.prev_dir_pri))
+            v_dual = float(np.linalg.norm(store.prev_dir_dual))
+        eta_pri, eta_dual = thresholds(cfg.cmon, state.e_bar, state.rho0,
+                                       state.gamma0, v_pri, v_dual)
+        mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
+                               floor_count=cfg.cmon.floor_count(N),
+                               invalid=~store.valid)
     else:
-        kappa = np.zeros(N)
-        kappa_dual = np.zeros(N)
+        full = cfg.scheme == "rti" or (
+            cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0)
+        mask = np.full(N, full) | ~store.valid
+    refreshed = store.refresh(model, traj, integ, mask)
 
-    if cmon.threshold_mode == "fixed":
-        eta_pri, eta_dual = cmon.fixed_eta_pri, cmon.fixed_eta_dual
-    else:
-        eta_pri, eta_dual = state.eta_pri, state.eta_dual
-    mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
-                           floor_count=cmon.floor_count(N),
-                           invalid=~state.store.valid)
-    refreshed = state.store.refresh(state.model, state.traj, state.integ, mask)
-
-    qp, sol, kkt, n_stale = _assemble_and_solve(state, x_hat, refs, phis)
-    adjoint_seeds += n_stale
-    dto = None
-    if cfg.track_dto:
-        dto = measure_dto(qp, sol, _exact_blocks(state), state.e_bar,
-                          tol=cfg.qp_tol)
-
-    dxs, dus = split_primal(sol.dw, N, state.model.n_x, state.model.n_u)
-    dw_nodes = np.concatenate([dxs[:N], dus], axis=1)
-    dlam_seeds = sol.dlam.reshape(N + 1, state.model.n_x)[1:].copy()
-    dir_pri, dir_dual = direction_vectors(state.store.blocks, dw_nodes,
-                                          dlam_seeds)
-    dy = float(np.linalg.norm(sol.stacked()))
-    e_used = state.e_bar
-    state.e_bar = dto_tolerance(cmon, state.n_dim, dy)
-    state.eta_pri, state.eta_dual = thresholds(
-        cmon, state.e_bar, state.rho0, state.gamma0,
-        float(np.linalg.norm(dir_pri)), float(np.linalg.norm(dir_dual)))
-    state.store.update_caches(phis, dir_pri, dir_dual, dlam_seeds)
-
-    _apply(state, sol)
+    fresh = store.fresh_mask()
+    lam_dphi = exact_gradient_rows(model, traj, integ, state.mult.lam[1:],
+                                   fresh_mask=fresh, blocks=store.blocks)
+    n_stale = int(N - fresh.sum())
+    qp = build_qp(traj, state.mult, x_hat, store, model, integ, refs,
+                  phis=phis, lam_dphi=lam_dphi)
     diag = StepDiagnostics(
-        instant=state.instant, kkt_residual=kkt, dy_norm=dy,
-        refreshed=refreshed, refresh_fraction=refreshed / N,
-        sens_blocks=refreshed, adjoint_seeds=adjoint_seeds,
-        qp_iterations=sol.iterations,
+        instant=state.instant, kkt_residual=float(np.linalg.norm(qp.gradient)),
+        dy_norm=np.nan, refreshed=refreshed, refresh_fraction=refreshed / N,
+        sens_blocks=refreshed, adjoint_seeds=seeds + n_stale,
+        horizon_passes=passes + (n_stale > 0), qp_iterations=0,
         kappa_max=float(kappa.max(initial=0.0)),
         kappa_dual_max=float(kappa_dual.max(initial=0.0)),
-        eta_pri=eta_pri, eta_dual=eta_dual, e_bar=e_used, dto=dto)
+        eta_pri=eta_pri, eta_dual=eta_dual, e_bar=state.e_bar)
+    return qp, phis, diag
+
+
+def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray,
+                     diag: StepDiagnostics) -> StepDiagnostics:
+    """The rest of stage 3: solve, update the measure caches, apply."""
+    cfg, model, store = state.cfg, state.model, state.store
+    N = store.horizon
+    sol = solve(qp, tol=cfg.qp_tol)
+    if cfg.track_dto:
+        diag.dto = measure_dto(qp, sol, _exact_blocks(state), state.e_bar,
+                               tol=cfg.qp_tol)
+    diag.dy_norm = float(np.linalg.norm(sol.stacked()))
+    diag.qp_iterations = sol.iterations
+    if cfg.scheme == "cmon":
+        if np.isnan(state.rho0):
+            # no preparation phase: take the first subproblem's constants
+            state.rho0, state.gamma0 = conditioning_constants(
+                build_m(qp, sol))
+        dxs, dus = split_primal(sol.dw, N, model.n_x, model.n_u)
+        dw_nodes = np.concatenate([dxs[:N], dus], axis=1)
+        dlam_seeds = sol.dlam.reshape(N + 1, model.n_x)[1:].copy()
+        dir_pri, dir_dual = direction_vectors(store.blocks, dw_nodes,
+                                              dlam_seeds)
+        state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, diag.dy_norm)
+        store.update_caches(phis, dir_pri, dir_dual, dlam_seeds)
+    state.traj, state.mult = apply_step(state.traj, state.mult, sol)
+    store.mark_moved(state.traj)
     state.instant += 1
-    state.prev_dy_norm = dy
     return diag
 
 
 def controller_step(state: ControllerState, x_hat, refs: References
                     ) -> StepDiagnostics:
     """Advance the controller one instant for measurement ``x_hat``."""
-    scheme = state.cfg.scheme
-    if scheme == "rti":
-        return _fixed_policy_step(state, x_hat, refs, refresh_all=True)
-    if scheme == "ml":
-        full = state.instant % state.cfg.ml_interval == 0
-        return _fixed_policy_step(state, x_hat, refs, refresh_all=full)
-    if scheme == "adj":
-        return _fixed_policy_step(state, x_hat, refs, refresh_all=False)
-    return _cmon_step(state, x_hat, refs)
+    return _solve_and_apply(state, *_linearize(state, x_hat, refs))
 
 
 # ---------------------------------------------------------------------------
-# fixed-measurement solvers
+# fixed-measurement solver
 
 
 @dataclass
@@ -315,120 +286,40 @@ def _sqp_residual(qp) -> float:
                float(np.linalg.norm(qp.continuity_residuals)))
 
 
-def gn_sqp_exact(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
-                 tol: float = 1e-6, max_iter: int = 100,
-                 qp_tol: float = 1e-10) -> SQPResult:
-    """Plain Gauss-Newton SQP with every block exact at every iteration."""
-    traj, mult = traj0.copy(), mult0.copy()
-    store = SensitivityStore.empty(traj.horizon, ocp.model.n_x, ocp.model.n_u)
-    trace, counts = [], []
-    blocks_total = 0
-    converged = False
-    for _ in range(max_iter + 1):
-        phis = intg.integrate_batch(ocp.model, traj.xs[:-1], traj.us,
-                                    ocp.integ)
-        blocks_total += store.refresh(ocp.model, traj, ocp.integ)
-        qp = build_qp(traj, mult, ocp.x_hat, store, ocp.model, ocp.integ,
-                      ocp.refs, phis=phis)
-        res = _sqp_residual(qp)
-        trace.append(res)
-        if res <= tol:
-            converged = True
-            break
-        if len(counts) >= max_iter:
-            break
-        sol = solve(qp, tol=qp_tol)
-        counts.append(store.horizon)
-        traj, mult = apply_step(traj, mult, sol)
-        store.mark_moved(traj)
-    return SQPResult(traj=traj, mult=mult, iterations=len(counts),
-                     converged=converged, kkt_trace=np.array(trace),
-                     sens_blocks=blocks_total, adjoint_seeds=0,
-                     refresh_counts=counts)
+def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
+              cfg: SchemeConfig, tol: float = 1e-6,
+              max_iter: int = 100) -> SQPResult:
+    """Iterate the controller step at fixed ``x_hat`` to convergence.
 
-
-def cmon_sqp(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
-             cmon: Optional[CMoNConfig] = None, tol: float = 1e-6,
-             max_iter: int = 200, qp_tol: float = 1e-10) -> SQPResult:
-    """Iterate the partial-update step to convergence at fixed ``x_hat``.
-
-    The first iteration updates everything and fixes the conditioning
-    constants from its subproblem. Five consecutive residual increases
-    raise :class:`DivergenceError` with the trace attached.
+    The scheme in ``cfg`` picks the block update policy: ``rti`` is plain
+    Gauss-Newton SQP with every block exact. There is no preparation
+    phase, so the first iteration computes every block and, under
+    ``cmon``, fixes the conditioning constants from its subproblem. Five
+    consecutive residual increases raise :class:`DivergenceError` with
+    the trace attached.
     """
-    cmon = cmon if cmon is not None else CMoNConfig()
-    model, integ = ocp.model, ocp.integ
-    traj, mult = traj0.copy(), mult0.copy()
-    N = traj.horizon
-    store = SensitivityStore.empty(N, model.n_x, model.n_u)
-    n_dim = _triple_dim(model, N)
-    rho0 = gamma0 = np.nan
-    eta_pri = eta_dual = np.inf
-    if cmon.threshold_mode == "fixed":
-        eta_pri, eta_dual = cmon.fixed_eta_pri, cmon.fixed_eta_dual
+    state = _new_state(ocp.model, ocp.integ, cfg, traj0, mult0)
     trace, counts = [], []
-    blocks_total = 0
-    adjoint_total = 0
-    grows = 0
+    blocks_total = adjoint_total = grows = 0
     converged = False
-    for it in range(max_iter + 1):
-        phis = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
-        if store.has_caches():
-            kappa = primal_cmon(phis, store.prev_phi, store.prev_dir_pri)
-            rows_now = adjoint_rows(model, traj, integ, store.prev_dlam)
-            adjoint_total += N
-            kappa_dual = dual_cmon(rows_now, store.prev_dir_dual)
-        else:
-            kappa = np.zeros(N)
-            kappa_dual = np.zeros(N)
-        mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
-                               floor_count=cmon.floor_count(N),
-                               invalid=~store.valid)
-        refreshed = store.refresh(model, traj, integ, mask)
-        blocks_total += refreshed
-
-        fresh = store.fresh_mask()
-        lam_dphi = exact_gradient_rows(model, traj, integ, mult.lam[1:],
-                                       fresh_mask=fresh, blocks=store.blocks)
-        adjoint_total += int(N - fresh.sum())
-        qp = build_qp(traj, mult, ocp.x_hat, store, model, integ, ocp.refs,
-                      phis=phis, lam_dphi=lam_dphi)
+    while True:
+        qp, phis, diag = _linearize(state, ocp.x_hat, ocp.refs)
+        blocks_total += diag.sens_blocks
+        adjoint_total += diag.adjoint_seeds
         res = _sqp_residual(qp)
         trace.append(res)
-        if len(trace) > 1 and res > trace[-2]:
-            grows += 1
-            if grows >= 5:
-                raise DivergenceError(
-                    "residual grew five iterations in a row",
-                    log=np.array(trace))
-        else:
-            grows = 0
+        grows = grows + 1 if len(trace) > 1 and res > trace[-2] else 0
+        if grows >= 5:
+            raise DivergenceError("residual grew five iterations in a row",
+                                  log=np.array(trace))
         if res <= tol:
             converged = True
             break
         if len(counts) >= max_iter:
             break
-        sol = solve(qp, tol=qp_tol)
-        counts.append(refreshed)
-        if it == 0 and cmon.threshold_mode == "auto":
-            rho0, gamma0 = conditioning_constants(build_m(qp, sol))
-
-        dxs, dus = split_primal(sol.dw, N, model.n_x, model.n_u)
-        dw_nodes = np.concatenate([dxs[:N], dus], axis=1)
-        dlam_seeds = sol.dlam.reshape(N + 1, model.n_x)[1:].copy()
-        dir_pri, dir_dual = direction_vectors(store.blocks, dw_nodes,
-                                              dlam_seeds)
-        if cmon.threshold_mode == "auto":
-            e_bar = dto_tolerance(cmon, n_dim,
-                                  float(np.linalg.norm(sol.stacked())))
-            eta_pri, eta_dual = thresholds(
-                cmon, e_bar, rho0, gamma0,
-                float(np.linalg.norm(dir_pri)),
-                float(np.linalg.norm(dir_dual)))
-        store.update_caches(phis, dir_pri, dir_dual, dlam_seeds)
-        traj, mult = apply_step(traj, mult, sol)
-        store.mark_moved(traj)
-    return SQPResult(traj=traj, mult=mult, iterations=len(counts),
-                     converged=converged, kkt_trace=np.array(trace),
-                     sens_blocks=blocks_total, adjoint_seeds=adjoint_total,
-                     refresh_counts=counts)
+        _solve_and_apply(state, qp, phis, diag)
+        counts.append(diag.refreshed)
+    return SQPResult(traj=state.traj, mult=state.mult,
+                     iterations=len(counts), converged=converged,
+                     kkt_trace=np.array(trace), sens_blocks=blocks_total,
+                     adjoint_seeds=adjoint_total, refresh_counts=counts)

@@ -347,19 +347,3 @@ def apply_step(traj: Trajectory, mult: Multipliers, sol):
     np.clip(new_mu, 0.0, None, out=new_mu)
     np.clip(new_mu_term, 0.0, None, out=new_mu_term)
     return new_traj, Multipliers(new_lam, new_mu, new_mu_term)
-
-
-def kkt_residual(traj: Trajectory, mult: Multipliers, x_hat, model: ModelSpec,
-                 cfg: intg.IntegratorConfig, refs: References,
-                 exact_jacobians: bool = True, store=None) -> float:
-    """Norm of the problem Lagrangian gradient at the iterate.
-
-    With ``exact_jacobians`` the sensitivity rows are recomputed by adjoint
-    sweeps; otherwise the store's (possibly stale) blocks are used.
-    """
-    if exact_jacobians or store is None:
-        lam_dphi = None
-    else:
-        lam_dphi = np.einsum('kx,kxw->kw', mult.lam[1:], store.blocks)
-    g = lagrangian_gradient(traj, mult, model, cfg, refs, lam_dphi=lam_dphi)
-    return float(np.linalg.norm(g))

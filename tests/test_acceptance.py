@@ -21,7 +21,7 @@ from nmpckit import transcription as trc
 from nmpckit.cmon import CMoNConfig, SensitivityStore
 from nmpckit.harness import closed_loop_simulate, load_scenario, \
     randomized_chain_trials
-from nmpckit.schemes import OCProblem, cmon_sqp, gn_sqp_exact
+from nmpckit.schemes import OCProblem, SchemeConfig, sqp_solve
 from nmpckit.transcription import Multipliers, References, Trajectory
 
 
@@ -110,8 +110,8 @@ def _swing_up_problem():
     xs = np.zeros((N + 1, 4))
     xs[:, 1] = np.pi * (1.0 - np.arange(N + 1) / N)
     crude = Trajectory(xs, np.zeros((N, 1)))
-    warm = gn_sqp_exact(ocp, crude, Multipliers.zeros(N, 4, model.n_r),
-                        tol=1e-12, max_iter=10, qp_tol=1e-8)
+    warm = sqp_solve(ocp, crude, Multipliers.zeros(N, 4, model.n_r),
+                     SchemeConfig("rti", qp_tol=1e-8), tol=1e-12, max_iter=10)
     return ocp, warm.traj, warm.mult
 
 
@@ -120,13 +120,15 @@ def swing_up():
     t0 = time.perf_counter()
     ocp, traj0, mult0 = _swing_up_problem()
     runs = {}
-    runs["exact"] = gn_sqp_exact(ocp, traj0, mult0, tol=1e-6, qp_tol=1e-8)
+    runs["exact"] = sqp_solve(ocp, traj0, mult0,
+                              SchemeConfig("rti", qp_tol=1e-8), tol=1e-6)
     for label, cfg in (
             ("zero", CMoNConfig(eps_abs=0.0, eps_rel=0.0)),
             ("s1", CMoNConfig(eps_abs=1e-2, eps_rel=1e-2)),
             ("s2", CMoNConfig(eps_abs=1e-1, eps_rel=1e-1))):
-        runs[label] = cmon_sqp(ocp, traj0, mult0, cmon=cfg, tol=1e-6,
-                               qp_tol=1e-8)
+        runs[label] = sqp_solve(ocp, traj0, mult0,
+                                SchemeConfig("cmon", qp_tol=1e-8, cmon=cfg),
+                                tol=1e-6)
     seconds = time.perf_counter() - t0
     return ocp, traj0, mult0, runs, seconds
 
@@ -315,9 +317,9 @@ def test_09_partition_weight_insensitivity(swing_up):
     ocp, traj0, mult0, _, _ = swing_up
     iters = []
     for c1 in (0.05, 0.1, 0.5):
-        res = cmon_sqp(ocp, traj0, mult0,
-                       cmon=CMoNConfig(eps_abs=1e-2, eps_rel=1e-2, c1=c1),
-                       tol=1e-6, qp_tol=1e-8)
+        cfg = SchemeConfig("cmon", qp_tol=1e-8, cmon=CMoNConfig(
+            eps_abs=1e-2, eps_rel=1e-2, c1=c1))
+        res = sqp_solve(ocp, traj0, mult0, cfg, tol=1e-6)
         assert res.converged
         iters.append(res.iterations)
     spread = max(iters) - min(iters)
@@ -358,7 +360,7 @@ def _rollout_qp(rng, N=8):
     xs[0] = [0.0, 0.4, 0.0, 0.0]
     us = rng.uniform(-2.0, 2.0, (N, 1))
     for k in range(N):
-        xs[k + 1] = intg.integrate(model, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(model, xs[k], us[k], cfg)
     traj = Trajectory(xs, us)
     store = SensitivityStore.empty(N, 4, 1)
     store.refresh(model, traj, cfg)
@@ -385,8 +387,8 @@ def test_10_numerical_kernels():
     for j in range(5):
         e = np.zeros(5)
         e[j] = h
-        hi = intg.integrate(model, x0 + e[:4], u0 + e[4:], cfg)
-        lo = intg.integrate(model, x0 - e[:4], u0 - e[4:], cfg)
+        hi = intg.integrate_batch(model, x0 + e[:4], u0 + e[4:], cfg)
+        lo = intg.integrate_batch(model, x0 - e[:4], u0 - e[4:], cfg)
         fd = (hi - lo) / (2 * h)
         worst = max(worst, np.abs(S[:, j] - fd).max()
                     / max(1.0, np.abs(fd).max()))

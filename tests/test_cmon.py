@@ -85,6 +85,10 @@ def test_update_decision_threshold_rule():
     kappa_dual = np.array([0.1, 0.1, 5.0, 0.2])
     refresh = cmon.update_decision(kappa, kappa_dual, 1.0, 1.0)
     npt.assert_array_equal(refresh, [False, True, True, False])
+    # a NaN measure is never at or below its threshold
+    refresh = cmon.update_decision(np.array([np.nan, 0.1, 5.0]),
+                                   np.array([0.0, np.nan, 0.0]), 1.0, 1.0)
+    npt.assert_array_equal(refresh, [True, True, True])
 
 
 def test_update_decision_invalid_forces_refresh():
@@ -211,7 +215,7 @@ def test_stacked_norm_bound_on_kept_blocks(pendulum, rng):
     xs[0] = [0.0, 0.5, 0.0, 0.0]
     us = rng.uniform(-2.0, 2.0, (N, 1))
     for k in range(N):
-        xs[k + 1] = intg.integrate(pendulum, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(pendulum, xs[k], us[k], cfg)
     q = 1e-3 * rng.standard_normal((N, 5))
     xs_b = xs.copy()
     xs_b[:-1] += q[:, :4]

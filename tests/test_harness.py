@@ -63,8 +63,13 @@ def test_closed_loop_log_shapes():
     assert not log.failed
     for col in log.diag.values():
         assert col.shape == (n,)
-    npt.assert_array_equal(log.diag["integration_calls"],
-                           np.full(n, s.horizon))
+    # horizon passes per instant: the nominal integration, plus one
+    # adjoint sweep once stale blocks need exact gradient rows
+    x0 = np.array([0.05, 0.1, 0.0, 0.0])
+    for scheme, expect in (("rti", [1, 1, 1]), ("adj", [1, 2, 2])):
+        log = closed_loop_simulate(_short_pendulum(duration=0.15,
+                                                   scheme=scheme, x0=x0))
+        npt.assert_array_equal(log.diag["integration_calls"], expect)
 
 
 def test_reference_windows_shift_by_one():

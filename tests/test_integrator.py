@@ -57,7 +57,8 @@ def test_fourth_order_convergence_on_linear_ode():
     errs = []
     for sub in (1, 2, 4, 8):
         cfg = intg.IntegratorConfig(dt=dt, substeps=sub)
-        errs.append(np.abs(intg.integrate(model, x0, u, cfg) - exact).max())
+        phi = intg.integrate_batch(model, x0, u, cfg)
+        errs.append(np.abs(phi - exact).max())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 3.9)
 
@@ -66,14 +67,13 @@ def test_forward_sensitivity_matches_fd(pendulum, rng):
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     x0 = rng.uniform(-0.5, 0.5, 4)
     u = rng.uniform(-5.0, 5.0, 1)
-    _, block = intg.integrate_with_forward_sensitivity(pendulum, x0, u, cfg)
-    S = block.value
+    _, S = intg.forward_sensitivity_batch(pendulum, x0, u, cfg)
     h = 1e-6
     for j in range(5):
         e = np.zeros(5)
         e[j] = h
-        hi = intg.integrate(pendulum, x0 + e[:4], u + e[4:], cfg)
-        lo = intg.integrate(pendulum, x0 - e[:4], u - e[4:], cfg)
+        hi = intg.integrate_batch(pendulum, x0 + e[:4], u + e[4:], cfg)
+        lo = intg.integrate_batch(pendulum, x0 - e[:4], u - e[4:], cfg)
         fd = (hi - lo) / (2 * h)
         npt.assert_allclose(S[:, j], fd, rtol=1e-6, atol=1e-8)
 
@@ -85,10 +85,10 @@ def test_forward_sensitivity_exact_on_linear_model():
     cfg = intg.IntegratorConfig(dt=0.2, substeps=3)
     x0 = np.array([1.0])
     u = np.array([0.3])
-    phi0, block = intg.integrate_with_forward_sensitivity(model, x0, u, cfg)
+    phi0, S = intg.forward_sensitivity_batch(model, x0, u, cfg)
     dx, du = 0.37, -0.21
-    phi1 = intg.integrate(model, x0 + dx, u + du, cfg)
-    pred = phi0 + block.value @ np.array([dx, du])
+    phi1 = intg.integrate_batch(model, x0 + dx, u + du, cfg)
+    pred = phi0 + S @ np.array([dx, du])
     npt.assert_allclose(phi1, pred, rtol=1e-14)
 
 
@@ -108,9 +108,9 @@ def test_adjoint_single_seed_variant(pendulum, rng):
     x0 = rng.uniform(-0.5, 0.5, 4)
     u = rng.uniform(-5.0, 5.0, 1)
     seed = rng.standard_normal(4)
-    row = intg.adjoint_directional_sensitivity(pendulum, x0, u, cfg, seed)
-    _, block = intg.integrate_with_forward_sensitivity(pendulum, x0, u, cfg)
-    npt.assert_allclose(row, seed @ block.value, atol=1e-12)
+    row = intg.adjoint_batch(pendulum, x0, u, cfg, seed[None, :])[0]
+    _, S = intg.forward_sensitivity_batch(pendulum, x0, u, cfg)
+    npt.assert_allclose(row, seed @ S, atol=1e-12)
 
 
 def test_batch_matches_single_node(pendulum, rng):
@@ -118,7 +118,7 @@ def test_batch_matches_single_node(pendulum, rng):
     xs = rng.uniform(-0.5, 0.5, (5, 4))
     us = rng.uniform(-5.0, 5.0, (5, 1))
     batch = intg.integrate_batch(pendulum, xs, us, cfg)
-    rows = np.stack([intg.integrate(pendulum, xs[i], us[i], cfg)
+    rows = np.stack([intg.integrate_batch(pendulum, xs[i], us[i], cfg)
                      for i in range(5)])
     npt.assert_array_equal(batch, rows)
 
@@ -128,11 +128,11 @@ def test_substep_refinement_shrinks_error(pendulum):
     # controller-grade integrator, and both are already very accurate
     x0 = np.array([0.2, 0.6, -0.4, 1.0])
     u = np.array([6.0])
-    ref = intg.integrate(pendulum, x0, u,
-                         intg.IntegratorConfig(dt=0.05, substeps=64))
-    err4 = np.abs(intg.integrate(
+    ref = intg.integrate_batch(pendulum, x0, u,
+                               intg.IntegratorConfig(dt=0.05, substeps=64))
+    err4 = np.abs(intg.integrate_batch(
         pendulum, x0, u, intg.IntegratorConfig(dt=0.05, substeps=4)) - ref)
-    err16 = np.abs(intg.integrate(
+    err16 = np.abs(intg.integrate_batch(
         pendulum, x0, u, intg.IntegratorConfig(dt=0.05, substeps=16)) - ref)
     assert err16.max() < err4.max()
     assert err4.max() < 1e-7
@@ -143,14 +143,14 @@ def test_blowup_raises():
     model = _square_model()
     cfg = intg.IntegratorConfig(dt=1.0, substeps=2)
     with pytest.raises(IntegrationBlowupError):
-        intg.integrate(model, np.array([1e200]), np.zeros(1), cfg)
+        intg.integrate_batch(model, np.array([1e200]), np.zeros(1), cfg)
 
 
 def test_nonfinite_entry_rejected(pendulum):
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     with pytest.raises(Exception):
-        intg.integrate(pendulum, np.array([np.inf, 0.0, 0.0, 0.0]),
-                       np.zeros(1), cfg)
+        intg.integrate_batch(pendulum, np.array([np.inf, 0.0, 0.0, 0.0]),
+                             np.zeros(1), cfg)
 
 
 def test_config_validation():

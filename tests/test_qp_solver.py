@@ -97,7 +97,7 @@ def _pendulum_qp(pendulum, rng, N=8):
     xs[0] = [0.0, 0.4, 0.0, 0.0]
     us = rng.uniform(-3.0, 3.0, (N, 1))
     for k in range(N):
-        xs[k + 1] = intg.integrate(pendulum, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(pendulum, xs[k], us[k], cfg)
     traj = trc.Trajectory(xs, us)
     mult = trc.Multipliers.zeros(N, 4, pendulum.n_r)
     refs = trc.References(np.zeros((N + 1, 4)), np.zeros((N, 1)))

@@ -6,9 +6,8 @@ import pytest
 from nmpckit import integrator as intg, schemes
 from nmpckit.cmon import CMoNConfig
 from nmpckit.errors import DivergenceError
-from nmpckit.schemes import (OCProblem, SchemeConfig, cmon_sqp,
-                             controller_step, gn_sqp_exact,
-                             initialize_controller)
+from nmpckit.schemes import (OCProblem, SchemeConfig, controller_step,
+                             initialize_controller, sqp_solve)
 from nmpckit.transcription import Multipliers, References, Trajectory
 
 N = 10
@@ -30,7 +29,8 @@ def _steady_guess(pendulum, x_hat):
 def test_exact_sqp_converges(pendulum):
     ocp = _pendulum_ocp(pendulum)
     traj0, mult0 = _steady_guess(pendulum, ocp.x_hat)
-    res = gn_sqp_exact(ocp, traj0, mult0, tol=1e-8, qp_tol=1e-10)
+    res = sqp_solve(ocp, traj0, mult0, SchemeConfig("rti", qp_tol=1e-10),
+                    tol=1e-8)
     assert res.converged
     assert res.kkt_trace[-1] <= 1e-8
     assert res.iterations < 50
@@ -42,10 +42,12 @@ def test_exact_sqp_converges(pendulum):
 def test_zero_tolerance_partial_update_matches_exact(pendulum):
     ocp = _pendulum_ocp(pendulum)
     traj0, mult0 = _steady_guess(pendulum, ocp.x_hat)
-    exact = gn_sqp_exact(ocp, traj0, mult0, tol=1e-8, qp_tol=1e-8)
-    zero = cmon_sqp(ocp, traj0.copy(), mult0.copy(),
-                    cmon=CMoNConfig(eps_abs=0.0, eps_rel=0.0),
-                    tol=1e-8, qp_tol=1e-8)
+    exact = sqp_solve(ocp, traj0, mult0, SchemeConfig("rti", qp_tol=1e-8),
+                      tol=1e-8)
+    zero = sqp_solve(ocp, traj0.copy(), mult0.copy(),
+                     SchemeConfig("cmon", qp_tol=1e-8,
+                                  cmon=CMoNConfig(eps_abs=0.0, eps_rel=0.0)),
+                     tol=1e-8)
     assert zero.converged
     assert zero.iterations == exact.iterations
     npt.assert_array_equal(zero.traj.xs, exact.traj.xs)
@@ -57,10 +59,12 @@ def test_zero_tolerance_partial_update_matches_exact(pendulum):
 def test_partial_update_solver_saves_evaluations(pendulum):
     ocp = _pendulum_ocp(pendulum, x_hat=(0.0, 0.9, 0.0, 0.0))
     traj0, mult0 = _steady_guess(pendulum, ocp.x_hat)
-    exact = gn_sqp_exact(ocp, traj0, mult0, tol=1e-6, qp_tol=1e-8)
-    part = cmon_sqp(ocp, traj0.copy(), mult0.copy(),
-                    cmon=CMoNConfig(eps_abs=0.1, eps_rel=0.1),
-                    tol=1e-6, qp_tol=1e-8)
+    exact = sqp_solve(ocp, traj0, mult0, SchemeConfig("rti", qp_tol=1e-8),
+                      tol=1e-6)
+    part = sqp_solve(ocp, traj0.copy(), mult0.copy(),
+                     SchemeConfig("cmon", qp_tol=1e-8,
+                                  cmon=CMoNConfig(eps_abs=0.1, eps_rel=0.1)),
+                     tol=1e-6)
     assert exact.converged and part.converged
     assert part.sens_blocks < exact.sens_blocks
 
@@ -72,7 +76,8 @@ def test_divergence_guard_raises_with_trace(pendulum, monkeypatch):
     monkeypatch.setattr(schemes, "_sqp_residual",
                         lambda qp: next(bogus))
     with pytest.raises(DivergenceError) as exc:
-        cmon_sqp(ocp, traj0, mult0, tol=1e-12, max_iter=50)
+        sqp_solve(ocp, traj0, mult0, SchemeConfig("cmon", qp_tol=1e-10),
+                  tol=1e-12, max_iter=50)
     assert exc.value.log is not None
     assert len(exc.value.log) >= 6
 
@@ -213,3 +218,22 @@ def test_linear_plant_schemes_coincide(rng):
         logs[kind] = np.array(xs_log)
     for kind in ("ml", "adj", "cmon"):
         npt.assert_allclose(logs[kind], logs["rti"], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["rti", "cmon"])
+def test_offline_iteration_matches_controller_step(pendulum, kind):
+    # the offline loop and the closed loop take the same step: one
+    # iteration of one equals one instant of the other, bit for bit
+    ocp = _pendulum_ocp(pendulum, x_hat=(0.05, 0.5, 0.0, 0.0))
+    traj0, mult0 = _steady_guess(pendulum, (0.0, 0.3, 0.0, 0.0))
+    cfg = SchemeConfig(scheme=kind)
+    res = sqp_solve(ocp, traj0, mult0, cfg, tol=0.0, max_iter=1)
+    assert res.iterations == 1
+    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0,
+                                  refs0=ocp.refs, x_hat0=ocp.x_hat)
+    controller_step(state, ocp.x_hat, ocp.refs)
+    npt.assert_array_equal(res.traj.xs, state.traj.xs)
+    npt.assert_array_equal(res.traj.us, state.traj.us)
+    npt.assert_array_equal(res.mult.lam, state.mult.lam)
+    npt.assert_array_equal(res.mult.mu, state.mult.mu)
+    npt.assert_array_equal(res.mult.mu_term, state.mult.mu_term)

@@ -18,7 +18,7 @@ def _rollout(model, x0, us):
     xs = np.empty((len(us) + 1, model.n_x))
     xs[0] = x0
     for k, u in enumerate(us):
-        xs[k + 1] = intg.integrate(model, xs[k], u, CFG)
+        xs[k + 1] = intg.integrate_batch(model, xs[k], u, CFG)
     return trc.Trajectory(xs, np.asarray(us, dtype=float))
 
 

@@ -1,11 +1,15 @@
 """Interior-point solver for the stage-structured QP subproblems.
 
 A Mehrotra predictor-corrector iteration runs on top of a pluggable KKT
-backend. The stage backend orders variables as
-``[eq_0, w_0, eq_1, w_1, ..., eq_N, x_N]`` which makes the augmented
-system banded with bandwidth ``2 n_x + n_u - 1``; factorizations use the
-LAPACK banded LU. A dense backend serves generic small QPs and doubles as
-an oracle path in tests.
+backend. The stage backend keeps the variables in stage order
+``[w_0, ..., w_{N-1}, x_N]`` and eliminates them: with the block-diagonal
+``Hbar = H + C' W C`` (W the interior-point weights) the dual Schur
+complement ``Y = A Hbar^-1 A'`` is block tridiagonal with N + 1 blocks of
+size n_x, symmetric positive definite, and factored by one LAPACK banded
+Cholesky with bandwidth ``2 n_x - 1``. The stage Hessians are Gauss-Newton
+blocks with nonnegative weights, lifted by a small floor where singular,
+so every ``Hbar_k`` is positive definite. A dense backend serves generic
+small QPs and doubles as an oracle path in tests.
 
 The stage solver consumes the Lagrangian-gradient form of the subproblem
 and returns *increments* for the primal variables and both multiplier
@@ -15,6 +19,7 @@ sets, converting internally to the equivalent total-multiplier QP.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .errors import QPInfeasibleError, QPNonconvergenceError
@@ -304,31 +309,40 @@ def solve_dense(H, g, A, b, C, d, tol=1e-8, start_scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# banded stage backend
+# stage backend: banded Cholesky of the dual Schur complement
 # ---------------------------------------------------------------------------
 
+_pbtrf, _pbtrs = get_lapack_funcs(('pbtrf', 'pbtrs'), dtype=np.float64)
+
+
+def _lower_band(cols, kd):
+    """LAPACK lower band storage ``ab[i - j, j]`` of a symmetric matrix.
+
+    ``cols`` (m, h, bs) holds the m block columns of width bs, each from
+    its diagonal block down, with h >= bs + kd rows (zero-padded). The
+    result is Fortran-ordered, so LAPACK takes it without a copy.
+    """
+    m, _, bs = cols.shape
+    s_r, s_i, s_j = cols.strides
+    # skewed view: diag[r, t, b] = cols[r, b + t, b]
+    diag = as_strided(cols, shape=(m, kd + 1, bs),
+                      strides=(s_r, s_i, s_i + s_j), writeable=False)
+    return diag.transpose(0, 2, 1).reshape(m * bs, kd + 1).T
+
+
 class _StageBackend:
-    """Banded KKT backend for stage-structured QP data."""
+    """KKT backend for stage-structured QP data.
+
+    Solves through the dual Schur complement ``Y = A Hbar^-1 A'`` (see the
+    module docstring). A singular ``Hbar_k``, or a ``Y`` that is not
+    positive definite (a nonconvex stage), raises
+    :class:`QPNonconvergenceError`.
+    """
 
     def __init__(self, qp: QPData):
         self.qp = qp
         N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
         self.N, self.n_x, self.nwk = N, n_x, nwk
-        stride = n_x + nwk
-        self.n_kkt = N * stride + 2 * n_x
-        kl = 2 * n_x + qp.n_u - 1
-        self.kl = self.ku = kl
-        self.ldab = 2 * self.kl + self.ku + 1
-
-        # permutations: qp row/col index -> kkt index
-        w_pos = np.empty(qp.n_w, dtype=np.int64)
-        for k in range(N):
-            w_pos[k * nwk:(k + 1) * nwk] = k * stride + n_x + np.arange(nwk)
-        w_pos[N * nwk:] = N * stride + n_x + np.arange(n_x)
-        e_pos = np.empty(qp.n_eq, dtype=np.int64)
-        for r in range(N + 1):
-            e_pos[r * n_x:(r + 1) * n_x] = r * stride + np.arange(n_x)
-        self.w_pos, self.e_pos = w_pos, e_pos
 
         # regularized Hessian blocks
         stage_h = qp.stage_hessians
@@ -341,54 +355,10 @@ class _StageBackend:
         if np.linalg.eigvalsh(self.term_h).min() < _HESS_REG_FLOOR:
             self.term_h = self.term_h + _HESS_REG_FLOOR * np.eye(n_x)
 
-        self._build_template()
-        self._gbtrf, self._gbtrs = get_lapack_funcs(
-            ('gbtrf', 'gbtrs'), (self.template,))
-
         self.g = _modified_gradient(qp)
         self.b = -qp.continuity_residuals.ravel()
         d_stage = -qp.ineq_values.ravel()
         self.d = np.concatenate([d_stage, -qp.term_ineq_values])
-
-    # banded index helper: entry (i, j) lives at ab[kl + ku + i - j, j]
-    def _ab_flat(self, i, j):
-        return (self.kl + self.ku + i - j) * self.n_kkt + j
-
-    def _build_template(self):
-        qp = self.qp
-        N, n_x, nwk = self.N, self.n_x, self.nwk
-        ab = np.zeros((self.ldab, self.n_kkt))
-        flat = ab.ravel()
-        wp, ep = self.w_pos, self.e_pos
-
-        a_idx = np.arange(nwk)
-        self.h_idx = np.empty((N, nwk, nwk), dtype=np.int64)
-        for k in range(N):
-            rows = wp[k * nwk + a_idx]
-            self.h_idx[k] = self._ab_flat(rows[:, None], rows[None, :])
-        flat[self.h_idx.ravel()] += self.stage_h.ravel()
-        t_idx0 = wp[N * nwk + np.arange(n_x)]
-        self.t_idx = self._ab_flat(t_idx0[:, None], t_idx0[None, :])
-        flat[self.t_idx.ravel()] += self.term_h.ravel()
-
-        # embedding identity
-        r0 = ep[np.arange(n_x)]
-        c0 = wp[np.arange(n_x)]
-        flat[self._ab_flat(r0, c0)] += 1.0
-        flat[self._ab_flat(c0, r0)] += 1.0
-        # continuity rows: [dphi_k, -I]
-        for k in range(N):
-            rows = ep[(k + 1) * n_x + np.arange(n_x)]
-            cols = wp[k * nwk + a_idx]
-            idx = self._ab_flat(rows[:, None], cols[None, :])
-            flat[idx.ravel()] += qp.jacobian_blocks[k].ravel()
-            idxT = self._ab_flat(cols[:, None], rows[None, :])
-            flat[idxT.ravel()] += qp.jacobian_blocks[k].T.ravel()
-            nxt = wp[(k + 1) * nwk + np.arange(n_x)] if k + 1 < N \
-                else wp[N * nwk + np.arange(n_x)]
-            flat[self._ab_flat(rows, nxt)] += -1.0
-            flat[self._ab_flat(nxt, rows)] += -1.0
-        self.template = ab
 
     def hmv(self, x):
         N, n_x, nwk = self.N, self.n_x, self.nwk
@@ -443,45 +413,63 @@ class _StageBackend:
 
     def factor(self, w):
         qp = self.qp
-        ab = self.template.copy()
+        N, n_x = self.N, self.n_x
+        stage, term = self.stage_h, self.term_h
         if w is not None and w.size:
-            N, n_r = self.N, qp.n_r
+            n_r = qp.n_r
             wk = w[:N * n_r].reshape(N, n_r)
-            contrib = np.einsum('kra,kr,krb->kab', qp.ineq_jac, wk, qp.ineq_jac)
-            ab.ravel()[self.h_idx.ravel()] += contrib.ravel()
+            cjt = qp.ineq_jac.transpose(0, 2, 1)
+            stage = stage + (cjt * wk[:, None, :]) @ qp.ineq_jac
             if qp.n_l:
-                tcon = (qp.term_ineq_jac.T * w[N * n_r:]) @ qp.term_ineq_jac
-                ab.ravel()[self.t_idx.ravel()] += tcon.ravel()
-        lu, piv, info = self._gbtrf(ab, self.kl, self.ku)
-        if info != 0:
-            # tiny inertia-respecting shift, then retry once
-            ab2 = ab.copy()
-            diag = self.kl + self.ku
-            ab2[diag, self.w_pos] += 1e-12
-            ab2[diag, self.e_pos] -= 1e-12
-            lu, piv, info = self._gbtrf(ab2, self.kl, self.ku)
-            if info != 0:
-                raise QPNonconvergenceError(
-                    "banded KKT factorization failed (singular system)")
-        return lu, piv, w
+                term = term + (qp.term_ineq_jac.T * w[N * n_r:]) \
+                    @ qp.term_ineq_jac
+        try:
+            p_stage = np.linalg.inv(stage)
+            p_term = np.linalg.inv(term)
+        except np.linalg.LinAlgError:
+            raise QPNonconvergenceError(
+                "singular stage Hessian block in the KKT system") from None
 
-    def _raw_solve(self, lu, piv, r1, r2):
-        rhs = np.empty(self.n_kkt)
-        rhs[self.w_pos] = r1
-        rhs[self.e_pos] = r2
-        sol, info = self._gbtrs(lu, self.kl, self.ku, rhs, piv)
+        # stage k couples dual blocks k (through +-x_k) and k+1 (through
+        # J_k); block column r of Y holds Y[r, r] and Y[r + 1, r]
+        J = qp.jacobian_blocks
+        pjt = p_stage @ J.transpose(0, 2, 1)
+        cols = np.zeros((N + 1, 3 * n_x, n_x))
+        cols[:N, :n_x] = p_stage[:, :n_x, :n_x]
+        cols[1:, :n_x] += J @ pjt
+        cols[N, :n_x] += p_term
+        cols[:N, n_x:2 * n_x] = -pjt[:, :n_x].transpose(0, 2, 1)
+        cols[0, n_x:2 * n_x] *= -1.0
+        chol, info = _pbtrf(_lower_band(cols, 2 * n_x - 1), lower=1,
+                            overwrite_ab=1)
         if info != 0:
-            raise QPNonconvergenceError("banded KKT solve failed")
-        return sol[self.w_pos], sol[self.e_pos]
+            raise QPNonconvergenceError(
+                "dual Schur complement of the KKT system is not positive "
+                f"definite (banded Cholesky info {info})")
+        return p_stage, p_term, chol, w
+
+    def _hbar_solve(self, p_stage, p_term, r):
+        N, nwk = self.N, self.nwk
+        out = np.empty_like(r)
+        out[:N * nwk] = np.einsum('kab,kb->ka', p_stage,
+                                  r[:N * nwk].reshape(N, nwk)).ravel()
+        out[N * nwk:] = p_term @ r[N * nwk:]
+        return out
+
+    def _raw_solve(self, handle, r1, r2):
+        p_stage, p_term, chol, _ = handle
+        t = self._hbar_solve(p_stage, p_term, r1)
+        dy, _ = _pbtrs(chol, self.amv(t) - r2, lower=1)
+        return self._hbar_solve(p_stage, p_term, r1 - self.atmv(dy)), dy
 
     def solve2(self, handle, r1, r2):
-        lu, piv, w = handle
-        dx, dy = self._raw_solve(lu, piv, r1, r2)
+        *_, w = handle
+        dx, dy = self._raw_solve(handle, r1, r2)
         res1 = r1 - self.hmv(dx) - self.atmv(dy)
         if w is not None and w.size:
             res1 -= self.ctmv(w * self.cmv(dx))
         res2 = r2 - self.amv(dx)
-        cx, cy = self._raw_solve(lu, piv, res1, res2)
+        cx, cy = self._raw_solve(handle, res1, res2)
         return dx + cx, dy + cy
 
 

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from conftest import SCENARIO_DIR
-from nmpckit import cli, harness
+from nmpckit import cli, harness, transcription as trc
 from nmpckit.errors import ConfigError
 from nmpckit.harness import (SimulationLog, closed_loop_simulate,
                              export_log_csv, load_scenario, parse_log_csv,
@@ -101,6 +101,28 @@ def test_dto_oracle_is_passive():
     npt.assert_array_equal(base.controls, tracked.controls)
     assert np.isfinite(tracked.diag["dto_e"]).all()
     assert np.isnan(base.diag["dto_e"]).all()
+
+
+def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
+    # from the third subproblem on, one stage Hessian is negative definite;
+    # the KKT factorization fails and the loop records a QP failure
+    builds = []
+    gauss_newton = trc.gauss_newton_hessian
+
+    def poisoned(traj, model):
+        stage, term = gauss_newton(traj, model)
+        builds.append(1)
+        if len(builds) >= 3:
+            stage[3] = -stage[3]
+        return stage, term
+
+    monkeypatch.setattr(trc, "gauss_newton_hessian", poisoned)
+    log = closed_loop_simulate(_short_pendulum(
+        duration=0.5, scheme="rti", init_mode="steady"))
+    assert log.failed
+    assert log.failure_reason.startswith("QPNonconvergenceError")
+    assert log.n_instants == 2
+    assert log.states.shape == (3, 4)
 
 
 def _synthetic_log(norms, t_s=0.2):

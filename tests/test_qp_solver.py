@@ -6,9 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from nmpckit import integrator as intg
-from nmpckit import qp_solver, transcription as trc
+from nmpckit import models, qp_solver, transcription as trc
 from nmpckit.cmon import SensitivityStore
-from nmpckit.errors import QPInfeasibleError
+from nmpckit.errors import QPInfeasibleError, QPNonconvergenceError
 
 
 def _enumerate_qp(H, g, A, b, C, d):
@@ -91,25 +91,55 @@ def test_dense_solver_detects_infeasible():
         qp_solver.solve_dense(H, g, A, b, C, d, tol=1e-8)
 
 
-def _pendulum_qp(pendulum, rng, N=8):
+def _stage_qp(model, xs0, us, rng, ref_x=None):
+    """Subproblem of a rollout from ``xs0`` with a perturbed measurement."""
+    N, n_x = us.shape[0], model.n_x
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
-    xs = np.empty((N + 1, 4))
-    xs[0] = [0.0, 0.4, 0.0, 0.0]
-    us = rng.uniform(-3.0, 3.0, (N, 1))
+    xs = np.empty((N + 1, n_x))
+    xs[0] = xs0
     for k in range(N):
-        xs[k + 1] = intg.integrate_batch(pendulum, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(model, xs[k], us[k], cfg)
     traj = trc.Trajectory(xs, us)
-    mult = trc.Multipliers.zeros(N, 4, pendulum.n_r)
-    refs = trc.References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
-    store = SensitivityStore.empty(N, 4, 1)
-    store.refresh(pendulum, traj, cfg)
-    x_hat = xs[0] + rng.uniform(-0.02, 0.02, 4)
-    return trc.build_qp(traj, mult, x_hat, store, pendulum, cfg, refs)
+    mult = trc.Multipliers.zeros(N, n_x, model.n_r)
+    ref_x = np.zeros(n_x) if ref_x is None else ref_x
+    refs = trc.References(np.tile(ref_x, (N + 1, 1)), np.zeros((N, model.n_u)))
+    store = SensitivityStore.empty(N, n_x, model.n_u)
+    store.refresh(model, traj, cfg)
+    x_hat = xs[0] + rng.uniform(-0.02, 0.02, n_x)
+    return trc.build_qp(traj, mult, x_hat, store, model, cfg, refs)
 
 
-def test_stage_solver_matches_dense_backend(pendulum, rng):
+def _pendulum_qp(pendulum, rng, N=8):
+    us = rng.uniform(-3.0, 3.0, (N, 1))
+    return _stage_qp(pendulum, np.array([0.0, 0.4, 0.0, 0.0]), us, rng)
+
+
+def _chain_qp(rng, N=4):
+    # start the chain well away from its rest shape so that the end-point
+    # velocities want to exceed their bounds
+    chain = models.make_chain_model()
+    params = chain.meta["params"]
+    rest = models.chain_steady_state(params, np.array([1.0, 0.0, 0.0]))
+    x0 = rest.copy()
+    x0[:3 * params.n] += rng.uniform(-0.3, 0.3, 3 * params.n)
+    us = rng.uniform(-0.9, 0.9, (N, chain.n_u))
+    return _stage_qp(chain, x0, us, rng, ref_x=rest)
+
+
+def _oracle_case(name, pendulum, rng):
+    if name == "pendulum":
+        return _pendulum_qp(pendulum, rng)
+    if name == "pendulum-zero-state-weights":
+        model = models.make_pendulum_model(stage_weights=[0, 0, 0, 0, 0.1])
+        return _pendulum_qp(model, rng)
+    return _chain_qp(rng)
+
+
+@pytest.mark.parametrize(
+    "case", ["pendulum", "pendulum-zero-state-weights", "chain"])
+def test_stage_solver_matches_dense_backend(case, pendulum, rng):
     """Dual-route check: block-structured backend vs the generic dense one."""
-    qp = _pendulum_qp(pendulum, rng)
+    qp = _oracle_case(case, pendulum, rng)
     sol = qp_solver.solve(qp, tol=1e-10)
 
     n_w = qp.n_w
@@ -127,6 +157,8 @@ def test_stage_solver_matches_dense_backend(pendulum, rng):
     d = -np.concatenate([qp.ineq_values.ravel(), qp.term_ineq_values])
     x, y, z, info = qp_solver.solve_dense(H, g_obj, A, b, C, d, tol=1e-10)
 
+    if case == "chain":
+        assert qp.n_x == 27 and sol.active_set.any()
     npt.assert_allclose(sol.dw, x, atol=1e-6)
     npt.assert_allclose(sol.dlam, y - lam_flat, atol=1e-5)
     npt.assert_allclose(sol.dmu, z - mu_flat, atol=1e-5)
@@ -168,3 +200,28 @@ def test_solution_invariant_to_start_point(pendulum, rng):
     b = qp_solver.solve(qp, tol=1e-10, start_scale=3.0)
     assert np.array_equal(a.active_set, b.active_set)
     npt.assert_allclose(b.stacked(), a.stacked(), rtol=0, atol=1e-8)
+
+
+def test_solutions_independent_of_previous_shapes(pendulum):
+    # a solve of another (N, n_x) in between must not change the result
+    first = qp_solver.solve(_pendulum_qp(pendulum, np.random.default_rng(5)))
+    qp_solver.solve(_pendulum_qp(pendulum, np.random.default_rng(6), N=5))
+    qp_solver.solve(_chain_qp(np.random.default_rng(7), N=3))
+    again = qp_solver.solve(_pendulum_qp(pendulum, np.random.default_rng(5)))
+    npt.assert_array_equal(again.dw, first.dw)
+    npt.assert_array_equal(again.dlam, first.dlam)
+    npt.assert_array_equal(again.dmu, first.dmu)
+
+
+@pytest.mark.parametrize("block", [
+    "negative-definite",      # the dual Schur complement is indefinite
+    "singular-after-floor",   # the stage block has no inverse
+])
+def test_nonconvex_stage_raises_qp_error(block, pendulum, rng):
+    qp = _pendulum_qp(pendulum, rng)
+    floor = qp_solver._HESS_REG_FLOOR
+    qp.stage_hessians[3] = (-np.diag([20.0, 20.0, 0.2, 0.2, 0.1])
+                            if block == "negative-definite"
+                            else -floor * np.eye(qp.n_wk))
+    with pytest.raises(QPNonconvergenceError):
+        qp_solver.solve(qp, tol=1e-10)

@@ -10,7 +10,14 @@ class NMPCError(Exception):
 
 
 class ModelEvaluationError(NMPCError):
-    """Model right-hand side or Jacobian evaluated on invalid input."""
+    """The model cannot be evaluated at the given input.
+
+    The integrator raises it for a non-finite entry state or control,
+    before any model call; the model callables themselves check no
+    finiteness. Subclasses mark inputs a model rejects on its own, and
+    :func:`nmpckit.models.chain_steady_state` raises it when its root
+    finder fails.
+    """
 
 
 class SingularGeometryError(ModelEvaluationError):

@@ -361,7 +361,11 @@ def _collect_log(scenario, times, states, controls, diags, windows,
 
 def closed_loop_simulate(scenario: ScenarioConfig,
                          x0: Optional[np.ndarray] = None) -> SimulationLog:
-    """Run one closed loop; controller failures truncate the log."""
+    """Run one closed loop; controller failures truncate the log.
+
+    A failure while setting the loop up (the perfect or steady start, the
+    preparation phase) gives a failed log with no instant.
+    """
     model = scenario.model
     N = scenario.horizon
     Ts = scenario.t_s
@@ -376,36 +380,34 @@ def closed_loop_simulate(scenario: ScenarioConfig,
     if x0.shape != (model.n_x,):
         raise ConfigError("initial state has the wrong dimension")
 
-    if scenario.init_mode == "perfect":
-        traj0, mult0 = perfect_horizon(scenario, x0)
-    else:
-        traj0 = steady_horizon(scenario)
-        mult0 = Multipliers.zeros(N, model.n_x, model.n_r, model.n_l)
-    state = initialize_controller(model, integ, scenario.scheme, traj0,
-                                  mult0, refs0=schedule.window(0.0, N, Ts),
-                                  x_hat0=x0)
-
     times, controls, diags, windows = [], [], [], []
     states = [x0.copy()]
     x = x0
     failed, reason = False, ""
-    for i in range(scenario.n_instants):
-        t = i * Ts
-        refs = schedule.window(t, N, Ts)
-        try:
+    try:
+        if scenario.init_mode == "perfect":
+            traj0, mult0 = perfect_horizon(scenario, x0)
+        else:
+            traj0 = steady_horizon(scenario)
+            mult0 = Multipliers.zeros(N, model.n_x, model.n_r, model.n_l)
+        state = initialize_controller(
+            model, integ, scenario.scheme, traj0, mult0,
+            refs0=schedule.window(0.0, N, Ts), x_hat0=x0)
+        for i in range(scenario.n_instants):
+            t = i * Ts
+            refs = schedule.window(t, N, Ts)
             d = controller_step(state, x, refs)
             u0 = state.traj.us[0].copy()
             x = intg.integrate_batch(model, x[None], u0[None],
                                      plant_integ)[0]
-        except NMPCError as exc:
-            failed = True
-            reason = f"{type(exc).__name__}: {exc}"
-            break
-        times.append(t)
-        controls.append(u0)
-        diags.append(d)
-        windows.append(refs.xs.copy())
-        states.append(x.copy())
+            times.append(t)
+            controls.append(u0)
+            diags.append(d)
+            windows.append(refs.xs.copy())
+            states.append(x.copy())
+    except NMPCError as exc:
+        failed = True
+        reason = f"{type(exc).__name__}: {exc}"
     return _collect_log(scenario, times, states, controls, diags, windows,
                         failed=failed, reason=reason)
 

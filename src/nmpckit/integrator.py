@@ -28,50 +28,40 @@ class IntegratorConfig:
             raise ValueError("dt must be positive and substeps >= 1")
 
 
-def _finite_or_blowup(x):
-    if not np.all(np.isfinite(x)):
-        raise IntegrationBlowupError("state became non-finite during integration")
+def _rk4(model: ModelSpec, x, u, cfg: IntegratorConfig):
+    """The RK4 recurrence of all three entry points, and their only
+    finiteness checks.
 
-
-def _validate_entry(x, u):
+    Returns the end state and, per substep, the four stage states the
+    right-hand side was evaluated at. Non-finite ``x`` or ``u`` raises
+    :class:`ModelEvaluationError`; a substep that ends non-finite raises
+    :class:`IntegrationBlowupError`.
+    """
+    x = np.array(x, dtype=float)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
         raise ModelEvaluationError("non-finite integrator input")
-
-
-class _blowup_guard:
-    """Convert model evaluation failures on intermediates into blowups.
-
-    Geometry errors keep their own type; entry inputs are validated
-    beforehand, so anything caught here happened mid-integration.
-    """
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        from .errors import SingularGeometryError
-        if exc_type is not None and issubclass(exc_type, ModelEvaluationError) \
-                and not issubclass(exc_type, SingularGeometryError):
+    h = cfg.dt / cfg.substeps
+    stages = []
+    for _ in range(cfg.substeps):
+        s1 = x
+        k1 = model.rhs(s1, u)
+        s2 = s1 + 0.5 * h * k1
+        k2 = model.rhs(s2, u)
+        s3 = s1 + 0.5 * h * k2
+        k3 = model.rhs(s3, u)
+        s4 = s1 + h * k3
+        k4 = model.rhs(s4, u)
+        x = s1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(x)):
             raise IntegrationBlowupError(
-                "model evaluation failed mid-integration") from exc
-        return False
+                "state became non-finite during integration")
+        stages.append((s1, s2, s3, s4))
+    return x, stages
 
 
 def integrate_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
     """Propagate a batch of nodes through one shooting interval."""
-    x = np.array(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    _validate_entry(x, u)
-    h = cfg.dt / cfg.substeps
-    with _blowup_guard():
-        for _ in range(cfg.substeps):
-            k1 = model.rhs(x, u)
-            k2 = model.rhs(x + 0.5 * h * k1, u)
-            k3 = model.rhs(x + 0.5 * h * k2, u)
-            k4 = model.rhs(x + h * k3, u)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _finite_or_blowup(x)
-    return x
+    return _rk4(model, x, np.asarray(u, dtype=float), cfg)[0]
 
 
 def forward_sensitivity_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
@@ -83,12 +73,10 @@ def forward_sensitivity_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
     sens : ndarray, shape (..., n_x, n_x + n_u)
         Exact Jacobian of the discrete shooting map w.r.t. ``(x0, u)``.
     """
-    x = np.array(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    _validate_entry(x, u)
+    x_end, stages = _rk4(model, x, u, cfg)
     n_x, n_u = model.n_x, model.n_u
-    batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-    S = np.zeros(batch + (n_x, n_x + n_u))
+    S = np.zeros(x_end.shape[:-1] + (n_x, n_x + n_u))
     S[..., :, :n_x] = np.eye(n_x)
     h = cfg.dt / cfg.substeps
 
@@ -96,18 +84,15 @@ def forward_sensitivity_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
         A, B = model.rhs_jacobians(xs, u)
         K = A @ S_in
         K[..., :, n_x:] += B
-        return model.rhs(xs, u), K
+        return K
 
-    with _blowup_guard():
-        for _ in range(cfg.substeps):
-            k1, K1 = stage(x, S)
-            k2, K2 = stage(x + 0.5 * h * k1, S + 0.5 * h * K1)
-            k3, K3 = stage(x + 0.5 * h * k2, S + 0.5 * h * K2)
-            k4, K4 = stage(x + h * k3, S + h * K3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            S = S + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-            _finite_or_blowup(x)
-    return x, S
+    for s1, s2, s3, s4 in stages:
+        K1 = stage(s1, S)
+        K2 = stage(s2, S + 0.5 * h * K1)
+        K3 = stage(s3, S + 0.5 * h * K2)
+        K4 = stage(s4, S + h * K3)
+        S = S + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return x_end, S
 
 
 def adjoint_batch(model: ModelSpec, x, u, cfg: IntegratorConfig, seeds):
@@ -122,31 +107,13 @@ def adjoint_batch(model: ModelSpec, x, u, cfg: IntegratorConfig, seeds):
     -------
     rows : ndarray, shape (..., k, n_x + n_u)
     """
-    x = np.array(x, dtype=float)
     u = np.asarray(u, dtype=float)
     seeds = np.asarray(seeds, dtype=float)
-    _validate_entry(x, u)
-    n_x, n_u = model.n_x, model.n_u
+    x_end, stages = _rk4(model, x, u, cfg)
     h = cfg.dt / cfg.substeps
-    # forward pass records the stage states of every step
-    stages = []
-    with _blowup_guard():
-        for _ in range(cfg.substeps):
-            s1 = x
-            k1 = model.rhs(s1, u)
-            s2 = s1 + 0.5 * h * k1
-            k2 = model.rhs(s2, u)
-            s3 = s1 + 0.5 * h * k2
-            k3 = model.rhs(s3, u)
-            s4 = s1 + h * k3
-            k4 = model.rhs(s4, u)
-            x = s1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _finite_or_blowup(x)
-            stages.append((s1, s2, s3, s4))
-
-    batch = np.broadcast_shapes(seeds[..., 0, 0].shape, x[..., 0].shape)
+    batch = np.broadcast_shapes(seeds[..., 0, 0].shape, x_end[..., 0].shape)
     lam = np.array(np.broadcast_to(seeds, batch + seeds.shape[-2:]))
-    lu = np.zeros(lam.shape[:-1] + (n_u,))
+    lu = np.zeros(lam.shape[:-1] + (model.n_u,))
     c_end, c_mid = h / 6.0, h / 3.0
     for s1, s2, s3, s4 in reversed(stages):
         A1, B1 = model.rhs_jacobians(s1, u)

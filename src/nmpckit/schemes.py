@@ -126,20 +126,17 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
                           cfg: SchemeConfig, traj0: Trajectory,
                           mult0: Multipliers,
                           refs0: Optional[References] = None,
-                          x_hat0: Optional[np.ndarray] = None,
-                          offline_traj: Optional[Trajectory] = None
+                          x_hat0: Optional[np.ndarray] = None
                           ) -> ControllerState:
-    """Preparation phase: sensitivity blocks and, for ``cmon``, the
-    conditioning constants of the reference subproblem.
+    """Preparation phase: sensitivity blocks at ``traj0`` (``adj`` keeps
+    them there for good) and, for ``cmon``, the conditioning constants of
+    the reference subproblem.
 
-    ``offline_traj`` fixes the linearization point of the prepared blocks
-    (``adj`` keeps them there for good); it defaults to ``traj0``. The
-    ``cmon`` scheme needs ``refs0`` to solve the preparation subproblem
-    once.
+    The ``cmon`` scheme needs ``refs0`` to solve the preparation
+    subproblem once.
     """
     state = _new_state(model, integ, cfg, traj0, mult0)
-    base = offline_traj if offline_traj is not None else state.traj
-    state.store.refresh(model, base, integ)
+    state.store.refresh(model, state.traj, integ)
     state.store.mark_moved(state.traj)
     if cfg.scheme == "cmon":
         if refs0 is None:

@@ -220,8 +220,8 @@ def _objective_gradient(traj: Trajectory, model: ModelSpec, refs: References):
 
 def exact_gradient_rows(model: ModelSpec, traj: Trajectory,
                         cfg: intg.IntegratorConfig, seeds: np.ndarray,
-                        fresh_mask: Optional[np.ndarray] = None,
-                        blocks: Optional[np.ndarray] = None) -> np.ndarray:
+                        fresh_mask: np.ndarray,
+                        blocks: np.ndarray) -> np.ndarray:
     """Rows ``seed_k^T dphi_k`` with exact sensitivities at the trajectory.
 
     Nodes flagged in ``fresh_mask`` use a plain product with the supplied
@@ -230,8 +230,6 @@ def exact_gradient_rows(model: ModelSpec, traj: Trajectory,
     N = traj.horizon
     xs, us = traj.xs[:-1], traj.us
     out = np.empty((N, model.n_x + model.n_u))
-    if fresh_mask is None:
-        fresh_mask = np.zeros(N, dtype=bool)
     fresh_mask = np.asarray(fresh_mask, dtype=bool)
     if np.any(fresh_mask):
         out[fresh_mask] = np.einsum(
@@ -245,17 +243,13 @@ def exact_gradient_rows(model: ModelSpec, traj: Trajectory,
 
 
 def lagrangian_gradient(traj: Trajectory, mult: Multipliers, model: ModelSpec,
-                        cfg: intg.IntegratorConfig, refs: References,
-                        lam_dphi: Optional[np.ndarray] = None) -> np.ndarray:
+                        refs: References, lam_dphi: np.ndarray) -> np.ndarray:
     """Stacked gradient of the problem Lagrangian with exact sensitivities.
 
-    ``lam_dphi`` may carry precomputed rows ``lam_{k+1}^T dphi_k``; when
-    absent they are obtained by adjoint sweeps.
+    ``lam_dphi`` holds the exact rows ``lam_{k+1}^T dphi_k``.
     """
     N, n_x = traj.horizon, model.n_x
     g_nodes, g_term = _objective_gradient(traj, model, refs)
-    if lam_dphi is None:
-        lam_dphi = exact_gradient_rows(model, traj, cfg, mult.lam[1:])
     g_nodes = g_nodes + lam_dphi
     # embedding (+lam_0 on x_0) and continuity (-lam_k on x_k)
     g_nodes[0, :n_x] += mult.lam[0]
@@ -297,8 +291,7 @@ def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
         lam_dphi = exact_gradient_rows(model, traj, cfg, mult.lam[1:],
                                        fresh_mask=store.fresh_mask(),
                                        blocks=store.blocks)
-    gradient = lagrangian_gradient(traj, mult, model, cfg, refs,
-                                   lam_dphi=lam_dphi)
+    gradient = lagrangian_gradient(traj, mult, model, refs, lam_dphi)
     resid = np.empty((N + 1, n_x))
     resid[0] = traj.xs[0] - x_hat
     resid[1:] = phis - traj.xs[1:]

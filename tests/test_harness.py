@@ -125,6 +125,49 @@ def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
     assert log.states.shape == (3, 4)
 
 
+def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
+    # every stage Hessian build is poisoned, so the cmon preparation QP in
+    # initialize_controller fails before the first instant
+    gauss_newton = trc.gauss_newton_hessian
+
+    def poisoned(traj, model):
+        stage, term = gauss_newton(traj, model)
+        stage[3] = -stage[3]
+        return stage, term
+
+    monkeypatch.setattr(trc, "gauss_newton_hessian", poisoned)
+    s = _short_pendulum(duration=0.5, scheme="cmon", init_mode="steady")
+    log = closed_loop_simulate(s)
+    assert log.failed
+    assert log.failure_reason.startswith("QPNonconvergenceError")
+    assert log.n_instants == 0
+    npt.assert_array_equal(log.states, s.schedule.states[:1])
+
+
+@pytest.mark.parametrize("scheme", ["rti", "cmon"])
+@pytest.mark.parametrize("init_mode", ["perfect", "steady"])
+def test_nan_measurement_ends_loop_as_recorded_failure(init_mode, scheme):
+    x0 = np.array([np.nan, 0.0, 0.0, 0.0])
+    log = closed_loop_simulate(
+        _short_pendulum(duration=0.5, scheme=scheme, init_mode=init_mode),
+        x0=x0)
+    assert log.failed
+    assert log.failure_reason.startswith("AssemblyError")
+    assert log.n_instants == 0
+    npt.assert_array_equal(log.states, x0[None])
+
+
+def test_coincident_chain_masses_end_loop_as_recorded_failure():
+    s = load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    s.scheme = dataclasses.replace(s.scheme, scheme="rti")
+    s.duration = 0.4
+    x0 = s.schedule.states[0].copy()
+    x0[3:6] = x0[0:3]       # second mass on top of the first
+    log = closed_loop_simulate(s, x0=x0)
+    assert log.failed
+    assert log.failure_reason.startswith("SingularGeometryError")
+
+
 def _synthetic_log(norms, t_s=0.2):
     n = len(norms)
     return SimulationLog(
@@ -233,6 +276,21 @@ def test_cli_single_run(tmp_path):
     assert manifest["scheme"] == "rti"
     parsed = parse_log_csv(logs[0])
     assert parsed.n_instants == 10
+
+
+def test_cli_nan_measurement_writes_failed_run(tmp_path):
+    scen = tmp_path / "nan.yaml"
+    doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
+    doc["x0"] = [float("nan"), 0.0, 0.0, 0.0]
+    scen.write_text(yaml.safe_dump(doc))
+    assert ".nan" in scen.read_text()
+    out = tmp_path / "out"
+    assert cli.main([str(scen), "--out", str(out)]) == 3
+    parsed = parse_log_csv(out / "nan_cmon_log.csv")
+    assert parsed.n_instants == 0
+    manifest = json.loads((out / "nan_cmon_manifest.json").read_text())
+    assert manifest["failed"] is True
+    assert manifest["failure_reason"].startswith("AssemblyError")
 
 
 def test_cli_bad_config_exit_code(tmp_path):

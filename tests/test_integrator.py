@@ -5,7 +5,8 @@ import pytest
 
 from nmpckit import integrator as intg
 from nmpckit import models
-from nmpckit.errors import IntegrationBlowupError
+from nmpckit.errors import (IntegrationBlowupError, ModelEvaluationError,
+                             SingularGeometryError)
 
 
 def _scalar_linear_model(a=-0.7, b=1.3):
@@ -138,19 +139,51 @@ def test_substep_refinement_shrinks_error(pendulum):
     assert err4.max() < 1e-7
 
 
+# the three entry points, each called with one seed row for the adjoint
+ENTRY_POINTS = {
+    "integrate_batch": intg.integrate_batch,
+    "forward_sensitivity_batch": intg.forward_sensitivity_batch,
+    "adjoint_batch": lambda m, x, u, cfg: intg.adjoint_batch(
+        m, x, u, cfg, np.ones((1, m.n_x))),
+}
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_blowup_raises():
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_blowup_raises(entry):
     model = _square_model()
     cfg = intg.IntegratorConfig(dt=1.0, substeps=2)
     with pytest.raises(IntegrationBlowupError):
-        intg.integrate_batch(model, np.array([1e200]), np.zeros(1), cfg)
+        ENTRY_POINTS[entry](model, np.array([1e200]), np.zeros(1), cfg)
 
 
-def test_nonfinite_entry_rejected(pendulum):
+@pytest.mark.parametrize("bad", ["x-inf", "x-nan", "u-inf", "u-nan"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_nonfinite_entry_rejected(pendulum, entry, bad):
+    # the model callables check nothing; the integrator rejects the input
+    # before the first model call
+    def never(x, u):
+        raise AssertionError("model evaluated on a rejected input")
+
+    model = models.ModelSpec(n_x=4, n_u=1, rhs=never, rhs_jacobians=never,
+                             stage_weights=pendulum.stage_weights,
+                             terminal_weights=pendulum.terminal_weights)
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
-    with pytest.raises(Exception):
-        intg.integrate_batch(pendulum, np.array([np.inf, 0.0, 0.0, 0.0]),
-                             np.zeros(1), cfg)
+    x, u = np.zeros(4), np.zeros(1)
+    where, value = bad.split("-")
+    (x if where == "x" else u)[0] = float(value)
+    with pytest.raises(ModelEvaluationError):
+        ENTRY_POINTS[entry](model, x, u, cfg)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_coincident_chain_masses_raise_geometry_error(chain, entry):
+    # the model's own geometry check reaches the caller untranslated
+    x = models.chain_steady_state(chain.meta["params"], [1.0, 0.0, 0.0])
+    x[3:6] = x[0:3]
+    cfg = intg.IntegratorConfig(dt=0.2, substeps=2)
+    with pytest.raises(SingularGeometryError):
+        ENTRY_POINTS[entry](chain, x, np.zeros(3), cfg)
 
 
 def test_config_validation():

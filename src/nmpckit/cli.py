@@ -4,10 +4,12 @@ Usage: ``nmpc-bench scenario.yaml [--scheme rti] [--seed 3] [--out DIR]
 [--trials 10] [--dto]``. Single-trial scenarios run one closed loop and
 write ``<name>_log.csv``; multi-trial chain scenarios write one log per
 trial plus a summary. A JSON manifest echoing the exact config consumed
-is always written next to the outputs.
+is always written next to the outputs; it records whether the controller
+failed and why (per trial in multi-trial runs).
 
-Exit codes: 0 success, 2 bad configuration, 3 controller failure,
-4 output I/O failure.
+Exit codes: 0 success, 2 bad configuration, 3 controller failure (in any
+trial; a trial that only fails to settle does not count), 4 output I/O
+failure.
 """
 
 import argparse
@@ -72,12 +74,19 @@ def main(argv=None) -> int:
             for i, log in enumerate(summary.logs):
                 export_log_csv(log, out / f"{stem}_trial{i}.csv")
             export_summary_csv(summary, out / f"{stem}_summary.csv")
+            failures = [{"trial": i, "reason": log.failure_reason}
+                        for i, log in enumerate(summary.logs) if log.failed]
             write_manifest(scenario, out / f"{stem}_manifest.json",
                            extra={"n_failures": summary.n_failures,
-                                  "mean_t_st": summary.mean_t_st})
+                                  "mean_t_st": summary.mean_t_st,
+                                  "failed": bool(failures),
+                                  "failures": failures})
             print(f"{scenario.trials} trials: {summary.n_failures} failures,"
                   f" mean t_st {summary.mean_t_st:.3f} s")
-            return 0
+            for f in failures:
+                print(f"controller failed in trial {f['trial']}: "
+                      f"{f['reason']}", file=sys.stderr)
+            return 3 if failures else 0
         log = closed_loop_simulate(scenario)
         export_log_csv(log, out / f"{stem}_log.csv")
         write_manifest(scenario, out / f"{stem}_manifest.json",

@@ -11,7 +11,7 @@ constants of the subproblem matrix.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -58,16 +58,15 @@ class CMoNConfig:
 class SensitivityStore:
     """Per-interval sensitivity blocks plus the caches the measures need.
 
-    ``valid`` marks blocks computed at least once; ``stale``
-    marks blocks not exact at the current linearization point. The caches
+    ``node_points`` records the ``(x_k, u_k)`` each block was computed at
+    (NaN before the first computation); it is the only freshness record:
+    a block is exact wherever its node has not moved since. The caches
     hold, for the previous instant: integration values, directional
     sensitivity rows (also the threshold direction vectors), adjoint rows,
     and the dual step seeds.
     """
 
     blocks: np.ndarray                 # (N, n_x, n_x+n_u)
-    valid: np.ndarray                  # (N,) bool
-    stale: np.ndarray                  # (N,) bool
     node_points: np.ndarray            # (N, n_x+n_u) where each block was computed
     prev_phi: Optional[np.ndarray] = None       # (N, n_x)
     prev_dir_pri: Optional[np.ndarray] = None   # (N, n_x)
@@ -77,41 +76,32 @@ class SensitivityStore:
     @classmethod
     def empty(cls, N: int, n_x: int, n_u: int) -> "SensitivityStore":
         return cls(blocks=np.zeros((N, n_x, n_x + n_u)),
-                   valid=np.zeros(N, dtype=bool),
-                   stale=np.ones(N, dtype=bool),
                    node_points=np.full((N, n_x + n_u), np.nan))
 
     @property
     def horizon(self) -> int:
         return self.blocks.shape[0]
 
-    def fresh_mask(self) -> np.ndarray:
-        return self.valid & ~self.stale
+    @property
+    def computed(self) -> np.ndarray:
+        """Blocks computed at least once."""
+        return ~np.isnan(self.node_points).any(axis=1)
+
+    def fresh_mask(self, traj) -> np.ndarray:
+        """Blocks exact at ``traj``: their node has not moved since."""
+        return np.all(self.node_points == traj.nodes(), axis=1)
 
     def refresh(self, model: ModelSpec, traj, cfg: intg.IntegratorConfig,
-                mask: Optional[np.ndarray] = None) -> int:
+                mask: np.ndarray) -> int:
         """Recompute the masked blocks at the trajectory; returns the count."""
-        if mask is None:
-            mask = np.ones(self.horizon, dtype=bool)
         mask = np.asarray(mask, dtype=bool)
         if not np.any(mask):
             return 0
         _, S = intg.forward_sensitivity_batch(
             model, traj.xs[:-1][mask], traj.us[mask], cfg)
         self.blocks[mask] = S
-        self.valid[mask] = True
-        self.stale[mask] = False
         self.node_points[mask] = traj.nodes()[mask]
         return int(mask.sum())
-
-    def mark_moved(self, traj):
-        """Flag blocks stale unless their node values are unchanged.
-
-        An interval whose ``(x_k, u_k)`` did not move keeps an exact block,
-        so partial updates stay bit-identical with full updates there.
-        """
-        unchanged = np.all(self.node_points == traj.nodes(), axis=1)
-        self.stale[:] = ~(self.valid & unchanged)
 
     def update_caches(self, phis: np.ndarray, dir_pri: np.ndarray,
                       dir_dual: np.ndarray, dlam_seeds: np.ndarray):

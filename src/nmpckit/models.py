@@ -73,6 +73,34 @@ class ModelSpec:
             raise ValueError("at least one weight must be positive")
 
 
+def _box_constraints(n_x: int, n_u: int, bounds):
+    """Path constraint pair for ``|z_i| <= limit`` on ``z = (x, u)``.
+
+    Each ``(i, limit)`` in ``bounds`` gives the rows ``z_i - limit`` and
+    ``-z_i - limit``. Rows read their own component only, so a non-finite
+    entry elsewhere in ``z`` cannot leak into them.
+    """
+    idx = np.repeat([i for i, _ in bounds], 2)
+    sign = np.tile([1.0, -1.0], len(bounds))
+    limit = np.repeat([lim for _, lim in bounds], 2).astype(float)
+    jac_rows = np.zeros((idx.size, n_x + n_u))
+    jac_rows[np.arange(idx.size), idx] = sign
+
+    def constraint(x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
+        z = np.concatenate([np.broadcast_to(x, batch + (n_x,)),
+                            np.broadcast_to(u, batch + (n_u,))], axis=-1)
+        return sign * z[..., idx] - limit
+
+    def constraint_jac(x, u):
+        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
+        return np.broadcast_to(jac_rows, batch + jac_rows.shape).copy()
+
+    return constraint, constraint_jac
+
+
 # ---------------------------------------------------------------------------
 # cart-pendulum
 # ---------------------------------------------------------------------------
@@ -160,28 +188,8 @@ def make_pendulum_model(params: Optional[PendulumParams] = None,
     if terminal_weights is None:
         terminal_weights = np.array([20.0, 20.0, 0.2, 0.2])
 
-    jac_rows = np.zeros((4, 5))
-    jac_rows[0, 0] = 1.0
-    jac_rows[1, 0] = -1.0
-    jac_rows[2, 4] = 1.0
-    jac_rows[3, 4] = -1.0
-
-    def constraint(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        r = np.empty(batch + (4,))
-        r[..., 0] = x[..., 0] - position_limit
-        r[..., 1] = -x[..., 0] - position_limit
-        r[..., 2] = u[..., 0] - force_limit
-        r[..., 3] = -u[..., 0] - force_limit
-        return r
-
-    def constraint_jac(x, u):
-        x = np.asarray(x, dtype=float)
-        batch = np.broadcast_shapes(np.asarray(x)[..., 0].shape,
-                                    np.asarray(u)[..., 0].shape)
-        return np.broadcast_to(jac_rows, batch + (4, 5)).copy()
+    constraint, constraint_jac = _box_constraints(
+        4, 1, [(0, position_limit), (4, force_limit)])
 
     return ModelSpec(
         n_x=4, n_u=1,
@@ -358,25 +366,8 @@ def make_chain_model(params: Optional[ChainParams] = None,
         tw[3 * params.n:] = 2.0
         terminal_weights = tw
 
-    jac_rows = np.zeros((6, n_x + 3))
-    for j in range(3):
-        jac_rows[2 * j, n_x + j] = 1.0
-        jac_rows[2 * j + 1, n_x + j] = -1.0
-
-    def constraint(x, u):
-        u = np.asarray(u, dtype=float)
-        x = np.asarray(x, dtype=float)
-        batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        r = np.empty(batch + (6,))
-        for j in range(3):
-            r[..., 2 * j] = u[..., j] - control_limit
-            r[..., 2 * j + 1] = -u[..., j] - control_limit
-        return r
-
-    def constraint_jac(x, u):
-        batch = np.broadcast_shapes(np.asarray(x)[..., 0].shape,
-                                    np.asarray(u)[..., 0].shape)
-        return np.broadcast_to(jac_rows, batch + (6, n_x + 3)).copy()
+    constraint, constraint_jac = _box_constraints(
+        n_x, 3, [(n_x + j, control_limit) for j in range(3)])
 
     return ModelSpec(
         n_x=n_x, n_u=3,

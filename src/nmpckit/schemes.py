@@ -132,27 +132,27 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
     them there for good) and, for ``cmon``, the conditioning constants of
     the reference subproblem.
 
-    The ``cmon`` scheme needs ``refs0`` to solve the preparation
-    subproblem once.
+    The ``cmon`` scheme needs ``refs0``: it linearizes at ``traj0`` with
+    the step kernel, which computes every block since none exists yet,
+    and solves that subproblem once.
     """
     state = _new_state(model, integ, cfg, traj0, mult0)
-    state.store.refresh(model, state.traj, integ)
-    state.store.mark_moved(state.traj)
-    if cfg.scheme == "cmon":
-        if refs0 is None:
-            raise ConfigError("the cmon scheme needs preparation references")
-        x_hat = state.traj.xs[0] if x_hat0 is None \
-            else np.asarray(x_hat0, float)
-        qp = build_qp(state.traj, state.mult, x_hat, state.store, model,
-                      integ, refs0)
-        sol = solve(qp, tol=cfg.qp_tol)
-        state.rho0, state.gamma0 = conditioning_constants(build_m(qp, sol))
+    if cfg.scheme != "cmon":
+        state.store.refresh(model, state.traj, integ,
+                            np.ones(state.traj.horizon, dtype=bool))
+        return state
+    if refs0 is None:
+        raise ConfigError("the cmon scheme needs preparation references")
+    x_hat = state.traj.xs[0] if x_hat0 is None else np.asarray(x_hat0, float)
+    qp, _, _ = _linearize(state, x_hat, refs0)
+    sol = solve(qp, tol=cfg.qp_tol)
+    state.rho0, state.gamma0 = conditioning_constants(build_m(qp, sol))
     return state
 
 
 def _exact_blocks(state: ControllerState) -> np.ndarray:
     """Exact sensitivity blocks at the current trajectory (oracle use)."""
-    fresh = state.store.fresh_mask()
+    fresh = state.store.fresh_mask(state.traj)
     S = state.store.blocks.copy()
     if not fresh.all():
         stale = ~fresh
@@ -192,19 +192,19 @@ def _linearize(state: ControllerState, x_hat, refs: References):
                                        state.gamma0, v_pri, v_dual)
         mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
                                floor_count=cfg.cmon.floor_count(N),
-                               invalid=~store.valid)
+                               invalid=~store.computed)
     else:
         full = cfg.scheme == "rti" or (
             cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0)
-        mask = np.full(N, full) | ~store.valid
+        mask = np.full(N, full) | ~store.computed
     refreshed = store.refresh(model, traj, integ, mask)
 
-    fresh = store.fresh_mask()
+    fresh = store.fresh_mask(traj)
     lam_dphi = exact_gradient_rows(model, traj, integ, state.mult.lam[1:],
                                    fresh_mask=fresh, blocks=store.blocks)
     n_stale = int(N - fresh.sum())
-    qp = build_qp(traj, state.mult, x_hat, store, model, integ, refs,
-                  phis=phis, lam_dphi=lam_dphi)
+    qp = build_qp(traj, state.mult, x_hat, store.blocks, model, refs, phis,
+                  lam_dphi)
     diag = StepDiagnostics(
         instant=state.instant, kkt_residual=float(np.linalg.norm(qp.gradient)),
         dy_norm=np.nan, refreshed=refreshed, refresh_fraction=refreshed / N,
@@ -240,7 +240,6 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray,
         state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, diag.dy_norm)
         store.update_caches(phis, dir_pri, dir_dual, dlam_seeds)
     state.traj, state.mult = apply_step(state.traj, state.mult, sol)
-    store.mark_moved(state.traj)
     state.instant += 1
     return diag
 

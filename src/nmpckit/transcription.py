@@ -14,7 +14,6 @@ and both multiplier sets.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -265,32 +264,25 @@ def lagrangian_gradient(traj: Trajectory, mult: Multipliers, model: ModelSpec,
 
 
 def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
-             store, model: ModelSpec, cfg: intg.IntegratorConfig,
-             refs: References, phis: Optional[np.ndarray] = None,
-             lam_dphi: Optional[np.ndarray] = None) -> QPData:
+             blocks: np.ndarray, model: ModelSpec, refs: References,
+             phis: np.ndarray, lam_dphi: np.ndarray) -> QPData:
     """Assemble the QP subproblem at the current iterate.
 
     Parameters
     ----------
-    store :
-        Sensitivity store providing ``blocks`` (N, n_x, n_x+n_u) and the
-        boolean ``fresh_mask()`` marking blocks exact at this trajectory.
+    blocks :
+        Sensitivity blocks (N, n_x, n_x+n_u) placed in the equality rows;
+        they may be stale.
     phis :
-        Integration values at the trajectory nodes; computed here when
-        absent. They must always be current, only Jacobians may be stale.
+        Integration values at the trajectory nodes. They must always be
+        current, only Jacobians may be stale.
     lam_dphi :
-        Optional precomputed exact rows ``lam_{k+1}^T dphi_k``.
+        Exact rows ``lam_{k+1}^T dphi_k`` (:func:`exact_gradient_rows`).
     """
     N, n_x = traj.horizon, model.n_x
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.shape != (n_x,):
         raise AssemblyError("measurement has wrong dimension")
-    if phis is None:
-        phis = intg.integrate_batch(model, traj.xs[:-1], traj.us, cfg)
-    if lam_dphi is None:
-        lam_dphi = exact_gradient_rows(model, traj, cfg, mult.lam[1:],
-                                       fresh_mask=store.fresh_mask(),
-                                       blocks=store.blocks)
     gradient = lagrangian_gradient(traj, mult, model, refs, lam_dphi)
     resid = np.empty((N + 1, n_x))
     resid[0] = traj.xs[0] - x_hat
@@ -312,7 +304,7 @@ def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
         term_jac = np.zeros((0, n_x))
     return QPData(
         stage_hessians=stage_h, term_hessian=term_h, gradient=gradient,
-        continuity_residuals=resid, jacobian_blocks=np.array(store.blocks),
+        continuity_residuals=resid, jacobian_blocks=np.array(blocks),
         ineq_values=ineq_values, ineq_jac=ineq_jac,
         term_ineq_values=term_ineq, term_ineq_jac=term_jac,
         measurement=x_hat, lam=mult.lam.copy(), mu=mult.mu.copy(),

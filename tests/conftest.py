@@ -4,7 +4,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from nmpckit import models
+from nmpckit import integrator as intg
+from nmpckit import models, transcription as trc
+from nmpckit.cmon import SensitivityStore
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -22,3 +24,27 @@ def chain():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def fresh_store(model, traj, cfg):
+    """Sensitivity store with every block exact at ``traj``."""
+    N = traj.horizon
+    store = SensitivityStore.empty(N, model.n_x, model.n_u)
+    store.refresh(model, traj, cfg, np.ones(N, dtype=bool))
+    return store
+
+
+def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
+    """Subproblem at ``traj`` with exact blocks in the equality rows.
+
+    The gradient rows ``lam_{k+1}^T dphi_k`` come from those blocks, or
+    with ``fresh=False`` from an adjoint sweep at every node.
+    """
+    N = traj.horizon
+    store = fresh_store(model, traj, cfg)
+    phis = intg.integrate_batch(model, traj.xs[:-1], traj.us, cfg)
+    lam_dphi = trc.exact_gradient_rows(model, traj, cfg, mult.lam[1:],
+                                       fresh_mask=np.full(N, fresh),
+                                       blocks=store.blocks)
+    return trc.build_qp(traj, mult, x_hat, store.blocks, model, refs, phis,
+                        lam_dphi)

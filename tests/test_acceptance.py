@@ -13,12 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, assemble_qp
 from nmpckit import cmon as cm
 from nmpckit import integrator as intg
 from nmpckit import models, perturbation as pert, qp_solver
 from nmpckit import transcription as trc
-from nmpckit.cmon import CMoNConfig, SensitivityStore
+from nmpckit.cmon import CMoNConfig
 from nmpckit.harness import closed_loop_simulate, load_scenario, \
     randomized_chain_trials
 from nmpckit.schemes import OCProblem, SchemeConfig, sqp_solve
@@ -362,13 +362,10 @@ def _rollout_qp(rng, N=8):
     for k in range(N):
         xs[k + 1] = intg.integrate_batch(model, xs[k], us[k], cfg)
     traj = Trajectory(xs, us)
-    store = SensitivityStore.empty(N, 4, 1)
-    store.refresh(model, traj, cfg)
-    qp = trc.build_qp(traj, Multipliers.zeros(N, 4, model.n_r),
-                      xs[0] + rng.uniform(-0.01, 0.01, 4), store, model,
-                      cfg, trc.References(np.zeros((N + 1, 4)),
-                                          np.zeros((N, 1))))
-    return qp
+    return assemble_qp(model, traj, Multipliers.zeros(N, 4, model.n_r),
+                       xs[0] + rng.uniform(-0.01, 0.01, 4),
+                       trc.References(np.zeros((N + 1, 4)), np.zeros((N, 1))),
+                       cfg)
 
 
 def test_10_numerical_kernels():

@@ -169,18 +169,18 @@ def test_store_refresh_and_staleness(pendulum, rng):
     us = rng.uniform(-2.0, 2.0, (N, 1))
     traj = Trajectory(xs, us)
     store = SensitivityStore.empty(N, 4, 1)
-    assert not store.valid.any() and store.stale.all()
+    assert not store.computed.any() and not store.fresh_mask(traj).any()
 
     count = store.refresh(pendulum, traj, cfg, mask=np.arange(N) < 4)
     assert count == 4
-    npt.assert_array_equal(store.fresh_mask(), np.arange(N) < 4)
+    npt.assert_array_equal(store.computed, np.arange(N) < 4)
+    npt.assert_array_equal(store.fresh_mask(traj), np.arange(N) < 4)
 
     # moving one node's control invalidates exactly that block
     traj2 = Trajectory(xs.copy(), us.copy())
     traj2.us[2, 0] += 0.5
-    store.mark_moved(traj2)
     expect = np.array([True, True, False, True, False, False])
-    npt.assert_array_equal(store.fresh_mask(), expect)
+    npt.assert_array_equal(store.fresh_mask(traj2), expect)
 
 
 def test_store_partial_refresh_matches_full(pendulum, rng):
@@ -190,7 +190,7 @@ def test_store_partial_refresh_matches_full(pendulum, rng):
     traj = Trajectory(rng.uniform(-0.3, 0.3, (N + 1, 4)),
                       rng.uniform(-2.0, 2.0, (N, 1)))
     full = SensitivityStore.empty(N, 4, 1)
-    full.refresh(pendulum, traj, cfg)
+    full.refresh(pendulum, traj, cfg, np.ones(N, dtype=bool))
     part = SensitivityStore.empty(N, 4, 1)
     part.refresh(pendulum, traj, cfg, mask=np.arange(N) % 2 == 0)
     part.refresh(pendulum, traj, cfg, mask=np.arange(N) % 2 == 1)

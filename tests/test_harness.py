@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from conftest import SCENARIO_DIR
-from nmpckit import cli, harness, transcription as trc
+from nmpckit import cli, errors, harness, transcription as trc
 from nmpckit.errors import ConfigError
 from nmpckit.harness import (SimulationLog, closed_loop_simulate,
                              export_log_csv, load_scenario, parse_log_csv,
@@ -168,6 +168,63 @@ def test_coincident_chain_masses_end_loop_as_recorded_failure():
     assert log.failure_reason.startswith("SingularGeometryError")
 
 
+def _write_yaml(tmp_path, name, base, **changes):
+    doc = yaml.safe_load((SCENARIO_DIR / base).read_text())
+    for key, value in changes.items():
+        *path, leaf = key.split(".")
+        node = doc
+        for part in path:
+            node = node[part]
+        node[leaf] = value
+    scen = tmp_path / f"{name}.yaml"
+    scen.write_text(yaml.safe_dump(doc))
+    return scen
+
+
+def _inconsistent_bounds(tmp_path):
+    # |p| <= -0.5 has no solution: every subproblem is infeasible
+    return _write_yaml(tmp_path, "bounds", "pendulum_n40.yaml",
+                       **{"model.position_limit": -0.5, "horizon": 10,
+                          "duration": 0.2})
+
+
+@pytest.mark.parametrize("scheme", ["rti", "cmon"])
+@pytest.mark.parametrize("init_mode", ["perfect", "steady"])
+def test_inconsistent_bounds_end_loop_as_recorded_failure(tmp_path,
+                                                          init_mode, scheme):
+    s = load_scenario(_inconsistent_bounds(tmp_path))
+    s.init_mode = init_mode
+    s.scheme = dataclasses.replace(s.scheme, scheme=scheme)
+    log = closed_loop_simulate(s)
+    assert log.failed
+    assert log.failure_reason.startswith("QPInfeasibleError")
+
+
+@pytest.mark.parametrize("scheme", ["rti", "cmon"])
+def test_integrator_blowup_ends_loop_as_recorded_failure(monkeypatch,
+                                                         scheme):
+    # a huge measured state only enters the embedding row and never the
+    # integrator, so the model itself turns non-finite from instant 1 on
+    s = _short_pendulum(duration=0.5, scheme=scheme, init_mode="steady")
+    rhs, step = s.model.rhs, harness.controller_step
+    blown = []
+
+    def blowing_rhs(x, u):
+        return np.full(np.shape(x), np.inf) if blown else rhs(x, u)
+
+    def step_then_blow(state, x_hat, refs):
+        if state.instant == 1:
+            blown.append(True)
+        return step(state, x_hat, refs)
+
+    monkeypatch.setattr(s.model, "rhs", blowing_rhs)
+    monkeypatch.setattr(harness, "controller_step", step_then_blow)
+    log = closed_loop_simulate(s)
+    assert log.failed
+    assert log.failure_reason.startswith("IntegrationBlowupError")
+    assert log.n_instants == 1
+
+
 def _synthetic_log(norms, t_s=0.2):
     n = len(norms)
     return SimulationLog(
@@ -291,6 +348,47 @@ def test_cli_nan_measurement_writes_failed_run(tmp_path):
     manifest = json.loads((out / "nan_cmon_manifest.json").read_text())
     assert manifest["failed"] is True
     assert manifest["failure_reason"].startswith("AssemblyError")
+
+
+def test_cli_inconsistent_bounds_writes_failed_run(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([str(_inconsistent_bounds(tmp_path)), "--out",
+                     str(out)]) == 3
+    assert parse_log_csv(out / "bounds_cmon_log.csv").n_instants == 0
+    manifest = json.loads((out / "bounds_cmon_manifest.json").read_text())
+    assert manifest["failed"] is True
+    assert manifest["failure_reason"].startswith("QPInfeasibleError")
+
+
+def test_cli_multi_trial_controller_failure(tmp_path):
+    scen = _write_yaml(tmp_path, "huge", "chain_n40.yaml",
+                       **{"noise.position_amplitude": 1e300, "trials": 2,
+                          "horizon": 10, "duration": 0.4})
+    out = tmp_path / "out"
+    assert cli.main([str(scen), "--out", str(out)]) == 3
+    for i in range(2):
+        assert (out / f"huge_cmon_trial{i}.csv").exists()
+    manifest = json.loads((out / "huge_cmon_manifest.json").read_text())
+    assert manifest["n_failures"] == 2
+    assert manifest["failed"] is True
+    assert [f["trial"] for f in manifest["failures"]] == [0, 1]
+    for f in manifest["failures"]:
+        name, _, message = f["reason"].partition(": ")
+        assert issubclass(getattr(errors, name), errors.NMPCError)
+        assert message
+
+
+def test_cli_multi_trial_unsettled_trials_are_not_failures(tmp_path):
+    # two 0.4 s trials end before the control settles: both count in
+    # n_failures, but no controller failed
+    scen = _write_yaml(tmp_path, "short", "chain_n40.yaml",
+                       **{"trials": 2, "horizon": 10, "duration": 0.4})
+    out = tmp_path / "out"
+    assert cli.main([str(scen), "--out", str(out)]) == 0
+    manifest = json.loads((out / "short_cmon_manifest.json").read_text())
+    assert manifest["n_failures"] == 2
+    assert manifest["failed"] is False
+    assert manifest["failures"] == []
 
 
 def test_cli_bad_config_exit_code(tmp_path):

@@ -6,10 +6,10 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
+from conftest import assemble_qp
 from nmpckit import integrator as intg
 from nmpckit import perturbation as pert
 from nmpckit import qp_solver, transcription as trc
-from nmpckit.cmon import SensitivityStore
 from nmpckit.errors import NearSingularMatrixError
 
 
@@ -23,10 +23,8 @@ def _pendulum_qp_sol(pendulum, rng, N=8, tol=1e-10):
     traj = trc.Trajectory(xs, us)
     mult = trc.Multipliers.zeros(N, 4, pendulum.n_r)
     refs = trc.References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
-    store = SensitivityStore.empty(N, 4, 1)
-    store.refresh(pendulum, traj, cfg)
     x_hat = xs[0] + rng.uniform(-0.01, 0.01, 4)
-    qp = trc.build_qp(traj, mult, x_hat, store, pendulum, cfg, refs)
+    qp = assemble_qp(pendulum, traj, mult, x_hat, refs, cfg)
     return qp, qp_solver.solve(qp, tol=tol)
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import assemble_qp
 from nmpckit import integrator as intg
 from nmpckit import models, qp_solver, transcription as trc
-from nmpckit.cmon import SensitivityStore
 from nmpckit.errors import QPInfeasibleError, QPNonconvergenceError
 
 
@@ -103,10 +103,8 @@ def _stage_qp(model, xs0, us, rng, ref_x=None):
     mult = trc.Multipliers.zeros(N, n_x, model.n_r)
     ref_x = np.zeros(n_x) if ref_x is None else ref_x
     refs = trc.References(np.tile(ref_x, (N + 1, 1)), np.zeros((N, model.n_u)))
-    store = SensitivityStore.empty(N, n_x, model.n_u)
-    store.refresh(model, traj, cfg)
     x_hat = xs[0] + rng.uniform(-0.02, 0.02, n_x)
-    return trc.build_qp(traj, mult, x_hat, store, model, cfg, refs)
+    return assemble_qp(model, traj, mult, x_hat, refs, cfg)
 
 
 def _pendulum_qp(pendulum, rng, N=8):

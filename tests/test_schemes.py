@@ -6,6 +6,8 @@ import pytest
 from nmpckit import integrator as intg, schemes
 from nmpckit.cmon import CMoNConfig
 from nmpckit.errors import DivergenceError
+from nmpckit.models import ChainParams, chain_steady_state, make_chain_model
+from nmpckit.perturbation import build_m, conditioning_constants
 from nmpckit.schemes import (OCProblem, SchemeConfig, controller_step,
                              initialize_controller, sqp_solve)
 from nmpckit.transcription import Multipliers, References, Trajectory
@@ -94,7 +96,43 @@ def test_initialize_controller_auto_constants(pendulum):
     assert np.isfinite(state.rho0) and state.rho0 > 0
     assert state.gamma0 >= 1.0
     assert state.e_bar >= 0.1 * np.sqrt(state.n_dim)
-    assert state.store.fresh_mask().all()
+    assert state.store.fresh_mask(state.traj).all()
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "chain"])
+def test_preparation_constants_match_first_subproblem(pendulum, plant,
+                                                      monkeypatch):
+    # the preparation phase linearizes with the step kernel, so its
+    # constants are those of the subproblem the first instant solves
+    if plant == "pendulum":
+        model, ref = pendulum, np.zeros(4)
+        x_hat = np.array([0.05, 0.3, 0.0, 0.0])
+    else:
+        params = ChainParams(n=3)
+        model = make_chain_model(params)
+        ref = chain_steady_state(params, [0.6, 0.0, 0.0])
+        x_hat = ref.copy()
+        x_hat[:6] += 0.05
+    traj0 = Trajectory(np.tile(ref, (N + 1, 1)), np.zeros((N, model.n_u)))
+    mult0 = Multipliers.zeros(N, model.n_x, model.n_r)
+    refs = References(np.tile(ref, (N + 1, 1)), np.zeros((N, model.n_u)))
+    solved = []
+    solve = schemes.solve
+
+    def recording(qp, *args, **kwargs):
+        sol = solve(qp, *args, **kwargs)
+        solved.append((qp, sol))
+        return sol
+
+    monkeypatch.setattr(schemes, "solve", recording)
+    state = initialize_controller(model, CFG, SchemeConfig(scheme="cmon"),
+                                  traj0, mult0, refs0=refs, x_hat0=x_hat)
+    constants = (state.rho0, state.gamma0)
+    solved.clear()
+    controller_step(state, x_hat, refs)
+    assert len(solved) == 1
+    qp, sol = solved[0]
+    assert constants == conditioning_constants(build_m(qp, sol))
 
 
 def test_rti_step_counters(pendulum):

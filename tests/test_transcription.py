@@ -5,9 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import assemble_qp, fresh_store
 from nmpckit import integrator as intg
 from nmpckit import transcription as trc
-from nmpckit.cmon import SensitivityStore
 from nmpckit.errors import AssemblyError, ContractViolationError
 
 N = 10
@@ -28,21 +28,19 @@ def setup(pendulum, rng):
     traj = _rollout(pendulum, np.array([0.0, 0.3, 0.0, 0.0]), us)
     mult = trc.Multipliers.zeros(N, 4, pendulum.n_r)
     refs = trc.References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
-    store = SensitivityStore.empty(N, 4, 1)
-    store.refresh(pendulum, traj, CFG)
-    return pendulum, traj, mult, refs, store
+    return pendulum, traj, mult, refs, fresh_store(pendulum, traj, CFG)
 
 
 def test_continuity_residuals_vanish_on_rollout(setup):
     model, traj, mult, refs, store = setup
-    qp = trc.build_qp(traj, mult, traj.xs[0], store, model, CFG, refs)
+    qp = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG)
     npt.assert_allclose(qp.continuity_residuals, 0.0, atol=1e-12)
 
 
 def test_embedding_row_carries_measurement(setup):
     model, traj, mult, refs, store = setup
     x_hat = traj.xs[0] + np.array([0.01, -0.02, 0.0, 0.03])
-    qp = trc.build_qp(traj, mult, x_hat, store, model, CFG, refs)
+    qp = assemble_qp(model, traj, mult, x_hat, refs, CFG)
     npt.assert_allclose(qp.continuity_residuals[0], traj.xs[0] - x_hat,
                         atol=1e-15)
 
@@ -65,9 +63,7 @@ def test_gradient_matches_fd_of_objective(pendulum, rng):
     mult = trc.Multipliers.zeros(N, 4, pendulum.n_r)
     refs = trc.References(rng.uniform(-0.3, 0.3, (N + 1, 4)),
                           rng.uniform(-0.3, 0.3, (N, 1)))
-    store = SensitivityStore.empty(N, 4, 1)
-    store.refresh(pendulum, traj, CFG)
-    qp = trc.build_qp(traj, mult, traj.xs[0], store, pendulum, CFG, refs)
+    qp = assemble_qp(pendulum, traj, mult, traj.xs[0], refs, CFG)
 
     def perturbed(j, eps):
         xs, us2 = traj.xs.copy(), traj.us.copy()
@@ -89,15 +85,12 @@ def test_gradient_matches_fd_of_objective(pendulum, rng):
 
 def test_gradient_includes_multiplier_rows(setup, rng):
     # nonzero equality multipliers add lam^T dphi rows computed with exact
-    # sensitivities regardless of the store's staleness flags
+    # sensitivities, whether from fresh blocks or an all-stale adjoint sweep
     model, traj, mult, refs, store = setup
     mult.lam = rng.standard_normal(mult.lam.shape)
-    qp_fresh = trc.build_qp(traj, mult, traj.xs[0], store, model, CFG, refs)
-    stale_store = SensitivityStore.empty(N, 4, 1)
-    stale_store.refresh(model, traj, CFG)
-    stale_store.stale[:] = True
-    qp_stale = trc.build_qp(traj, mult, traj.xs[0], stale_store, model, CFG,
-                            refs)
+    qp_fresh = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG)
+    qp_stale = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG,
+                           fresh=False)
     npt.assert_allclose(qp_fresh.gradient, qp_stale.gradient, atol=1e-10)
 
 
@@ -105,7 +98,7 @@ def test_exact_gradient_rows_fresh_equals_product(setup, rng):
     model, traj, mult, refs, store = setup
     seeds = rng.standard_normal((N, 4))
     rows_fresh = trc.exact_gradient_rows(model, traj, CFG, seeds,
-                                         fresh_mask=store.fresh_mask(),
+                                         fresh_mask=store.fresh_mask(traj),
                                          blocks=store.blocks)
     expect = np.einsum('kx,kxw->kw', seeds, store.blocks)
     npt.assert_array_equal(rows_fresh, expect)
@@ -154,12 +147,12 @@ def test_apply_step_rejects_negative_multiplier(setup):
 def test_build_qp_rejects_bad_measurement(setup):
     model, traj, mult, refs, store = setup
     with pytest.raises(AssemblyError):
-        trc.build_qp(traj, mult, np.zeros(3), store, model, CFG, refs)
+        assemble_qp(model, traj, mult, np.zeros(3), refs, CFG)
 
 
 def test_dense_jacobian_shapes(setup):
     model, traj, mult, refs, store = setup
-    qp = trc.build_qp(traj, mult, traj.xs[0], store, model, CFG, refs)
+    qp = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG)
     A = trc.dense_equality_jacobian(qp)
     C = trc.dense_inequality_jacobian(qp)
     assert A.shape == (qp.n_eq, qp.n_w)

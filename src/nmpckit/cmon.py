@@ -91,15 +91,15 @@ class SensitivityStore:
         """Blocks exact at ``traj``: their node has not moved since."""
         return np.all(self.node_points == traj.nodes(), axis=1)
 
-    def refresh(self, model: ModelSpec, traj, cfg: intg.IntegratorConfig,
-                mask: np.ndarray) -> int:
-        """Recompute the masked blocks at the trajectory; returns the count."""
+    def refresh(self, model: ModelSpec, traj, stages: np.ndarray,
+                cfg: intg.IntegratorConfig, mask: np.ndarray) -> int:
+        """Recompute the masked blocks at the trajectory, whose RK4 stage
+        states are ``stages``; returns the count."""
         mask = np.asarray(mask, dtype=bool)
         if not np.any(mask):
             return 0
-        _, S = intg.forward_sensitivity_batch(
-            model, traj.xs[:-1][mask], traj.us[mask], cfg)
-        self.blocks[mask] = S
+        self.blocks[mask] = intg.forward_sensitivity_batch(
+            model, stages[mask], traj.us[mask], cfg)
         self.node_points[mask] = traj.nodes()[mask]
         return int(mask.sum())
 
@@ -143,12 +143,12 @@ def dual_cmon(adj_rows_now: np.ndarray,
     return _safe_ratio(num, den)
 
 
-def adjoint_rows(model: ModelSpec, traj, cfg: intg.IntegratorConfig,
-                 seeds: np.ndarray) -> np.ndarray:
-    """Exact rows ``seed_k^T dphi_k`` at the trajectory, one per interval."""
-    rows = intg.adjoint_batch(model, traj.xs[:-1], traj.us, cfg,
-                              seeds[:, None, :])
-    return rows[:, 0, :]
+def adjoint_rows(model: ModelSpec, stages: np.ndarray, us: np.ndarray,
+                 cfg: intg.IntegratorConfig, *seeds: np.ndarray):
+    """Exact rows ``seed_k^T dphi_k`` at every interval, one array per
+    seed array, from one reverse sweep over the RK4 stage states."""
+    rows = intg.adjoint_batch(model, stages, us, cfg, np.stack(seeds, axis=1))
+    return tuple(rows[:, i] for i in range(len(seeds)))
 
 
 def update_decision(kappa: np.ndarray, kappa_dual: np.ndarray,

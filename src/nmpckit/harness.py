@@ -292,12 +292,15 @@ def perfect_horizon(scenario: ScenarioConfig, x0: np.ndarray):
 # ---------------------------------------------------------------------------
 # simulation log
 
-_DIAG_COLUMNS = [
-    "kkt", "dy_norm", "refreshed", "refresh_fraction", "qp_iterations",
-    "integration_calls", "sens_blocks", "adjoint_seeds",
-    "kappa_max", "kappa_dual_max", "eta_pri", "eta_dual", "e_bar",
-    "dto_e", "dto_ebar", "dto_active_match",
+_STEP_COLUMNS = [
+    "kkt", "dy_norm", "dw_norm", "dlam_norm", "refreshed",
+    "refresh_fraction", "qp_iterations", "integration_calls", "sens_blocks",
+    "adjoint_seeds", "kappa_max", "kappa_dual_max", "eta_pri", "eta_dual",
+    "e_bar",
 ]
+_DIAG_COLUMNS = _STEP_COLUMNS + ["dto_e", "dto_ebar", "dto_active_match"]
+# StepDiagnostics fields logged under another name
+_RENAMED = {"kkt": "kkt_residual", "integration_calls": "horizon_passes"}
 
 
 @dataclass
@@ -332,19 +335,8 @@ def _collect_log(scenario, times, states, controls, diags, windows,
     for name in _DIAG_COLUMNS:
         cols[name] = np.full(I, np.nan)
     for i, d in enumerate(diags):
-        cols["kkt"][i] = d.kkt_residual
-        cols["dy_norm"][i] = d.dy_norm
-        cols["refreshed"][i] = d.refreshed
-        cols["refresh_fraction"][i] = d.refresh_fraction
-        cols["qp_iterations"][i] = d.qp_iterations
-        cols["integration_calls"][i] = d.horizon_passes
-        cols["sens_blocks"][i] = d.sens_blocks
-        cols["adjoint_seeds"][i] = d.adjoint_seeds
-        cols["kappa_max"][i] = d.kappa_max
-        cols["kappa_dual_max"][i] = d.kappa_dual_max
-        cols["eta_pri"][i] = d.eta_pri
-        cols["eta_dual"][i] = d.eta_dual
-        cols["e_bar"][i] = d.e_bar
+        for name in _STEP_COLUMNS:
+            cols[name][i] = getattr(d, _RENAMED.get(name, name))
         if d.dto is not None:
             cols["dto_e"][i] = d.dto.e
             cols["dto_ebar"][i] = d.dto.e_bar
@@ -399,7 +391,7 @@ def closed_loop_simulate(scenario: ScenarioConfig,
             d = controller_step(state, x, refs)
             u0 = state.traj.us[0].copy()
             x = intg.integrate_batch(model, x[None], u0[None],
-                                     plant_integ)[0]
+                                     plant_integ)[0][0]
             times.append(t)
             controls.append(u0)
             diags.append(d)

@@ -51,6 +51,8 @@ class QPSolution:
 # Mehrotra driver over an abstract KKT backend
 # ---------------------------------------------------------------------------
 
+# an overflow surfaces as a non-finite residual, which ends the solve
+@np.errstate(over="ignore", invalid="ignore")
 def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
     """Predictor-corrector iteration; returns (x, y, z, res, iters)."""
     g, b, d = backend.g, backend.b, backend.d
@@ -62,6 +64,7 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
     if m_in == 0:
         res = _residuals(backend, x, y, np.zeros(0), np.zeros(0))
         for _ in range(3):
+            _check_finite(res)
             if res <= tol:
                 return x, y, np.zeros(0), res, 1
             r_d = backend.hmv(x) + g + backend.atmv(y)
@@ -69,6 +72,7 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
             cx, cy = backend.solve2(handle, -r_d, -r_p)
             x, y = x + cx, y + cy
             res = _residuals(backend, x, y, np.zeros(0), np.zeros(0))
+        _check_finite(res)
         if res > tol:
             raise QPNonconvergenceError(
                 f"equality-constrained solve stalled at residual {res:.3e}",
@@ -91,6 +95,7 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
         comp = s * z
         res = max(np.linalg.norm(r_d), np.linalg.norm(r_p),
                   np.linalg.norm(r_g), comp.max(initial=0.0))
+        _check_finite(res)
         if res < 0.9 * best:
             best, best_iter = res, it
         if res <= tol:
@@ -132,6 +137,14 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
         y = y + a_d * dy
         z = z + a_d * dz
     _raise_failure(best, z, r_p, r_g)
+
+
+def _check_finite(res):
+    # finite data whose products overflow: no later iterate recovers
+    if not np.isfinite(res):
+        raise QPNonconvergenceError(
+            "QP data overflowed: the KKT residual is not finite",
+            best_residual=res)
 
 
 def _raise_failure(best, z, r_p, r_g):

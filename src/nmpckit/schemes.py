@@ -69,10 +69,12 @@ class StepDiagnostics:
     instant: int
     kkt_residual: float         # exact Lagrangian gradient norm, pre-step
     dy_norm: float              # full increment norm
+    dw_norm: float              # primal part of the increment
+    dlam_norm: float            # equality-multiplier part of the increment
     refreshed: int              # sensitivity blocks recomputed this instant
     refresh_fraction: float
     sens_blocks: int            # forward sensitivity block evaluations
-    adjoint_seeds: int          # single-seed adjoint sweeps
+    adjoint_seeds: int          # nodes x seeds of the adjoint sweep
     horizon_passes: int         # integrate_batch plus adjoint_batch calls
     qp_iterations: int
     kappa_max: float = 0.0
@@ -134,58 +136,50 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
 
     The ``cmon`` scheme needs ``refs0``: it linearizes at ``traj0`` with
     the step kernel, which computes every block since none exists yet,
-    and solves that subproblem once.
+    and, unless its thresholds are fixed, solves that subproblem once.
     """
     state = _new_state(model, integ, cfg, traj0, mult0)
+    traj = state.traj
     if cfg.scheme != "cmon":
-        state.store.refresh(model, state.traj, integ,
-                            np.ones(state.traj.horizon, dtype=bool))
+        _, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
+        state.store.refresh(model, traj, stages, integ,
+                            np.ones(traj.horizon, dtype=bool))
         return state
     if refs0 is None:
         raise ConfigError("the cmon scheme needs preparation references")
-    x_hat = state.traj.xs[0] if x_hat0 is None else np.asarray(x_hat0, float)
-    qp, _, _ = _linearize(state, x_hat, refs0)
-    sol = solve(qp, tol=cfg.qp_tol)
-    state.rho0, state.gamma0 = conditioning_constants(build_m(qp, sol))
+    x_hat = traj.xs[0] if x_hat0 is None else np.asarray(x_hat0, float)
+    qp, *_ = _linearize(state, x_hat, refs0)
+    if cfg.cmon.threshold_mode == "auto":
+        sol = solve(qp, tol=cfg.qp_tol)
+        state.rho0, state.gamma0 = conditioning_constants(build_m(qp, sol))
     return state
-
-
-def _exact_blocks(state: ControllerState) -> np.ndarray:
-    """Exact sensitivity blocks at the current trajectory (oracle use)."""
-    fresh = state.store.fresh_mask(state.traj)
-    S = state.store.blocks.copy()
-    if not fresh.all():
-        stale = ~fresh
-        _, Sb = intg.forward_sensitivity_batch(
-            state.model, state.traj.xs[:-1][stale], state.traj.us[stale],
-            state.integ)
-        S[stale] = Sb
-    return S
 
 
 def _linearize(state: ControllerState, x_hat, refs: References):
     """Stages 1 and 2 of the step and the assembly of stage 3.
 
-    Returns ``(qp, phis, diag)``: the subproblem, the integration values
-    at the nodes, and the instant's diagnostics without the solve's
-    entries.
+    Returns ``(qp, phis, stages, diag)``: the subproblem, the integration
+    values at the nodes and their RK4 stage states, which every sweep
+    reads, and the instant's diagnostics without the solve's entries.
     """
     model, integ, cfg = state.model, state.integ, state.cfg
     store, traj = state.store, state.traj
     N = traj.horizon
-    phis = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
-    passes, seeds = 1, 0
+    lam_seeds = state.mult.lam[1:]
+    phis, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
     kappa = kappa_dual = np.zeros(N)
     eta_pri = eta_dual = np.inf
+    lam_rows = None             # exact gradient rows at every node
     if cfg.scheme == "cmon":
         # before the first step no direction exists; zero norms leave the
         # automatic thresholds unbounded unless the tolerance is zero
         v_pri = v_dual = 0.0
         if store.has_caches():
             kappa = primal_cmon(phis, store.prev_phi, store.prev_dir_pri)
-            rows_now = adjoint_rows(model, traj, integ, store.prev_dlam)
+            # one sweep serves the dual measure and the stale gradient rows
+            rows_now, lam_rows = adjoint_rows(model, stages, traj.us, integ,
+                                              store.prev_dlam, lam_seeds)
             kappa_dual = dual_cmon(rows_now, store.prev_dir_dual)
-            passes, seeds = 2, N
             v_pri = float(np.linalg.norm(store.prev_dir_pri))
             v_dual = float(np.linalg.norm(store.prev_dir_dual))
         eta_pri, eta_dual = thresholds(cfg.cmon, state.e_bar, state.rho0,
@@ -197,38 +191,47 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         full = cfg.scheme == "rti" or (
             cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0)
         mask = np.full(N, full) | ~store.computed
-    refreshed = store.refresh(model, traj, integ, mask)
+    refreshed = store.refresh(model, traj, stages, integ, mask)
 
     fresh = store.fresh_mask(traj)
-    lam_dphi = exact_gradient_rows(model, traj, integ, state.mult.lam[1:],
-                                   fresh_mask=fresh, blocks=store.blocks)
-    n_stale = int(N - fresh.sum())
+    seeds = 2 * N if lam_rows is not None else int(N - fresh.sum())
+    lam_dphi = exact_gradient_rows(model, stages, traj.us, integ, lam_seeds,
+                                   fresh_mask=fresh, blocks=store.blocks,
+                                   swept=lam_rows)
     qp = build_qp(traj, state.mult, x_hat, store.blocks, model, refs, phis,
                   lam_dphi)
     diag = StepDiagnostics(
         instant=state.instant, kkt_residual=float(np.linalg.norm(qp.gradient)),
-        dy_norm=np.nan, refreshed=refreshed, refresh_fraction=refreshed / N,
-        sens_blocks=refreshed, adjoint_seeds=seeds + n_stale,
-        horizon_passes=passes + (n_stale > 0), qp_iterations=0,
+        dy_norm=np.nan, dw_norm=np.nan, dlam_norm=np.nan,
+        refreshed=refreshed, refresh_fraction=refreshed / N,
+        sens_blocks=refreshed, adjoint_seeds=seeds,
+        horizon_passes=1 + (seeds > 0), qp_iterations=0,
         kappa_max=float(kappa.max(initial=0.0)),
         kappa_dual_max=float(kappa_dual.max(initial=0.0)),
         eta_pri=eta_pri, eta_dual=eta_dual, e_bar=state.e_bar)
-    return qp, phis, diag
+    return qp, phis, stages, diag
 
 
 def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray,
-                     diag: StepDiagnostics) -> StepDiagnostics:
+                     stages: np.ndarray, diag: StepDiagnostics
+                     ) -> StepDiagnostics:
     """The rest of stage 3: solve, update the measure caches, apply."""
     cfg, model, store = state.cfg, state.model, state.store
     N = store.horizon
     sol = solve(qp, tol=cfg.qp_tol)
     if cfg.track_dto:
-        diag.dto = measure_dto(qp, sol, _exact_blocks(state), state.e_bar,
-                               tol=cfg.qp_tol)
+        # the oracle compares with exact blocks at the trajectory
+        exact, stale = store.blocks.copy(), ~store.fresh_mask(state.traj)
+        if stale.any():
+            exact[stale] = intg.forward_sensitivity_batch(
+                model, stages[stale], state.traj.us[stale], state.integ)
+        diag.dto = measure_dto(qp, sol, exact, state.e_bar, tol=cfg.qp_tol)
     diag.dy_norm = float(np.linalg.norm(sol.stacked()))
+    diag.dw_norm = float(np.linalg.norm(sol.dw))
+    diag.dlam_norm = float(np.linalg.norm(sol.dlam))
     diag.qp_iterations = sol.iterations
     if cfg.scheme == "cmon":
-        if np.isnan(state.rho0):
+        if cfg.cmon.threshold_mode == "auto" and np.isnan(state.rho0):
             # no preparation phase: take the first subproblem's constants
             state.rho0, state.gamma0 = conditioning_constants(
                 build_m(qp, sol))
@@ -299,7 +302,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
     blocks_total = adjoint_total = grows = 0
     converged = False
     while True:
-        qp, phis, diag = _linearize(state, ocp.x_hat, ocp.refs)
+        qp, phis, stages, diag = _linearize(state, ocp.x_hat, ocp.refs)
         blocks_total += diag.sens_blocks
         adjoint_total += diag.adjoint_seeds
         res = _sqp_residual(qp)
@@ -313,7 +316,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
             break
         if len(counts) >= max_iter:
             break
-        _solve_and_apply(state, qp, phis, diag)
+        _solve_and_apply(state, qp, phis, stages, diag)
         counts.append(diag.refreshed)
     return SQPResult(traj=state.traj, mult=state.mult,
                      iterations=len(counts), converged=converged,

@@ -14,6 +14,7 @@ and both multiplier sets.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -217,25 +218,28 @@ def _objective_gradient(traj: Trajectory, model: ModelSpec, refs: References):
     return g_nodes, g_term
 
 
-def exact_gradient_rows(model: ModelSpec, traj: Trajectory,
-                        cfg: intg.IntegratorConfig, seeds: np.ndarray,
-                        fresh_mask: np.ndarray,
-                        blocks: np.ndarray) -> np.ndarray:
-    """Rows ``seed_k^T dphi_k`` with exact sensitivities at the trajectory.
+def exact_gradient_rows(model: ModelSpec, stages: np.ndarray,
+                        us: np.ndarray, cfg: intg.IntegratorConfig,
+                        seeds: np.ndarray, fresh_mask: np.ndarray,
+                        blocks: np.ndarray,
+                        swept: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows ``seed_k^T dphi_k`` with exact sensitivities at the trajectory
+    whose RK4 stage states are ``stages``.
 
     Nodes flagged in ``fresh_mask`` use a plain product with the supplied
-    ``blocks`` (already exact there); the rest run an adjoint sweep.
+    ``blocks`` (already exact there). The rest take the rows of ``swept``,
+    a sweep at every node the caller already ran, or else run one.
     """
-    N = traj.horizon
-    xs, us = traj.xs[:-1], traj.us
-    out = np.empty((N, model.n_x + model.n_u))
+    out = np.empty((stages.shape[0], model.n_x + model.n_u))
     fresh_mask = np.asarray(fresh_mask, dtype=bool)
     if np.any(fresh_mask):
         out[fresh_mask] = np.einsum(
             'kx,kxw->kw', seeds[fresh_mask], blocks[fresh_mask])
     stale = ~fresh_mask
-    if np.any(stale):
-        rows = intg.adjoint_batch(model, xs[stale], us[stale], cfg,
+    if swept is not None:
+        out[stale] = swept[stale]
+    elif np.any(stale):
+        rows = intg.adjoint_batch(model, stages[stale], us[stale], cfg,
                                   seeds[stale][:, None, :])
         out[stale] = rows[:, 0, :]
     return out

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, assemble_qp
+from conftest import SCENARIO_DIR, adjoint, assemble_qp, sensitivities
 from nmpckit import cmon as cm
 from nmpckit import integrator as intg
 from nmpckit import models, perturbation as pert, qp_solver
@@ -360,7 +360,7 @@ def _rollout_qp(rng, N=8):
     xs[0] = [0.0, 0.4, 0.0, 0.0]
     us = rng.uniform(-2.0, 2.0, (N, 1))
     for k in range(N):
-        xs[k + 1] = intg.integrate_batch(model, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(model, xs[k], us[k], cfg)[0]
     traj = Trajectory(xs, us)
     return assemble_qp(model, traj, Multipliers.zeros(N, 4, model.n_r),
                        xs[0] + rng.uniform(-0.01, 0.01, 4),
@@ -377,15 +377,15 @@ def test_10_numerical_kernels():
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     x0 = np.array([0.1, 0.6, -0.2, 0.4])
     u0 = np.array([3.0])
-    _, S = intg.forward_sensitivity_batch(model, x0[None], u0[None], cfg)
+    _, S = sensitivities(model, x0[None], u0[None], cfg)
     S = S[0]
     h = 1e-6
     worst = 0.0
     for j in range(5):
         e = np.zeros(5)
         e[j] = h
-        hi = intg.integrate_batch(model, x0 + e[:4], u0 + e[4:], cfg)
-        lo = intg.integrate_batch(model, x0 - e[:4], u0 - e[4:], cfg)
+        hi = intg.integrate_batch(model, x0 + e[:4], u0 + e[4:], cfg)[0]
+        lo = intg.integrate_batch(model, x0 - e[:4], u0 - e[4:], cfg)[0]
         fd = (hi - lo) / (2 * h)
         worst = max(worst, np.abs(S[:, j] - fd).max()
                     / max(1.0, np.abs(fd).max()))
@@ -393,7 +393,7 @@ def test_10_numerical_kernels():
 
     # adjoint vs forward products
     seeds = rng.standard_normal((1, 4, 4))
-    rows = intg.adjoint_batch(model, x0[None], u0[None], cfg, seeds)
+    rows = adjoint(model, x0[None], u0[None], cfg, seeds)
     diff = np.abs(rows[0] - seeds[0] @ S).max()
     checks["adjoint"] = diff <= 1e-10
 
@@ -471,9 +471,9 @@ def test_10_numerical_kernels():
     lcfg = intg.IntegratorConfig(dt=0.1, substeps=3)
     xl = rng.standard_normal((5, 3))
     ul = rng.standard_normal((5, 2))
-    phi0, Sl = intg.forward_sensitivity_batch(lin, xl, ul, lcfg)
+    phi0, Sl = sensitivities(lin, xl, ul, lcfg)
     q = rng.standard_normal((5, 5))
-    phi1 = intg.integrate_batch(lin, xl + q[:, :3], ul + q[:, 3:], lcfg)
+    phi1 = intg.integrate_batch(lin, xl + q[:, :3], ul + q[:, 3:], lcfg)[0]
     kappa = cm.primal_cmon(phi1, phi0,
                            np.einsum('kxw,kw->kx', Sl, q))
     checks["linear"] = kappa.max() <= 1e-12

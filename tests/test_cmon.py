@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import sensitivities
 from nmpckit import cmon, integrator as intg, models
 from nmpckit.cmon import CMoNConfig, SensitivityStore
 from nmpckit.errors import ContractViolationError
@@ -39,18 +40,18 @@ def test_kappa_zero_on_linear_model(rng):
     cfg = intg.IntegratorConfig(dt=0.1, substeps=3)
     x0 = rng.standard_normal((6, 3))
     u0 = rng.standard_normal((6, 2))
-    phi0, S = intg.forward_sensitivity_batch(model, x0, u0, cfg)
+    phi0, S = sensitivities(model, x0, u0, cfg)
     q = rng.standard_normal((6, 5))
-    phi1 = intg.integrate_batch(model, x0 + q[:, :3], u0 + q[:, 3:], cfg)
+    phi1 = intg.integrate_batch(model, x0 + q[:, :3], u0 + q[:, 3:], cfg)[0]
     dir_pri = np.einsum('kxw,kw->kx', S, q)
     kappa = cmon.primal_cmon(phi1, phi0, dir_pri)
     assert kappa.max() <= 1e-12
 
     seeds = rng.standard_normal((6, 3))
     rows0 = np.einsum('kx,kxw->kw', seeds, S)
-    rows1 = cmon.adjoint_rows(model, Trajectory(
-        np.vstack([x0 + q[:, :3], np.zeros((1, 3))]), u0 + q[:, 3:]),
-        cfg, seeds)
+    _, stages1 = intg.integrate_batch(model, x0 + q[:, :3], u0 + q[:, 3:],
+                                      cfg)
+    rows1, = cmon.adjoint_rows(model, stages1, u0 + q[:, 3:], cfg, seeds)
     kappa_dual = cmon.dual_cmon(rows1, rows0)
     assert kappa_dual.max() <= 1e-12
 
@@ -60,13 +61,13 @@ def test_kappa_scales_linearly_with_step(pendulum):
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     x0 = np.array([[0.1, 0.7, -0.2, 0.6]])
     u0 = np.array([[2.0]])
-    phi0, S = intg.forward_sensitivity_batch(pendulum, x0, u0, cfg)
+    phi0, S = sensitivities(pendulum, x0, u0, cfg)
     q = np.array([[0.05, -0.08, 0.03, 0.06, 0.4]])
     vals = []
     for eps in (0.1, 1e-4):
         qe = eps * q
         phi1 = intg.integrate_batch(pendulum, x0 + qe[:, :4], u0 + qe[:, 4:],
-                                    cfg)
+                                    cfg)[0]
         dir_pri = np.einsum('kxw,kw->kx', S, qe)
         vals.append(cmon.primal_cmon(phi1, phi0, dir_pri)[0])
     ratio = vals[0] / vals[1]
@@ -171,7 +172,8 @@ def test_store_refresh_and_staleness(pendulum, rng):
     store = SensitivityStore.empty(N, 4, 1)
     assert not store.computed.any() and not store.fresh_mask(traj).any()
 
-    count = store.refresh(pendulum, traj, cfg, mask=np.arange(N) < 4)
+    stages = intg.integrate_batch(pendulum, xs[:-1], us, cfg)[1]
+    count = store.refresh(pendulum, traj, stages, cfg, mask=np.arange(N) < 4)
     assert count == 4
     npt.assert_array_equal(store.computed, np.arange(N) < 4)
     npt.assert_array_equal(store.fresh_mask(traj), np.arange(N) < 4)
@@ -189,11 +191,12 @@ def test_store_partial_refresh_matches_full(pendulum, rng):
     N = 5
     traj = Trajectory(rng.uniform(-0.3, 0.3, (N + 1, 4)),
                       rng.uniform(-2.0, 2.0, (N, 1)))
+    stages = intg.integrate_batch(pendulum, traj.xs[:-1], traj.us, cfg)[1]
     full = SensitivityStore.empty(N, 4, 1)
-    full.refresh(pendulum, traj, cfg, np.ones(N, dtype=bool))
+    full.refresh(pendulum, traj, stages, cfg, np.ones(N, dtype=bool))
     part = SensitivityStore.empty(N, 4, 1)
-    part.refresh(pendulum, traj, cfg, mask=np.arange(N) % 2 == 0)
-    part.refresh(pendulum, traj, cfg, mask=np.arange(N) % 2 == 1)
+    part.refresh(pendulum, traj, stages, cfg, mask=np.arange(N) % 2 == 0)
+    part.refresh(pendulum, traj, stages, cfg, mask=np.arange(N) % 2 == 1)
     npt.assert_array_equal(part.blocks, full.blocks)
 
 
@@ -215,14 +218,13 @@ def test_stacked_norm_bound_on_kept_blocks(pendulum, rng):
     xs[0] = [0.0, 0.5, 0.0, 0.0]
     us = rng.uniform(-2.0, 2.0, (N, 1))
     for k in range(N):
-        xs[k + 1] = intg.integrate_batch(pendulum, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(pendulum, xs[k], us[k], cfg)[0]
     q = 1e-3 * rng.standard_normal((N, 5))
     xs_b = xs.copy()
     xs_b[:-1] += q[:, :4]
     us_b = us + q[:, 4:]
-    phi_a, S_a = intg.forward_sensitivity_batch(pendulum, xs[:-1], us, cfg)
-    phi_b, S_b = intg.forward_sensitivity_batch(pendulum, xs_b[:-1], us_b,
-                                                cfg)
+    phi_a, S_a = sensitivities(pendulum, xs[:-1], us, cfg)
+    phi_b, S_b = sensitivities(pendulum, xs_b[:-1], us_b, cfg)
     V = np.einsum('kxw,kw->kx', S_a, q)
     kappa = cmon.primal_cmon(phi_b, phi_a, V)
     assert np.all(kappa > 0)

@@ -72,6 +72,17 @@ def test_closed_loop_log_shapes():
         npt.assert_array_equal(log.diag["integration_calls"], expect)
 
 
+@pytest.mark.parametrize("scheme", ["rti", "cmon"])
+def test_step_norm_columns_split_dy_norm(scheme):
+    # dw_norm and dlam_norm are parts of the stacked step that dy_norm
+    # measures (the inequality-multiplier part makes up the rest)
+    d = closed_loop_simulate(_short_pendulum(duration=0.5, scheme=scheme)).diag
+    assert np.all(np.isfinite(d["dw_norm"]))
+    assert np.all(np.isfinite(d["dlam_norm"]))
+    assert np.all(d["dw_norm"] ** 2 + d["dlam_norm"] ** 2
+                  <= d["dy_norm"] ** 2 * (1.0 + 1e-12))
+
+
 def test_reference_windows_shift_by_one():
     s = _short_pendulum(duration=1.0)
     log = closed_loop_simulate(s)
@@ -378,6 +389,27 @@ def test_cli_multi_trial_controller_failure(tmp_path):
         assert message
 
 
+@pytest.mark.parametrize("scheme", ["rti", "cmon"])
+def test_overflowing_qp_data_ends_loop_without_warnings(tmp_path, capfd,
+                                                        scheme):
+    # 1e300 start positions are finite, but the QP products overflow: the
+    # solver stops at the first non-finite residual and says why, and no
+    # numpy warning reaches stderr
+    import warnings
+
+    scen = _write_yaml(tmp_path, "huge", "chain_n40.yaml",
+                       **{"noise.position_amplitude": 1e300, "horizon": 10,
+                          "duration": 0.4, "scheme.kind": scheme})
+    s = load_scenario(scen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = closed_loop_simulate(s, x0=perturbed_chain_state(s, 0))
+    assert log.failed
+    assert log.failure_reason.startswith("QPNonconvergenceError")
+    assert "overflow" in log.failure_reason
+    assert capfd.readouterr().err == ""
+
+
 def test_cli_multi_trial_unsettled_trials_are_not_failures(tmp_path):
     # two 0.4 s trials end before the control settles: both count in
     # n_failures, but no controller failed
@@ -412,7 +444,7 @@ def test_plant_matches_model_without_mismatch():
     s.plant_substep_factor = 1
     log = closed_loop_simulate(s)
     pred = intg.integrate_batch(s.model, log.states[:-1], log.controls,
-                                s.integrator())
+                                s.integrator())[0]
     npt.assert_array_equal(pred, log.states[1:])
 
 
@@ -426,8 +458,10 @@ def test_plant_mismatch_is_refinement_only():
     assert s.plant_substep_factor == 4
     log = closed_loop_simulate(s)
     cfg = s.integrator()
-    pred = intg.integrate_batch(s.model, log.states[:-1], log.controls, cfg)
+    pred = intg.integrate_batch(s.model, log.states[:-1], log.controls,
+                                cfg)[0]
     fine = intg.IntegratorConfig(dt=cfg.dt, substeps=cfg.substeps * 16)
-    ref = intg.integrate_batch(s.model, log.states[:-1], log.controls, fine)
+    ref = intg.integrate_batch(s.model, log.states[:-1], log.controls,
+                               fine)[0]
     gap = np.abs(pred - log.states[1:]).max()
     assert gap <= 1.5 * np.abs(pred - ref).max() + 1e-12

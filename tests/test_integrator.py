@@ -3,6 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import adjoint, sensitivities
 from nmpckit import integrator as intg
 from nmpckit import models
 from nmpckit.errors import (IntegrationBlowupError, ModelEvaluationError,
@@ -58,7 +59,7 @@ def test_fourth_order_convergence_on_linear_ode():
     errs = []
     for sub in (1, 2, 4, 8):
         cfg = intg.IntegratorConfig(dt=dt, substeps=sub)
-        phi = intg.integrate_batch(model, x0, u, cfg)
+        phi = intg.integrate_batch(model, x0, u, cfg)[0]
         errs.append(np.abs(phi - exact).max())
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(rates > 3.9)
@@ -68,13 +69,13 @@ def test_forward_sensitivity_matches_fd(pendulum, rng):
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     x0 = rng.uniform(-0.5, 0.5, 4)
     u = rng.uniform(-5.0, 5.0, 1)
-    _, S = intg.forward_sensitivity_batch(pendulum, x0, u, cfg)
+    _, S = sensitivities(pendulum, x0, u, cfg)
     h = 1e-6
     for j in range(5):
         e = np.zeros(5)
         e[j] = h
-        hi = intg.integrate_batch(pendulum, x0 + e[:4], u + e[4:], cfg)
-        lo = intg.integrate_batch(pendulum, x0 - e[:4], u - e[4:], cfg)
+        hi = intg.integrate_batch(pendulum, x0 + e[:4], u + e[4:], cfg)[0]
+        lo = intg.integrate_batch(pendulum, x0 - e[:4], u - e[4:], cfg)[0]
         fd = (hi - lo) / (2 * h)
         npt.assert_allclose(S[:, j], fd, rtol=1e-6, atol=1e-8)
 
@@ -86,9 +87,9 @@ def test_forward_sensitivity_exact_on_linear_model():
     cfg = intg.IntegratorConfig(dt=0.2, substeps=3)
     x0 = np.array([1.0])
     u = np.array([0.3])
-    phi0, S = intg.forward_sensitivity_batch(model, x0, u, cfg)
+    phi0, S = sensitivities(model, x0, u, cfg)
     dx, du = 0.37, -0.21
-    phi1 = intg.integrate_batch(model, x0 + dx, u + du, cfg)
+    phi1 = intg.integrate_batch(model, x0 + dx, u + du, cfg)[0]
     pred = phi0 + S @ np.array([dx, du])
     npt.assert_allclose(phi1, pred, rtol=1e-14)
 
@@ -97,9 +98,9 @@ def test_adjoint_matches_forward_products(pendulum, rng):
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     xs = rng.uniform(-0.5, 0.5, (6, 4))
     us = rng.uniform(-5.0, 5.0, (6, 1))
-    _, S = intg.forward_sensitivity_batch(pendulum, xs, us, cfg)
+    _, S = sensitivities(pendulum, xs, us, cfg)
     seeds = rng.standard_normal((6, 3, 4))
-    rows = intg.adjoint_batch(pendulum, xs, us, cfg, seeds)
+    rows = adjoint(pendulum, xs, us, cfg, seeds)
     expect = np.einsum('nkx,nxw->nkw', seeds, S)
     npt.assert_allclose(rows, expect, rtol=0, atol=1e-10)
 
@@ -109,8 +110,8 @@ def test_adjoint_single_seed_variant(pendulum, rng):
     x0 = rng.uniform(-0.5, 0.5, 4)
     u = rng.uniform(-5.0, 5.0, 1)
     seed = rng.standard_normal(4)
-    row = intg.adjoint_batch(pendulum, x0, u, cfg, seed[None, :])[0]
-    _, S = intg.forward_sensitivity_batch(pendulum, x0, u, cfg)
+    row = adjoint(pendulum, x0, u, cfg, seed[None, :])[0]
+    _, S = sensitivities(pendulum, x0, u, cfg)
     npt.assert_allclose(row, seed @ S, atol=1e-12)
 
 
@@ -118,8 +119,8 @@ def test_batch_matches_single_node(pendulum, rng):
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     xs = rng.uniform(-0.5, 0.5, (5, 4))
     us = rng.uniform(-5.0, 5.0, (5, 1))
-    batch = intg.integrate_batch(pendulum, xs, us, cfg)
-    rows = np.stack([intg.integrate_batch(pendulum, xs[i], us[i], cfg)
+    batch = intg.integrate_batch(pendulum, xs, us, cfg)[0]
+    rows = np.stack([intg.integrate_batch(pendulum, xs[i], us[i], cfg)[0]
                      for i in range(5)])
     npt.assert_array_equal(batch, rows)
 
@@ -130,20 +131,22 @@ def test_substep_refinement_shrinks_error(pendulum):
     x0 = np.array([0.2, 0.6, -0.4, 1.0])
     u = np.array([6.0])
     ref = intg.integrate_batch(pendulum, x0, u,
-                               intg.IntegratorConfig(dt=0.05, substeps=64))
+                               intg.IntegratorConfig(dt=0.05, substeps=64))[0]
     err4 = np.abs(intg.integrate_batch(
-        pendulum, x0, u, intg.IntegratorConfig(dt=0.05, substeps=4)) - ref)
+        pendulum, x0, u, intg.IntegratorConfig(dt=0.05, substeps=4))[0] - ref)
     err16 = np.abs(intg.integrate_batch(
-        pendulum, x0, u, intg.IntegratorConfig(dt=0.05, substeps=16)) - ref)
+        pendulum, x0, u, intg.IntegratorConfig(dt=0.05, substeps=16))[0]
+        - ref)
     assert err16.max() < err4.max()
     assert err4.max() < 1e-7
 
 
-# the three entry points, each called with one seed row for the adjoint
+# the three kernels, each reached from a state through the RK4 pass whose
+# stage states the sensitivity sweeps read; one seed row for the adjoint
 ENTRY_POINTS = {
     "integrate_batch": intg.integrate_batch,
-    "forward_sensitivity_batch": intg.forward_sensitivity_batch,
-    "adjoint_batch": lambda m, x, u, cfg: intg.adjoint_batch(
+    "forward_sensitivity_batch": sensitivities,
+    "adjoint_batch": lambda m, x, u, cfg: adjoint(
         m, x, u, cfg, np.ones((1, m.n_x))),
 }
 
@@ -207,8 +210,52 @@ def test_adjoint_forward_consistency_many_inputs(pendulum, chain, rng):
          rng.uniform(-1.0, 1.0, (120, 3))),
     )
     for model, cfg, xs, us in cases:
-        _, S = intg.forward_sensitivity_batch(model, xs, us, cfg)
+        _, S = sensitivities(model, xs, us, cfg)
         seeds = rng.standard_normal((xs.shape[0], 1, model.n_x))
-        rows = intg.adjoint_batch(model, xs, us, cfg, seeds)
+        rows = adjoint(model, xs, us, cfg, seeds)
         expect = np.einsum('nkx,nxw->nkw', seeds, S)
         npt.assert_allclose(rows, expect, rtol=0, atol=1e-10)
+
+
+def test_adjoint_rows_independent_of_seed_company(pendulum, chain, rng):
+    # a seed's rows are bit-identical whether it is swept alone, beside
+    # another seed, or over a node subset: the closed loop takes the rows
+    # of a shared two-seed sweep where another scheme sweeps one seed over
+    # the stale nodes, and its identity gates compare the two bit for bit
+    x_ss = models.chain_steady_state(chain.meta["params"], [1.0, 0.0, 0.0])
+    cases = (
+        (pendulum, intg.IntegratorConfig(dt=0.05, substeps=4),
+         rng.uniform(-0.6, 0.6, (40, 4)), rng.uniform(-8.0, 8.0, (40, 1))),
+        (chain, intg.IntegratorConfig(dt=0.2, substeps=4),
+         x_ss + rng.uniform(-0.2, 0.2, (40, chain.n_x)),
+         rng.uniform(-1.0, 1.0, (40, 3))),
+    )
+    for model, cfg, xs, us in cases:
+        _, stages = intg.integrate_batch(model, xs, us, cfg)
+        a, b = rng.standard_normal((2, 40, model.n_x))
+        both = intg.adjoint_batch(model, stages, us, cfg, np.stack([a, b], 1))
+        for i, seed in enumerate((a, b)):
+            alone = intg.adjoint_batch(model, stages, us, cfg, seed[:, None])
+            npt.assert_array_equal(both[:, i], alone[:, 0])
+        sub = np.arange(40) % 3 == 1
+        part = intg.adjoint_batch(model, stages[sub], us[sub], cfg,
+                                  b[sub][:, None])
+        npt.assert_array_equal(both[sub, 1], part[:, 0])
+
+
+def test_stage_record_selects_nodes(pendulum, rng):
+    # stage states are node-major, so a node subset of the record equals
+    # the record of the subset, and sweeps over it equal its rows
+    cfg = intg.IntegratorConfig(dt=0.05, substeps=3)
+    xs = rng.uniform(-0.5, 0.5, (7, 4))
+    us = rng.uniform(-5.0, 5.0, (7, 1))
+    _, stages = intg.integrate_batch(pendulum, xs, us, cfg)
+    assert stages.shape == (7, 12, 4)
+    npt.assert_array_equal(stages[:, 0], xs)
+    mask = np.array([True, False, True, True, False, False, True])
+    _, sub = intg.integrate_batch(pendulum, xs[mask], us[mask], cfg)
+    npt.assert_array_equal(stages[mask], sub)
+    S = intg.forward_sensitivity_batch(pendulum, stages, us, cfg)
+    npt.assert_array_equal(
+        intg.forward_sensitivity_batch(pendulum, stages[mask], us[mask], cfg),
+        S[mask])

@@ -3,6 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conftest import adjoint, sensitivities
 from nmpckit import models
 from nmpckit.errors import ModelEvaluationError, SingularGeometryError
 
@@ -94,17 +95,17 @@ def test_pendulum_path_constraint_rows(pendulum):
 
 
 def test_pendulum_rejects_nonfinite(pendulum):
-    # the model callables check no finiteness; every integrator entry
-    # point rejects a non-finite state before evaluating the model
+    # the model callables check no finiteness; the RK4 pass that every
+    # sensitivity kernel reads rejects a non-finite state before
+    # evaluating the model
     from nmpckit import integrator as intg
 
     cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
     x = np.array([0.0, np.nan, 0.0, 0.0])
     u = np.zeros(1)
     for call in (lambda: intg.integrate_batch(pendulum, x, u, cfg),
-                 lambda: intg.forward_sensitivity_batch(pendulum, x, u, cfg),
-                 lambda: intg.adjoint_batch(pendulum, x, u, cfg,
-                                            np.ones((1, 4)))):
+                 lambda: sensitivities(pendulum, x, u, cfg),
+                 lambda: adjoint(pendulum, x, u, cfg, np.ones((1, 4)))):
         with pytest.raises(ModelEvaluationError):
             call()
 

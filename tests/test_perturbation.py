@@ -19,7 +19,7 @@ def _pendulum_qp_sol(pendulum, rng, N=8, tol=1e-10):
     xs[0] = [0.0, 0.4, 0.0, 0.0]
     us = rng.uniform(-2.0, 2.0, (N, 1))
     for k in range(N):
-        xs[k + 1] = intg.integrate_batch(pendulum, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(pendulum, xs[k], us[k], cfg)[0]
     traj = trc.Trajectory(xs, us)
     mult = trc.Multipliers.zeros(N, 4, pendulum.n_r)
     refs = trc.References(np.zeros((N + 1, 4)), np.zeros((N, 1)))

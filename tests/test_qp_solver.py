@@ -98,7 +98,7 @@ def _stage_qp(model, xs0, us, rng, ref_x=None):
     xs = np.empty((N + 1, n_x))
     xs[0] = xs0
     for k in range(N):
-        xs[k + 1] = intg.integrate_batch(model, xs[k], us[k], cfg)
+        xs[k + 1] = intg.integrate_batch(model, xs[k], us[k], cfg)[0]
     traj = trc.Trajectory(xs, us)
     mult = trc.Multipliers.zeros(N, n_x, model.n_r)
     ref_x = np.zeros(n_x) if ref_x is None else ref_x

@@ -1,9 +1,12 @@
 """Scheme-level tests: solver loops, controller stepping, counters."""
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from nmpckit import integrator as intg, schemes
+from conftest import SCENARIO_DIR
+from nmpckit import harness, integrator as intg, schemes
 from nmpckit.cmon import CMoNConfig
 from nmpckit.errors import DivergenceError
 from nmpckit.models import ChainParams, chain_steady_state, make_chain_model
@@ -251,7 +254,7 @@ def test_linear_plant_schemes_coincide(rng):
         for _ in range(10):
             controller_step(state, x, refs)
             u0 = state.traj.us[0].copy()
-            x = intg.integrate_batch(model, x[None], u0[None], integ)[0]
+            x = intg.integrate_batch(model, x[None], u0[None], integ)[0][0]
             xs_log.append(x.copy())
         logs[kind] = np.array(xs_log)
     for kind in ("ml", "adj", "cmon"):
@@ -275,3 +278,95 @@ def test_offline_iteration_matches_controller_step(pendulum, kind):
     npt.assert_array_equal(res.mult.lam, state.mult.lam)
     npt.assert_array_equal(res.mult.mu, state.mult.mu)
     npt.assert_array_equal(res.mult.mu_term, state.mult.mu_term)
+
+
+@pytest.mark.parametrize("kind, interval",
+                         [("rti", 1), ("ml", 2), ("adj", 1), ("cmon", 1)])
+def test_closed_loop_work_counts(kind, interval, monkeypatch):
+    # per controller instant: one RK4 pass (four rhs calls per substep),
+    # then one forward sweep if any block is refreshed and one reverse
+    # sweep if any adjoint row is needed (four Jacobian calls per substep
+    # each); the logged adjoint workload is nodes x seeds of that sweep
+    s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
+    s.duration = 0.3
+    s.scheme = dataclasses.replace(s.scheme, scheme=kind,
+                                   ml_interval=interval)
+    model, N = s.model, s.horizon
+    calls = dict(rhs=0, jac=0, integrate=0, forward=0, adjoint=0, seeds=0,
+                 blocks=0)
+
+    def counted(fn, name, work=None):
+        # work: (counter, count taken from the positional arguments)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if work is not None:
+                calls[work[0]] += work[1](args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    model.rhs = counted(model.rhs, "rhs")
+    model.rhs_jacobians = counted(model.rhs_jacobians, "jac")
+    for attr, name, work in (
+            ("integrate_batch", "integrate", None),
+            ("forward_sensitivity_batch", "forward",
+             ("blocks", lambda a: a[1].shape[0])),
+            ("adjoint_batch", "adjoint",
+             ("seeds", lambda a: a[4].shape[0] * a[4].shape[1]))):
+        monkeypatch.setattr(intg, attr,
+                            counted(getattr(intg, attr), name, work))
+    steps = []
+    step = harness.controller_step
+
+    def stepping(*args):
+        before = dict(calls)
+        d = step(*args)
+        steps.append((d, {k: calls[k] - before[k] for k in calls}))
+        return d
+
+    monkeypatch.setattr(harness, "controller_step", stepping)
+    x0 = s.schedule.states[0] + np.array([0.05, 0.05, 0.0, 0.0])
+    log = harness.closed_loop_simulate(s, x0)
+    assert not log.failed and len(steps) == s.n_instants
+    per_sweep = 4 * s.integrator().substeps
+    for i, (d, c) in enumerate(steps):
+        swept = d.adjoint_seeds > 0
+        assert c["rhs"] == per_sweep
+        assert c["jac"] == per_sweep * ((d.sens_blocks > 0) + swept)
+        assert c["integrate"] == 1 and c["adjoint"] == swept
+        assert c["seeds"] == d.adjoint_seeds
+        assert c["blocks"] == d.sens_blocks
+        assert d.horizon_passes == 1 + swept
+        if kind == "rti" or (kind == "ml" and i % 2 == 0):
+            assert (d.sens_blocks, d.adjoint_seeds) == (N, 0)
+        elif kind in ("ml", "adj") and i > 0:
+            assert (d.sens_blocks, d.adjoint_seeds) == (0, N)
+        elif kind == "cmon" and i > 0:
+            # the dual-measure seeds and the gradient seeds share a sweep
+            assert d.adjoint_seeds == 2 * N
+
+
+def test_fixed_thresholds_skip_conditioning_constants(monkeypatch):
+    # fixed thresholds never read the constants, so neither the
+    # preparation phase nor the first instant of a loop without one
+    # computes them
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conditioning constants computed")
+
+    monkeypatch.setattr(schemes, "conditioning_constants", forbidden)
+    monkeypatch.setattr(schemes, "build_m", forbidden)
+    s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
+    s.duration = 0.2
+    s.scheme = dataclasses.replace(s.scheme, cmon=dataclasses.replace(
+        s.scheme.cmon, threshold_mode="fixed", fixed_eta_pri=0.5,
+        fixed_eta_dual=0.5))
+    log = harness.closed_loop_simulate(
+        s, s.schedule.states[0] + np.array([0.05, 0.05, 0.0, 0.0]))
+    assert not log.failed and log.n_instants == s.n_instants
+    ocp = OCProblem(model=s.model, integ=s.integrator(),
+                    x_hat=np.array([0.0, 0.3, 0.0, 0.0]),
+                    refs=s.schedule.window(0.0, s.horizon, s.t_s))
+    traj0 = Trajectory(np.tile(ocp.x_hat, (s.horizon + 1, 1)),
+                       np.zeros((s.horizon, 1)))
+    mult0 = Multipliers.zeros(s.horizon, 4, s.model.n_r)
+    res = sqp_solve(ocp, traj0, mult0, s.scheme, tol=0.0, max_iter=3)
+    assert res.iterations == 3

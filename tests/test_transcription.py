@@ -18,7 +18,7 @@ def _rollout(model, x0, us):
     xs = np.empty((len(us) + 1, model.n_x))
     xs[0] = x0
     for k, u in enumerate(us):
-        xs[k + 1] = intg.integrate_batch(model, xs[k], u, CFG)
+        xs[k + 1] = intg.integrate_batch(model, xs[k], u, CFG)[0]
     return trc.Trajectory(xs, np.asarray(us, dtype=float))
 
 
@@ -97,12 +97,13 @@ def test_gradient_includes_multiplier_rows(setup, rng):
 def test_exact_gradient_rows_fresh_equals_product(setup, rng):
     model, traj, mult, refs, store = setup
     seeds = rng.standard_normal((N, 4))
-    rows_fresh = trc.exact_gradient_rows(model, traj, CFG, seeds,
+    stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, CFG)[1]
+    rows_fresh = trc.exact_gradient_rows(model, stages, traj.us, CFG, seeds,
                                          fresh_mask=store.fresh_mask(traj),
                                          blocks=store.blocks)
     expect = np.einsum('kx,kxw->kw', seeds, store.blocks)
     npt.assert_array_equal(rows_fresh, expect)
-    rows_adj = trc.exact_gradient_rows(model, traj, CFG, seeds,
+    rows_adj = trc.exact_gradient_rows(model, stages, traj.us, CFG, seeds,
                                        fresh_mask=np.zeros(N, dtype=bool),
                                        blocks=store.blocks)
     npt.assert_allclose(rows_adj, expect, atol=1e-10)

@@ -4,23 +4,37 @@ The subproblem's primal-dual solution, viewed as a function of the error
 ``P`` between stored and exact continuity Jacobian blocks, admits a
 first-order expansion around the exact-Jacobian solution. This module
 assembles the square matrix ``M`` (the KKT map differentiated in the
-solution triple) and the rectangular matrix ``N`` (differentiated in the
-stacked perturbation entries), derives the offline conditioning constants
-used by the threshold rule, and measures the actual distance to the
-fully-updated optimum by re-solving the subproblem with exact blocks.
+solution triple), derives from its spectrum the offline conditioning
+constants used by the threshold rule, and measures the actual distance to
+the fully-updated optimum by re-solving the subproblem with exact blocks.
+
+``M`` is a sparse matrix in stage order: rows and columns both run
+``(lam_k, w_k, mu_k)`` for k < N, then ``(lam_N, x_N, mu_term)``, so every
+stage couples only to its neighbours and ``M`` is banded. Only the
+singular values of ``M`` are read, and a permutation of rows or columns
+leaves them unchanged, so nothing depends on the order. Up to
+``_DENSE_SVD_LIMIT`` rows the spectrum is the dense ``svdvals``. Beyond
+it, the spectrum comes from the eigenvalues of the Gram matrix ``M'M``,
+which is banded as well and goes to LAPACK's symmetric band eigensolver.
+Squaring the spectrum costs accuracy in the smallest singular values, so
+the Gram route serves only the sizes where the dense SVD is too slow.
 """
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg.lapack import dsbev
 
 from .errors import NearSingularMatrixError
 from .qp_solver import QPSolution, solve
-from .transcription import QPData, dense_equality_jacobian, dense_inequality_jacobian
+from .transcription import QPData
 
 _DENSE_SVD_LIMIT = 2000
+# the Gram route cannot resolve eigenvalues below its rounding floor,
+# about eps * lambda_max; this factor keeps a margin above that floor
+_GRAM_FLOOR = 100.0 * np.finfo(float).eps
 
 
 def _inequality_at_solution(qp: QPData, sol: QPSolution) -> np.ndarray:
@@ -35,79 +49,113 @@ def _inequality_at_solution(qp: QPData, sol: QPSolution) -> np.ndarray:
     return out
 
 
-def build_m(qp: QPData, sol: QPSolution) -> np.ndarray:
-    """Square subproblem matrix at the solution, in (w, mu, lam) ordering.
+def _dense_blocks(rows, cols, vals):
+    """Triplets of the blocks ``vals[b]`` at corners ``(rows[b], cols[b])``."""
+    _, r, c = vals.shape
+    i = rows[:, None, None] + np.arange(r)[:, None]
+    j = cols[:, None, None] + np.arange(c)
+    return (np.broadcast_to(i, vals.shape).ravel(),
+            np.broadcast_to(j, vals.shape).ravel(), vals.ravel())
 
-    Complementarity rows carry the inequality multipliers at the solution
-    and the linearized constraint values; their sign convention follows
-    the stationarity/equality blocks transposed structure.
+
+def _diagonal_blocks(rows, cols, vals):
+    """Triplets of the diagonal blocks ``diag(vals[b])``."""
+    d = np.arange(vals.shape[1])
+    return ((rows[:, None] + d).ravel(), (cols[:, None] + d).ravel(),
+            vals.ravel())
+
+
+def build_m(qp: QPData, sol: QPSolution) -> scipy.sparse.csr_array:
+    """Square subproblem matrix at the solution, sparse, in stage order.
+
+    Rows and columns both run ``(lam_k, w_k, mu_k)`` for k < N, then
+    ``(lam_N, x_N, mu_term)``. Row blocks are, per stage, the equality
+    rows, the stationarity rows and the complementarity rows; column
+    blocks the matching solution components. Complementarity rows carry
+    the inequality multipliers at the solution and the linearized
+    constraint values. Only nonzero entries are stored.
     """
-    n_w, n_in, n_eq = qp.n_w, qp.n_in, qp.n_eq
-    n = n_w + n_in + n_eq
-    H = np.zeros((n_w, n_w))
-    for k in range(qp.N):
-        sl = slice(k * qp.n_wk, (k + 1) * qp.n_wk)
-        H[sl, sl] = qp.stage_hessians[k]
-    H[qp.N * qp.n_wk:, qp.N * qp.n_wk:] = qp.term_hessian
-    A = dense_equality_jacobian(qp)
-    C = dense_inequality_jacobian(qp)
-    z_tot = sol.dmu + np.concatenate([qp.mu.ravel(), qp.mu_term])
+    N, n_x, nwk, n_r, n_l = qp.N, qp.n_x, qp.n_wk, qp.n_r, qp.n_l
+    stage = n_x + nwk + n_r
+    n = N * stage + 2 * n_x + n_l
+    lam = stage * np.arange(N + 1)       # block corners; w_N is x_N
+    w, mu = lam + n_x, lam + n_x + nwk
+    mu[N] = lam[N] + 2 * n_x
+    J = qp.jacobian_blocks
+    # multipliers and linearized inequality values at the solution
+    z = qp.mu + sol.dmu[:N * n_r].reshape(N, n_r)
+    z_term = qp.mu_term + sol.dmu[N * n_r:]
     c_sol = _inequality_at_solution(qp, sol)
+    c, c_term = c_sol[:N * n_r].reshape(N, n_r), c_sol[N * n_r:]
+    t = slice(N, N + 1)                  # the terminal stage
+    eye = np.full((N + 1, n_x), -1.0)    # continuity -I ...
+    eye[0] = 1.0                         # ... and the embedding +I
+    parts = [
+        # equality rows: [J_{k-1}, -I], and +I on x_0 in the first
+        _dense_blocks(lam[1:], w[:N], J),
+        _diagonal_blocks(lam, w, eye),
+        # stationarity rows: H, then the transposed equality and
+        # inequality Jacobians
+        _dense_blocks(w[:N], w[:N], qp.stage_hessians),
+        _dense_blocks(w[t], w[t], qp.term_hessian[None]),
+        _diagonal_blocks(w, lam, eye),
+        _dense_blocks(w[:N], lam[1:], J.transpose(0, 2, 1)),
+        _dense_blocks(w[:N], mu[:N], qp.ineq_jac.transpose(0, 2, 1)),
+        _dense_blocks(w[t], mu[t], qp.term_ineq_jac.T[None]),
+        # complementarity rows: -z C and -diag(c)
+        _dense_blocks(mu[:N], w[:N], -z[:, :, None] * qp.ineq_jac),
+        _dense_blocks(mu[t], w[t], -z_term[None, :, None] * qp.term_ineq_jac),
+        _diagonal_blocks(mu[:N], mu[:N], -c),
+        _diagonal_blocks(mu[t], mu[t], -c_term[None]),
+    ]
+    i, j, v = (np.concatenate(p) for p in zip(*parts))
+    keep = v != 0.0
+    return scipy.sparse.csr_array((v[keep], (i[keep], j[keep])), shape=(n, n))
 
-    M = np.zeros((n, n))
-    M[:n_w, :n_w] = H
-    M[:n_w, n_w:n_w + n_in] = C.T
-    M[:n_w, n_w + n_in:] = A.T
-    M[n_w:n_w + n_in, :n_w] = -z_tot[:, None] * C
-    M[n_w:n_w + n_in, n_w:n_w + n_in] = np.diag(-c_sol)
-    M[n_w + n_in:, :n_w] = A
-    return M
 
+def _gram_eigenvalues(M: scipy.sparse.csr_array) -> np.ndarray:
+    """Eigenvalues of ``M'M``, ascending, from its lower band.
 
-def build_n(qp: QPData, sol: QPSolution) -> np.ndarray:
-    """Derivative of the KKT map in the stacked perturbation entries.
-
-    The perturbation stacks row-major per-interval blocks, interval index
-    ascending. Multiplying by such a stacked perturbation ``p`` yields
-    ``(-P^T dlam, 0, -P dw)`` for the corresponding block matrix ``P``.
+    The band width is read off the Gram's sparsity, so the stage order of
+    :func:`build_m` keeps it narrow. Raises
+    :class:`NearSingularMatrixError` when the smallest eigenvalue sits at
+    the rounding floor, where the Gram route cannot tell it from zero.
     """
-    N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
-    n_w, n_in, n_eq = qp.n_w, qp.n_in, qp.n_eq
-    n_p = N * n_x * nwk
-    out = np.zeros((n_w + n_in + n_eq, n_p))
-    body = sol.dw[:N * nwk].reshape(N, nwk)
-    dlam = sol.dlam.reshape(N + 1, n_x)
-    eye = np.eye(nwk)
-    for k in range(N):
-        pcols = slice(k * n_x * nwk, (k + 1) * n_x * nwk)
-        # stationarity rows of node k: -(P_k^T dlam_{k+1})
-        blk = -np.kron(dlam[k + 1], eye)
-        out[k * nwk:(k + 1) * nwk, pcols] = blk
-        # continuity rows k+1: -(P_k dw_k)
-        rows = slice(n_w + n_in + (k + 1) * n_x, n_w + n_in + (k + 2) * n_x)
-        out[rows, pcols] = -np.kron(np.eye(n_x), body[k])
-    return out
+    gram = scipy.sparse.tril(M.T @ M, format="coo")
+    lag = gram.row - gram.col
+    ab = np.zeros((int(lag.max()) + 1, M.shape[0]), order="F")
+    ab[lag, gram.col] = gram.data
+    eigs, _, info = dsbev(ab, compute_v=0, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"banded Gram eigenvalues did not converge (dsbev info {info})")
+    if eigs[0] <= _GRAM_FLOOR * eigs[-1]:
+        smin = float(np.sqrt(max(eigs[0], 0.0)))
+        raise NearSingularMatrixError(
+            f"subproblem matrix numerically singular (sigma_min {smin:.3e} "
+            f"at the Gram rounding floor of sigma_max "
+            f"{np.sqrt(eigs[-1]):.3e})", sigma_min=smin)
+    return eigs
 
 
-def stack_perturbation(P_blocks: np.ndarray) -> np.ndarray:
-    """Row-major stacking of per-interval perturbation blocks."""
-    return np.asarray(P_blocks, dtype=float).ravel()
+def singular_values(M) -> np.ndarray:
+    """Full spectrum of a dense or sparse square matrix, descending.
+
+    Up to ``_DENSE_SVD_LIMIT`` rows this is ``svdvals`` of the dense
+    matrix; larger matrices go through the banded Gram route.
+    """
+    if M.shape[0] <= _DENSE_SVD_LIMIT:
+        dense = M.toarray() if scipy.sparse.issparse(M) else M
+        return scipy.linalg.svdvals(dense)
+    eigs = _gram_eigenvalues(scipy.sparse.csr_array(M))
+    return np.sqrt(eigs)[::-1]
 
 
-def singular_values(M: np.ndarray) -> np.ndarray:
-    """Full spectrum, descending; large matrices go through the Gram route."""
-    n = M.shape[0]
-    if n <= _DENSE_SVD_LIMIT:
-        return scipy.linalg.svdvals(M)
-    eigs = scipy.linalg.eigvalsh(M.T @ M)
-    return np.sqrt(np.clip(eigs, 0.0, None))[::-1]
-
-
-def conditioning_constants(M: np.ndarray):
+def conditioning_constants(M):
     """Offline constants ``(rho, gamma)`` from the subproblem spectrum.
 
     ``rho`` is the reciprocal smallest singular value; ``gamma`` is one
-    plus the spread of the inverse spectrum.
+    plus the spread of the inverse spectrum. ``M`` may be dense or sparse.
     """
     sigma = singular_values(M)
     smin = float(sigma[-1])
@@ -131,8 +179,7 @@ class DtORecord:
 
 
 def measure_dto(qp: QPData, sol: QPSolution, exact_blocks: np.ndarray,
-                e_bar: float, tol: float = 1e-8,
-                start_scale: float = 1.0) -> DtORecord:
+                e_bar: float, tol: float = 1e-8) -> DtORecord:
     """Re-solve the subproblem with exact blocks and compare solutions.
 
     The comparison runs over the stacked ``(dw, dmu, dlam)`` triple; the
@@ -140,7 +187,7 @@ def measure_dto(qp: QPData, sol: QPSolution, exact_blocks: np.ndarray,
     inequalities, which is the regime where the tolerance bound applies.
     """
     qp_exact = replace(qp, jacobian_blocks=np.asarray(exact_blocks, dtype=float))
-    sol_exact = solve(qp_exact, tol=tol, start_scale=start_scale)
+    sol_exact = solve(qp_exact, tol=tol)
     e = float(np.linalg.norm(sol.stacked() - sol_exact.stacked()))
     match = bool(np.array_equal(sol.active_set, sol_exact.active_set))
     return DtORecord(e=e, e_bar=e_bar, active_match=match,

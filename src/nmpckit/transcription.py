@@ -174,30 +174,6 @@ def split_primal(dw: np.ndarray, N: int, n_x: int, n_u: int):
     return dxs, body[:, n_x:]
 
 
-def dense_equality_jacobian(qp: QPData) -> np.ndarray:
-    """Dense ``(n_eq, n_w)`` equality Jacobian with the stored blocks."""
-    N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
-    A = np.zeros((qp.n_eq, qp.n_w))
-    A[:n_x, :n_x] = np.eye(n_x)
-    for k in range(N):
-        rows = slice((k + 1) * n_x, (k + 2) * n_x)
-        A[rows, k * nwk:(k + 1) * nwk] = qp.jacobian_blocks[k]
-        nxt = (k + 1) * nwk if k + 1 < N else N * nwk
-        A[rows, nxt:nxt + n_x] = -np.eye(n_x)
-    return A
-
-
-def dense_inequality_jacobian(qp: QPData) -> np.ndarray:
-    """Dense ``(n_in, n_w)`` inequality Jacobian."""
-    N, n_r, nwk = qp.N, qp.n_r, qp.n_wk
-    C = np.zeros((qp.n_in, qp.n_w))
-    for k in range(N):
-        C[k * n_r:(k + 1) * n_r, k * nwk:(k + 1) * nwk] = qp.ineq_jac[k]
-    if qp.n_l:
-        C[N * n_r:, N * nwk:] = qp.term_ineq_jac
-    return C
-
-
 def gauss_newton_hessian(traj: Trajectory, model: ModelSpec):
     """Diagonal Gauss-Newton blocks of the tracking cost.
 

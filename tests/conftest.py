@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nmpckit import integrator as intg
-from nmpckit import models, transcription as trc
+from nmpckit import models, perturbation as pert, transcription as trc
 from nmpckit.cmon import SensitivityStore
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -62,3 +62,105 @@ def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
                                        blocks=store.blocks)
     return trc.build_qp(traj, mult, x_hat, store.blocks, model, refs, phis,
                         lam_dphi)
+
+
+def dense_equality_jacobian(qp):
+    """Dense ``(n_eq, n_w)`` equality Jacobian with the stored blocks."""
+    N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
+    A = np.zeros((qp.n_eq, qp.n_w))
+    A[:n_x, :n_x] = np.eye(n_x)
+    for k in range(N):
+        rows = slice((k + 1) * n_x, (k + 2) * n_x)
+        A[rows, k * nwk:(k + 1) * nwk] = qp.jacobian_blocks[k]
+        nxt = (k + 1) * nwk if k + 1 < N else N * nwk
+        A[rows, nxt:nxt + n_x] = -np.eye(n_x)
+    return A
+
+
+def dense_inequality_jacobian(qp):
+    """Dense ``(n_in, n_w)`` inequality Jacobian."""
+    N, n_r, nwk = qp.N, qp.n_r, qp.n_wk
+    C = np.zeros((qp.n_in, qp.n_w))
+    for k in range(N):
+        C[k * n_r:(k + 1) * n_r, k * nwk:(k + 1) * nwk] = qp.ineq_jac[k]
+    if qp.n_l:
+        C[N * n_r:, N * nwk:] = qp.term_ineq_jac
+    return C
+
+
+def dense_kkt_matrix(qp, sol):
+    """Dense oracle of ``perturbation.build_m`` in (w, mu, lam) ordering."""
+    n_w, n_in, n_eq = qp.n_w, qp.n_in, qp.n_eq
+    n = n_w + n_in + n_eq
+    H = np.zeros((n_w, n_w))
+    for k in range(qp.N):
+        sl = slice(k * qp.n_wk, (k + 1) * qp.n_wk)
+        H[sl, sl] = qp.stage_hessians[k]
+    H[qp.N * qp.n_wk:, qp.N * qp.n_wk:] = qp.term_hessian
+    A = dense_equality_jacobian(qp)
+    C = dense_inequality_jacobian(qp)
+    z_tot = sol.dmu + np.concatenate([qp.mu.ravel(), qp.mu_term])
+    c_sol = pert._inequality_at_solution(qp, sol)
+
+    M = np.zeros((n, n))
+    M[:n_w, :n_w] = H
+    M[:n_w, n_w:n_w + n_in] = C.T
+    M[:n_w, n_w + n_in:] = A.T
+    M[n_w:n_w + n_in, :n_w] = -z_tot[:, None] * C
+    M[n_w:n_w + n_in, n_w:n_w + n_in] = np.diag(-c_sol)
+    M[n_w + n_in:, :n_w] = A
+    return M
+
+
+def stage_permutation(qp):
+    """Index ``p`` such that the stage-ordered ``build_m(qp, sol)`` equals
+    ``dense_kkt_matrix(qp, sol)[p][:, p]``.
+
+    Stage order runs ``(lam_k, w_k, mu_k)`` for k < N, then
+    ``(lam_N, x_N, mu_term)``.
+    """
+    N, n_x, nwk, n_r = qp.N, qp.n_x, qp.n_wk, qp.n_r
+    lam0 = qp.n_w + qp.n_in
+    parts = []
+    for k in range(N + 1):
+        n_wk, n_mu = (nwk, n_r) if k < N else (n_x, qp.n_l)
+        parts += [lam0 + k * n_x + np.arange(n_x),
+                  k * nwk + np.arange(n_wk),
+                  qp.n_w + k * n_r + np.arange(n_mu)]
+    return np.concatenate(parts)
+
+
+def wml_order(qp, M):
+    """Dense copy of the stage-ordered ``M`` in (w, mu, lam) ordering."""
+    inv = np.argsort(stage_permutation(qp))
+    return M.toarray()[np.ix_(inv, inv)]
+
+
+def build_n(qp, sol):
+    """Derivative of the KKT map in the stacked perturbation entries.
+
+    Rows are in (w, mu, lam) ordering. The perturbation stacks row-major
+    per-interval blocks, interval index ascending. Multiplying by such a
+    stacked perturbation ``p`` yields ``(-P^T dlam, 0, -P dw)`` for the
+    corresponding block matrix ``P``.
+    """
+    N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
+    n_w, n_in, n_eq = qp.n_w, qp.n_in, qp.n_eq
+    n_p = N * n_x * nwk
+    out = np.zeros((n_w + n_in + n_eq, n_p))
+    body = sol.dw[:N * nwk].reshape(N, nwk)
+    dlam = sol.dlam.reshape(N + 1, n_x)
+    eye = np.eye(nwk)
+    for k in range(N):
+        pcols = slice(k * n_x * nwk, (k + 1) * n_x * nwk)
+        # stationarity rows of node k: -(P_k^T dlam_{k+1})
+        out[k * nwk:(k + 1) * nwk, pcols] = -np.kron(dlam[k + 1], eye)
+        # continuity rows k+1: -(P_k dw_k)
+        rows = slice(n_w + n_in + (k + 1) * n_x, n_w + n_in + (k + 2) * n_x)
+        out[rows, pcols] = -np.kron(np.eye(n_x), body[k])
+    return out
+
+
+def stack_perturbation(P_blocks):
+    """Row-major stacking of per-interval perturbation blocks."""
+    return np.asarray(P_blocks, dtype=float).ravel()

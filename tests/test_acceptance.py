@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SCENARIO_DIR, adjoint, assemble_qp, sensitivities
+from conftest import SCENARIO_DIR, adjoint, assemble_qp, build_n, \
+    sensitivities, stack_perturbation, wml_order
 from nmpckit import cmon as cm
 from nmpckit import integrator as intg
 from nmpckit import models, perturbation as pert, qp_solver
@@ -419,11 +420,11 @@ def test_10_numerical_kernels():
     # first-order solution-change prediction: order-2 residual decay
     qp = _rollout_qp(rng)
     sol = qp_solver.solve(qp, tol=1e-12)
-    M = pert.build_m(qp, sol)
-    Nmat = pert.build_n(qp, sol)
+    M = wml_order(qp, pert.build_m(qp, sol))
+    Nmat = build_n(qp, sol)
     P0 = rng.standard_normal(qp.jacobian_blocks.shape)
     P0 /= np.abs(P0).max()
-    p0 = pert.stack_perturbation(P0)
+    p0 = stack_perturbation(P0)
     scales, resids = [], []
     for s in np.logspace(-4.0, -2.0, 6):
         qp_s = dataclasses.replace(qp,
@@ -441,7 +442,7 @@ def test_10_numerical_kernels():
 
     # perturbation-matrix action identity
     P = rng.standard_normal(qp.jacobian_blocks.shape)
-    p = pert.stack_perturbation(P)
+    p = stack_perturbation(P)
     dw_nodes = sol.dw[:qp.N * qp.n_wk].reshape(qp.N, qp.n_wk)
     dlam = sol.dlam.reshape(qp.N + 1, qp.n_x)
     expect = np.zeros(qp.n_w + qp.n_in + qp.n_eq)

@@ -5,8 +5,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from conftest import assemble_qp
+from conftest import SCENARIO_DIR, assemble_qp, build_n, \
+    dense_equality_jacobian, dense_inequality_jacobian, dense_kkt_matrix, \
+    stack_perturbation, stage_permutation, wml_order
+from nmpckit import harness, schemes
 from nmpckit import integrator as intg
 from nmpckit import perturbation as pert
 from nmpckit import qp_solver, transcription as trc
@@ -32,9 +36,9 @@ def test_perturbation_matrix_action_identity(pendulum, rng):
     """N(p) applied to the stacked blocks reproduces the algebraic
     expression (-P^T dlam, 0, -P dw) entry for entry."""
     qp, sol = _pendulum_qp_sol(pendulum, rng)
-    Nmat = pert.build_n(qp, sol)
+    Nmat = build_n(qp, sol)
     P = rng.standard_normal((qp.N, qp.n_x, qp.n_wk))
-    p = pert.stack_perturbation(P)
+    p = stack_perturbation(P)
 
     dw_nodes = sol.dw[:qp.N * qp.n_wk].reshape(qp.N, qp.n_wk)
     dlam = sol.dlam.reshape(qp.N + 1, qp.n_x)
@@ -52,11 +56,11 @@ def test_first_order_prediction_slope(pendulum, rng):
     """Residual of the first-order solution-change prediction decays with
     order two in the perturbation size (active set held fixed)."""
     qp, sol = _pendulum_qp_sol(pendulum, rng, tol=1e-12)
-    M = pert.build_m(qp, sol)
-    Nmat = pert.build_n(qp, sol)
+    M = wml_order(qp, pert.build_m(qp, sol))
+    Nmat = build_n(qp, sol)
     P0 = rng.standard_normal((qp.N, qp.n_x, qp.n_wk))
     P0 /= np.abs(P0).max()
-    p0 = pert.stack_perturbation(P0)
+    p0 = stack_perturbation(P0)
 
     scales, resids = [], []
     for s in np.logspace(-4.0, -2.0, 6):
@@ -101,12 +105,13 @@ def test_kkt_matrix_blocks(pendulum, rng):
     M = pert.build_m(qp, sol)
     n = qp.n_w + qp.n_in + qp.n_eq
     assert M.shape == (n, n)
-    A = trc.dense_equality_jacobian(qp)
+    M = wml_order(qp, M)
+    A = dense_equality_jacobian(qp)
     npt.assert_array_equal(M[qp.n_w + qp.n_in:, :qp.n_w], A)
     npt.assert_array_equal(M[:qp.n_w, qp.n_w + qp.n_in:], A.T)
     # no active inequality here: complementarity rows are diagonal in the
     # (negated) constraint values
-    C = trc.dense_inequality_jacobian(qp)
+    C = dense_inequality_jacobian(qp)
     npt.assert_array_equal(M[:qp.n_w, qp.n_w:qp.n_w + qp.n_in], C.T)
 
 
@@ -134,11 +139,11 @@ def test_conditioning_bound_on_solution_distance(pendulum, rng):
     # and the distance scales linearly in the perturbation size
     qp, sol = _pendulum_qp_sol(pendulum, rng)
     M = pert.build_m(qp, sol)
-    Nmat = pert.build_n(qp, sol)
+    Nmat = build_n(qp, sol)
     rho, _ = pert.conditioning_constants(M)
     P = rng.standard_normal(qp.jacobian_blocks.shape)
     P /= np.abs(P).max()
-    p = pert.stack_perturbation(P)
+    p = stack_perturbation(P)
     ratios = []
     for s in (1e-4, 1e-3, 1e-2):
         qp_s = dataclasses.replace(
@@ -151,3 +156,99 @@ def test_conditioning_bound_on_solution_distance(pendulum, rng):
         ratios.append(e / s)
     assert len(ratios) >= 2
     assert max(ratios) <= 2.0 * min(ratios)
+
+
+@pytest.fixture(scope="module")
+def chain_preparation():
+    """Subproblem and solution of the chain_n40 ``cmon`` preparation phase,
+    from the trial-0 start (n = 2574, two active bounds)."""
+    s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    model, N = s.model, s.horizon
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "build_m",
+                   lambda qp, sol: captured.append((qp, sol)))
+        mp.setattr(schemes, "conditioning_constants", lambda M: (1.0, 1.0))
+        schemes.initialize_controller(
+            model, s.integrator(), s.scheme, harness.steady_horizon(s),
+            trc.Multipliers.zeros(N, model.n_x, model.n_r, model.n_l),
+            refs0=s.schedule.window(0.0, N, s.t_s),
+            x_hat0=harness.perturbed_chain_state(s, 0))
+    (qp, sol), = captured
+    return qp, sol
+
+
+def _with_terminal_rows(qp, rng):
+    """The subproblem with two inactive terminal inequalities added."""
+    return dataclasses.replace(
+        qp, term_ineq_values=np.array([-0.5, -0.7]),
+        term_ineq_jac=rng.standard_normal((2, qp.n_x)),
+        mu_term=np.array([0.1, 0.2]))
+
+
+@pytest.mark.parametrize("case", ["pendulum", "pendulum-terminal", "chain"])
+def test_sparse_m_equals_permuted_dense_oracle(case, pendulum, rng, request):
+    if case == "chain":
+        qp, sol = request.getfixturevalue("chain_preparation")
+        assert sol.active_set.any()
+    else:
+        qp, sol = _pendulum_qp_sol(pendulum, rng)
+        if case == "pendulum-terminal":
+            qp = _with_terminal_rows(qp, rng)
+            sol = qp_solver.solve(qp, tol=1e-10)
+    M = pert.build_m(qp, sol)
+    assert scipy.sparse.issparse(M)
+    p = stage_permutation(qp)
+    npt.assert_array_equal(np.sort(p), np.arange(M.shape[0]))
+    oracle = dense_kkt_matrix(qp, sol)
+    npt.assert_array_equal(M.toarray(), oracle[np.ix_(p, p)])
+
+
+def _block_banded(rng, blocks=20, size=3):
+    """Well-conditioned random matrix with dense blocks on three block
+    diagonals."""
+    n = blocks * size
+    B = 4.0 * np.eye(n)
+    for k in range(blocks):
+        for j in range(max(k - 1, 0), min(k + 2, blocks)):
+            B[k * size:(k + 1) * size, j * size:(j + 1) * size] += \
+                rng.standard_normal((size, size))
+    return B
+
+
+def test_gram_route_matches_svdvals(pendulum, rng, monkeypatch):
+    """The banded Gram route, forced at every size, on a sparse pendulum M
+    and on a dense block-banded matrix."""
+    qp, sol = _pendulum_qp_sol(pendulum, rng)
+    cases = [(pert.build_m(qp, sol), 1e-5), (_block_banded(rng), 1e-12)]
+    monkeypatch.setattr(pert, "_DENSE_SVD_LIMIT", 0)
+    for M, rtol in cases:
+        dense = M.toarray() if scipy.sparse.issparse(M) else M
+        sigma = scipy.linalg.svdvals(dense)
+        npt.assert_allclose(pert.singular_values(M), sigma, rtol=rtol)
+        rho, gamma = pert.conditioning_constants(M)
+        assert rho == pytest.approx(1.0 / sigma[-1], rel=rtol)
+        assert gamma == pytest.approx(np.std(1.0 / sigma) + 1.0, rel=rtol)
+
+
+def test_chain_preparation_constants_match_svdvals(chain_preparation):
+    qp, sol = chain_preparation
+    M = pert.build_m(qp, sol)
+    assert M.shape[0] > pert._DENSE_SVD_LIMIT
+    rho, gamma = pert.conditioning_constants(M)
+    sigma = scipy.linalg.svdvals(M.toarray())
+    assert rho == pytest.approx(1.0 / sigma[-1], rel=1e-6)
+    assert gamma == pytest.approx(np.std(1.0 / sigma) + 1.0, rel=1e-6)
+
+
+def test_gram_route_rejects_rank_deficient_chain_m(chain_preparation):
+    # columns of x_0[5] and x_0[7] made equal: the Gram's smallest
+    # eigenvalue is rounding noise (about 4e-16 lambda_max), which an
+    # absolute threshold on sigma_min lets through
+    qp, sol = chain_preparation
+    col = np.argsort(stage_permutation(qp))
+    M = pert.build_m(qp, sol).toarray()
+    M[:, col[5]] = M[:, col[7]]
+    with pytest.raises(NearSingularMatrixError) as err:
+        pert.conditioning_constants(M)
+    assert err.value.sigma_min < 1e-6

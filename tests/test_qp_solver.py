@@ -5,7 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import assemble_qp
+from conftest import assemble_qp, dense_equality_jacobian, \
+    dense_inequality_jacobian
 from nmpckit import integrator as intg
 from nmpckit import models, qp_solver, transcription as trc
 from nmpckit.errors import QPInfeasibleError, QPNonconvergenceError
@@ -146,8 +147,8 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
         sl = slice(k * qp.n_wk, (k + 1) * qp.n_wk)
         H[sl, sl] = qp.stage_hessians[k]
     H[qp.N * qp.n_wk:, qp.N * qp.n_wk:] = qp.term_hessian
-    A = trc.dense_equality_jacobian(qp)
-    C = trc.dense_inequality_jacobian(qp)
+    A = dense_equality_jacobian(qp)
+    C = dense_inequality_jacobian(qp)
     lam_flat = qp.lam.ravel()
     mu_flat = np.concatenate([qp.mu.ravel(), qp.mu_term])
     g_obj = qp.gradient - A.T @ lam_flat - C.T @ mu_flat
@@ -165,8 +166,8 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
 def test_stage_solution_satisfies_kkt(pendulum, rng):
     qp = _pendulum_qp(pendulum, rng)
     sol = qp_solver.solve(qp, tol=1e-10)
-    A = trc.dense_equality_jacobian(qp)
-    C = trc.dense_inequality_jacobian(qp)
+    A = dense_equality_jacobian(qp)
+    C = dense_inequality_jacobian(qp)
     # primal feasibility of the increments
     npt.assert_allclose(A @ sol.dw, -qp.continuity_residuals.ravel(),
                         atol=1e-8)

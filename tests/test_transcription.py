@@ -5,7 +5,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import assemble_qp, fresh_store
+from conftest import assemble_qp, dense_equality_jacobian, \
+    dense_inequality_jacobian, fresh_store
 from nmpckit import integrator as intg
 from nmpckit import transcription as trc
 from nmpckit.errors import AssemblyError, ContractViolationError
@@ -154,8 +155,8 @@ def test_build_qp_rejects_bad_measurement(setup):
 def test_dense_jacobian_shapes(setup):
     model, traj, mult, refs, store = setup
     qp = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG)
-    A = trc.dense_equality_jacobian(qp)
-    C = trc.dense_inequality_jacobian(qp)
+    A = dense_equality_jacobian(qp)
+    C = dense_inequality_jacobian(qp)
     assert A.shape == (qp.n_eq, qp.n_w)
     assert C.shape == (qp.n_in, qp.n_w)
     # embedding block is the identity on x_0

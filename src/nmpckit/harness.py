@@ -571,7 +571,8 @@ def export_summary_csv(summary: TrialSummary, path) -> None:
 
 def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
                    ) -> None:
-    """JSON run manifest: byte-exact config echo, code version, seed."""
+    """JSON run manifest: byte-exact config echo, code version, and the
+    seed, scheme, trial count and oracle flag the run used."""
     from . import __version__
     path = Path(path)
     raw = scenario.raw_text
@@ -583,6 +584,8 @@ def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
         "code_version": __version__,
         "seed": scenario.seed,
         "scheme": scenario.scheme.scheme,
+        "trials": scenario.trials,
+        "track_dto": scenario.scheme.track_dto,
     }
     if extra:
         doc.update(extra)

@@ -94,10 +94,10 @@ def build_m(qp: QPData, sol: QPSolution) -> scipy.sparse.csr_array:
         # equality rows: [J_{k-1}, -I], and +I on x_0 in the first
         _dense_blocks(lam[1:], w[:N], J),
         _diagonal_blocks(lam, w, eye),
-        # stationarity rows: H, then the transposed equality and
-        # inequality Jacobians
-        _dense_blocks(w[:N], w[:N], qp.stage_hessians),
-        _dense_blocks(w[t], w[t], qp.term_hessian[None]),
+        # stationarity rows: the diagonal H, then the transposed equality
+        # and inequality Jacobians
+        _diagonal_blocks(w[:N], w[:N], qp.stage_hessians),
+        _diagonal_blocks(w[t], w[t], qp.term_hessian[None]),
         _diagonal_blocks(w, lam, eye),
         _dense_blocks(w[:N], lam[1:], J.transpose(0, 2, 1)),
         _dense_blocks(w[:N], mu[:N], qp.ineq_jac.transpose(0, 2, 1)),

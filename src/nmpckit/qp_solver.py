@@ -1,15 +1,16 @@
 """Interior-point solver for the stage-structured QP subproblems.
 
-A Mehrotra predictor-corrector iteration runs on top of a pluggable KKT
-backend. The stage backend keeps the variables in stage order
-``[w_0, ..., w_{N-1}, x_N]`` and eliminates them: with the block-diagonal
-``Hbar = H + C' W C`` (W the interior-point weights) the dual Schur
-complement ``Y = A Hbar^-1 A'`` is block tridiagonal with N + 1 blocks of
-size n_x, symmetric positive definite, and factored by one LAPACK banded
-Cholesky with bandwidth ``2 n_x - 1``. The stage Hessians are Gauss-Newton
-blocks with nonnegative weights, lifted by a small floor where singular,
-so every ``Hbar_k`` is positive definite. A dense backend serves generic
-small QPs and doubles as an oracle path in tests.
+A Mehrotra predictor-corrector iteration runs on the stage backend, which
+keeps the variables in stage order ``[w_0, ..., w_{N-1}, x_N]`` and
+eliminates them: with the block-diagonal ``Hbar = H + C' W C`` (W the
+interior-point weights) the dual Schur complement ``Y = A Hbar^-1 A'`` is
+block tridiagonal with N + 1 blocks of size n_x, symmetric positive
+definite, and factored by one LAPACK banded Cholesky with bandwidth
+``2 n_x - 1``. The Gauss-Newton Hessian H is diagonal with nonnegative
+weights; a block with an entry below a small floor is lifted by it, so
+every ``Hbar_k`` is positive definite. Each KKT step is one banded solve
+without refinement: the iteration measures its residuals with exact
+products, so step accuracy affects the iteration count, not the answer.
 
 The stage solver consumes the Lagrangian-gradient form of the subproblem
 and returns *increments* for the primal variables and both multiplier
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import QPInfeasibleError, QPNonconvergenceError
 from .transcription import QPData
@@ -253,75 +254,6 @@ def _residuals(backend, x, y, z, s):
 
 
 # ---------------------------------------------------------------------------
-# dense backend (generic QPs, oracle path)
-# ---------------------------------------------------------------------------
-
-class _DenseBackend:
-    def __init__(self, H, g, A, b, C, d):
-        self.H = np.atleast_2d(np.asarray(H, dtype=float))
-        self.g = np.asarray(g, dtype=float)
-        n = self.g.shape[0]
-        self.A = np.asarray(A, dtype=float).reshape(-1, n)
-        self.b = np.asarray(b, dtype=float)
-        self.C = np.asarray(C, dtype=float).reshape(-1, n)
-        self.d = np.asarray(d, dtype=float)
-        w_eig = np.linalg.eigvalsh(self.H)
-        if n and w_eig.min() < _HESS_REG_FLOOR:
-            self.H = self.H + _HESS_REG_FLOOR * np.eye(n)
-
-    def hmv(self, x):
-        return self.H @ x
-
-    def amv(self, x):
-        return self.A @ x
-
-    def atmv(self, y):
-        return self.A.T @ y
-
-    def cmv(self, x):
-        return self.C @ x
-
-    def ctmv(self, z):
-        return self.C.T @ z
-
-    def factor(self, w):
-        n, m = self.g.shape[0], self.b.shape[0]
-        Hbar = self.H.copy()
-        if w is not None and w.size:
-            Hbar += (self.C.T * w) @ self.C
-        K = np.zeros((n + m, n + m))
-        K[:n, :n] = Hbar
-        K[:n, n:] = self.A.T
-        K[n:, :n] = self.A
-        return lu_factor(K), w
-
-    def solve2(self, handle, r1, r2):
-        lu, w = handle
-        n = self.g.shape[0]
-        sol = lu_solve(lu, np.concatenate([r1, r2]))
-        dx, dy = sol[:n], sol[n:]
-        # one refinement pass against the augmented system
-        res1 = r1 - self.hmv(dx) - self.atmv(dy)
-        if w is not None and w.size:
-            res1 -= self.ctmv(w * self.cmv(dx))
-        res2 = r2 - self.amv(dx)
-        corr = lu_solve(lu, np.concatenate([res1, res2]))
-        return dx + corr[:n], dy + corr[n:]
-
-
-def solve_dense(H, g, A, b, C, d, tol=1e-8, start_scale=1.0):
-    """Solve a generic dense QP ``min 1/2 x'Hx + g'x, Ax = b, Cx <= d``.
-
-    Returns ``(x, y, z, info)`` with equality/inequality multipliers in the
-    ``+A'y + C'z`` stationarity convention and an info dict carrying the
-    final residual and iteration count.
-    """
-    backend = _DenseBackend(H, g, A, b, C, d)
-    x, y, z, res, iters = _mehrotra(backend, tol, start_scale=start_scale)
-    return x, y, z, {"residual": res, "iterations": iters}
-
-
-# ---------------------------------------------------------------------------
 # stage backend: banded Cholesky of the dual Schur complement
 # ---------------------------------------------------------------------------
 
@@ -357,16 +289,14 @@ class _StageBackend:
         N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
         self.N, self.n_x, self.nwk = N, n_x, nwk
 
-        # regularized Hessian blocks
-        stage_h = qp.stage_hessians
-        eigs = np.linalg.eigvalsh(stage_h)
-        self.stage_h = stage_h.copy()
-        bad = eigs.min(axis=-1) < _HESS_REG_FLOOR
-        if np.any(bad):
-            self.stage_h[bad] += _HESS_REG_FLOOR * np.eye(nwk)
-        self.term_h = qp.term_hessian.copy()
-        if np.linalg.eigvalsh(self.term_h).min() < _HESS_REG_FLOOR:
-            self.term_h = self.term_h + _HESS_REG_FLOOR * np.eye(n_x)
+        # regularized Hessian diagonal: a block whose smallest entry is
+        # below the floor is lifted by the floor as a whole
+        stage_h = qp.stage_hessians.copy()
+        stage_h[stage_h.min(axis=1) < _HESS_REG_FLOOR] += _HESS_REG_FLOOR
+        term_h = qp.term_hessian.copy()
+        if term_h.min() < _HESS_REG_FLOOR:
+            term_h += _HESS_REG_FLOOR
+        self.h = np.concatenate([stage_h.ravel(), term_h])
 
         self.g = _modified_gradient(qp)
         self.b = -qp.continuity_residuals.ravel()
@@ -374,12 +304,7 @@ class _StageBackend:
         self.d = np.concatenate([d_stage, -qp.term_ineq_values])
 
     def hmv(self, x):
-        N, n_x, nwk = self.N, self.n_x, self.nwk
-        body = x[:N * nwk].reshape(N, nwk)
-        out = np.empty_like(x)
-        out[:N * nwk] = np.einsum('kab,kb->ka', self.stage_h, body).ravel()
-        out[N * nwk:] = self.term_h @ x[N * nwk:]
-        return out
+        return self.h * x
 
     def amv(self, x):
         qp = self.qp
@@ -426,16 +351,19 @@ class _StageBackend:
 
     def factor(self, w):
         qp = self.qp
-        N, n_x = self.N, self.n_x
-        stage, term = self.stage_h, self.term_h
+        N, n_x, nwk = self.N, self.n_x, self.nwk
+        stage = np.zeros((N, nwk, nwk))
+        term = np.zeros((n_x, n_x))
         if w is not None and w.size:
             n_r = qp.n_r
             wk = w[:N * n_r].reshape(N, n_r)
             cjt = qp.ineq_jac.transpose(0, 2, 1)
-            stage = stage + (cjt * wk[:, None, :]) @ qp.ineq_jac
+            stage = (cjt * wk[:, None, :]) @ qp.ineq_jac
             if qp.n_l:
-                term = term + (qp.term_ineq_jac.T * w[N * n_r:]) \
-                    @ qp.term_ineq_jac
+                term = (qp.term_ineq_jac.T * w[N * n_r:]) @ qp.term_ineq_jac
+        # Hbar = H + C' W C with H diagonal
+        stage.reshape(N, -1)[:, ::nwk + 1] += self.h[:N * nwk].reshape(N, nwk)
+        term.flat[::n_x + 1] += self.h[N * nwk:]
         try:
             p_stage = np.linalg.inv(stage)
             p_term = np.linalg.inv(term)
@@ -459,7 +387,7 @@ class _StageBackend:
             raise QPNonconvergenceError(
                 "dual Schur complement of the KKT system is not positive "
                 f"definite (banded Cholesky info {info})")
-        return p_stage, p_term, chol, w
+        return p_stage, p_term, chol
 
     def _hbar_solve(self, p_stage, p_term, r):
         N, nwk = self.N, self.nwk
@@ -469,21 +397,13 @@ class _StageBackend:
         out[N * nwk:] = p_term @ r[N * nwk:]
         return out
 
-    def _raw_solve(self, handle, r1, r2):
-        p_stage, p_term, chol, _ = handle
+    def solve2(self, handle, r1, r2):
+        """KKT step ``(dx, dy)`` of ``Hbar dx + A' dy = r1``, ``A dx = r2``
+        from one banded solve, unrefined (see the module docstring)."""
+        p_stage, p_term, chol = handle
         t = self._hbar_solve(p_stage, p_term, r1)
         dy, _ = _pbtrs(chol, self.amv(t) - r2, lower=1)
         return self._hbar_solve(p_stage, p_term, r1 - self.atmv(dy)), dy
-
-    def solve2(self, handle, r1, r2):
-        *_, w = handle
-        dx, dy = self._raw_solve(handle, r1, r2)
-        res1 = r1 - self.hmv(dx) - self.atmv(dy)
-        if w is not None and w.size:
-            res1 -= self.ctmv(w * self.cmv(dx))
-        res2 = r2 - self.amv(dx)
-        cx, cy = self._raw_solve(handle, res1, res2)
-        return dx + cx, dy + cy
 
 
 def _modified_gradient(qp: QPData) -> np.ndarray:
@@ -506,7 +426,7 @@ def _modified_gradient(qp: QPData) -> np.ndarray:
     return g
 
 
-def solve(qp: QPData, tol: float = 1e-8, start_scale: float = 1.0) -> QPSolution:
+def solve(qp: QPData, tol: float = 1e-8) -> QPSolution:
     """Solve the stage-structured subproblem to the given KKT tolerance.
 
     Returns increments ``(dw, dlam, dmu)`` relative to the multipliers
@@ -514,7 +434,7 @@ def solve(qp: QPData, tol: float = 1e-8, start_scale: float = 1.0) -> QPSolution
     before the increment conversion.
     """
     backend = _StageBackend(qp)
-    x, y, z, res, iters = _mehrotra(backend, tol, start_scale=start_scale)
+    x, y, z, res, iters = _mehrotra(backend, tol)
     z = z.copy()
     z[z < _MU_TRUNCATE] = 0.0
     mu_in = np.concatenate([qp.mu.ravel(), qp.mu_term])

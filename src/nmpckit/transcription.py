@@ -94,12 +94,15 @@ class QPData:
 
     ``gradient`` is the stacked Lagrangian gradient (exact sensitivities);
     ``jacobian_blocks`` are the per-interval blocks actually placed in the
-    equality rows, which may be stale. Current multipliers ride along so the
-    solver can return increments.
+    equality rows, which may be stale. The Gauss-Newton Hessian of the
+    tracking cost is diagonal, constant along the trajectory and free of
+    multipliers; ``stage_hessians`` and ``term_hessian`` hold its diagonals,
+    the model's weights. Current multipliers ride along so the solver can
+    return increments.
     """
 
-    stage_hessians: np.ndarray       # (N, n_x+n_u, n_x+n_u)
-    term_hessian: np.ndarray         # (n_x, n_x)
+    stage_hessians: np.ndarray       # (N, n_x+n_u) Gauss-Newton diagonals
+    term_hessian: np.ndarray         # (n_x,) terminal diagonal
     gradient: np.ndarray             # (n_w,)
     continuity_residuals: np.ndarray  # (N+1, n_x); row 0 is the embedding
     jacobian_blocks: np.ndarray      # (N, n_x, n_x+n_u)
@@ -116,8 +119,8 @@ class QPData:
         N, n_x, nwk = (self.jacobian_blocks.shape[0],
                        self.jacobian_blocks.shape[1],
                        self.jacobian_blocks.shape[2])
-        if self.stage_hessians.shape != (N, nwk, nwk) \
-                or self.term_hessian.shape != (n_x, n_x) \
+        if self.stage_hessians.shape != (N, nwk) \
+                or self.term_hessian.shape != (n_x,) \
                 or self.continuity_residuals.shape != (N + 1, n_x) \
                 or self.gradient.shape != (N * nwk + n_x,) \
                 or self.lam.shape != (N + 1, n_x):
@@ -172,18 +175,6 @@ def split_primal(dw: np.ndarray, N: int, n_x: int, n_u: int):
     body = dw[:N * nwk].reshape(N, nwk)
     dxs = np.vstack([body[:, :n_x], dw[N * nwk:][None, :]])
     return dxs, body[:, n_x:]
-
-
-def gauss_newton_hessian(traj: Trajectory, model: ModelSpec):
-    """Diagonal Gauss-Newton blocks of the tracking cost.
-
-    The quadratic tracking objective makes the blocks constant along the
-    trajectory; multipliers never enter.
-    """
-    N = traj.horizon
-    stage = np.diag(model.stage_weights)
-    return (np.broadcast_to(stage, (N,) + stage.shape).copy(),
-            np.diag(model.terminal_weights))
 
 
 def _objective_gradient(traj: Trajectory, model: ModelSpec, refs: References):
@@ -268,7 +259,6 @@ def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
     resid[0] = traj.xs[0] - x_hat
     resid[1:] = phis - traj.xs[1:]
 
-    stage_h, term_h = gauss_newton_hessian(traj, model)
     if model.n_r:
         ineq_values = model.path_constraint(traj.xs[:-1], traj.us)
         ineq_jac = model.path_constraint_jacobian(traj.xs[:-1], traj.us)
@@ -283,7 +273,9 @@ def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
         term_ineq = np.zeros(0)
         term_jac = np.zeros((0, n_x))
     return QPData(
-        stage_hessians=stage_h, term_hessian=term_h, gradient=gradient,
+        stage_hessians=np.tile(model.stage_weights, (N, 1)),
+        term_hessian=model.terminal_weights.copy(),
+        gradient=gradient,
         continuity_residuals=resid, jacobian_blocks=np.array(blocks),
         ineq_values=ineq_values, ineq_jac=ineq_jac,
         term_ineq_values=term_ineq, term_ineq_jac=term_jac,

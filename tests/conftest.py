@@ -3,9 +3,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from nmpckit import integrator as intg
-from nmpckit import models, perturbation as pert, transcription as trc
+from nmpckit import models, perturbation as pert, qp_solver
+from nmpckit import transcription as trc
 from nmpckit.cmon import SensitivityStore
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
@@ -92,11 +94,7 @@ def dense_kkt_matrix(qp, sol):
     """Dense oracle of ``perturbation.build_m`` in (w, mu, lam) ordering."""
     n_w, n_in, n_eq = qp.n_w, qp.n_in, qp.n_eq
     n = n_w + n_in + n_eq
-    H = np.zeros((n_w, n_w))
-    for k in range(qp.N):
-        sl = slice(k * qp.n_wk, (k + 1) * qp.n_wk)
-        H[sl, sl] = qp.stage_hessians[k]
-    H[qp.N * qp.n_wk:, qp.N * qp.n_wk:] = qp.term_hessian
+    H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
     z_tot = sol.dmu + np.concatenate([qp.mu.ravel(), qp.mu_term])
@@ -110,6 +108,74 @@ def dense_kkt_matrix(qp, sol):
     M[n_w:n_w + n_in, n_w:n_w + n_in] = np.diag(-c_sol)
     M[n_w + n_in:, :n_w] = A
     return M
+
+
+class _DenseBackend:
+    """Dense LU of the augmented KKT matrix, one refinement pass per solve;
+    the oracle backend of :func:`solve_dense`."""
+
+    def __init__(self, H, g, A, b, C, d):
+        self.H = np.atleast_2d(np.asarray(H, dtype=float))
+        self.g = np.asarray(g, dtype=float)
+        n = self.g.shape[0]
+        self.A = np.asarray(A, dtype=float).reshape(-1, n)
+        self.b = np.asarray(b, dtype=float)
+        self.C = np.asarray(C, dtype=float).reshape(-1, n)
+        self.d = np.asarray(d, dtype=float)
+        w_eig = np.linalg.eigvalsh(self.H)
+        if n and w_eig.min() < qp_solver._HESS_REG_FLOOR:
+            self.H = self.H + qp_solver._HESS_REG_FLOOR * np.eye(n)
+
+    def hmv(self, x):
+        return self.H @ x
+
+    def amv(self, x):
+        return self.A @ x
+
+    def atmv(self, y):
+        return self.A.T @ y
+
+    def cmv(self, x):
+        return self.C @ x
+
+    def ctmv(self, z):
+        return self.C.T @ z
+
+    def factor(self, w):
+        n, m = self.g.shape[0], self.b.shape[0]
+        Hbar = self.H.copy()
+        if w is not None and w.size:
+            Hbar += (self.C.T * w) @ self.C
+        K = np.zeros((n + m, n + m))
+        K[:n, :n] = Hbar
+        K[:n, n:] = self.A.T
+        K[n:, :n] = self.A
+        return lu_factor(K), w
+
+    def solve2(self, handle, r1, r2):
+        lu, w = handle
+        n = self.g.shape[0]
+        sol = lu_solve(lu, np.concatenate([r1, r2]))
+        dx, dy = sol[:n], sol[n:]
+        # one refinement pass against the augmented system
+        res1 = r1 - self.hmv(dx) - self.atmv(dy)
+        if w is not None and w.size:
+            res1 -= self.ctmv(w * self.cmv(dx))
+        res2 = r2 - self.amv(dx)
+        corr = lu_solve(lu, np.concatenate([res1, res2]))
+        return dx + corr[:n], dy + corr[n:]
+
+
+def solve_dense(H, g, A, b, C, d, tol=1e-8):
+    """Solve a generic dense QP ``min 1/2 x'Hx + g'x, Ax = b, Cx <= d``.
+
+    Returns ``(x, y, z, info)`` with equality/inequality multipliers in the
+    ``+A'y + C'z`` stationarity convention and an info dict carrying the
+    final residual and iteration count.
+    """
+    backend = _DenseBackend(H, g, A, b, C, d)
+    x, y, z, res, iters = qp_solver._mehrotra(backend, tol)
+    return x, y, z, {"residual": res, "iterations": iters}
 
 
 def stage_permutation(qp):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import SCENARIO_DIR, adjoint, assemble_qp, build_n, \
-    sensitivities, stack_perturbation, wml_order
+    sensitivities, solve_dense, stack_perturbation, wml_order
 from nmpckit import cmon as cm
 from nmpckit import integrator as intg
 from nmpckit import models, perturbation as pert, qp_solver
@@ -412,7 +412,7 @@ def test_10_numerical_kernels():
         b = A @ x_f
         d = C @ x_f + r.uniform(0.05, 1.0, 4)
         x_ref = _enumerate_qp(H, g, A, b, C, d)
-        x, _, _, _ = qp_solver.solve_dense(H, g, A, b, C, d, tol=1e-10)
+        x, _, _, _ = solve_dense(H, g, A, b, C, d, tol=1e-10)
         worst_qp = max(worst_qp, float(np.linalg.norm(x - x_ref)
                                        / (1.0 + np.linalg.norm(x_ref))))
     checks["qp"] = worst_qp <= 1e-7

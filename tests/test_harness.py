@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from conftest import SCENARIO_DIR
-from nmpckit import cli, errors, harness, transcription as trc
+from nmpckit import cli, errors, harness, schemes
 from nmpckit.errors import ConfigError
 from nmpckit.harness import (SimulationLog, closed_loop_simulate,
                              export_log_csv, load_scenario, parse_log_csv,
@@ -118,16 +118,16 @@ def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
     # from the third subproblem on, one stage Hessian is negative definite;
     # the KKT factorization fails and the loop records a QP failure
     builds = []
-    gauss_newton = trc.gauss_newton_hessian
+    build_qp = schemes.build_qp
 
-    def poisoned(traj, model):
-        stage, term = gauss_newton(traj, model)
+    def poisoned(*args):
+        qp = build_qp(*args)
         builds.append(1)
         if len(builds) >= 3:
-            stage[3] = -stage[3]
-        return stage, term
+            qp.stage_hessians[3] = -qp.stage_hessians[3]
+        return qp
 
-    monkeypatch.setattr(trc, "gauss_newton_hessian", poisoned)
+    monkeypatch.setattr(schemes, "build_qp", poisoned)
     log = closed_loop_simulate(_short_pendulum(
         duration=0.5, scheme="rti", init_mode="steady"))
     assert log.failed
@@ -137,16 +137,16 @@ def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
 
 
 def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
-    # every stage Hessian build is poisoned, so the cmon preparation QP in
-    # initialize_controller fails before the first instant
-    gauss_newton = trc.gauss_newton_hessian
+    # every subproblem gets a negative definite stage Hessian, so the cmon
+    # preparation QP in initialize_controller fails before the first instant
+    build_qp = schemes.build_qp
 
-    def poisoned(traj, model):
-        stage, term = gauss_newton(traj, model)
-        stage[3] = -stage[3]
-        return stage, term
+    def poisoned(*args):
+        qp = build_qp(*args)
+        qp.stage_hessians[3] = -qp.stage_hessians[3]
+        return qp
 
-    monkeypatch.setattr(trc, "gauss_newton_hessian", poisoned)
+    monkeypatch.setattr(schemes, "build_qp", poisoned)
     s = _short_pendulum(duration=0.5, scheme="cmon", init_mode="steady")
     log = closed_loop_simulate(s)
     assert log.failed
@@ -327,7 +327,18 @@ def test_manifest_echoes_config(tmp_path):
     assert doc["config_echo"] == (SCENARIO_DIR / "pendulum_n40.yaml").read_text()
     assert doc["seed"] == s.seed
     assert doc["scheme"] == "cmon"
+    assert doc["trials"] == 1
+    assert doc["track_dto"] is False
     assert doc["note"] == 1
+    # overrides leave the echo as it was; the manifest records them
+    s = load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    s.trials = 2
+    s.scheme = dataclasses.replace(s.scheme, track_dto=True)
+    write_manifest(s, path)
+    doc = json.loads(path.read_text())
+    assert "trials: 10" in doc["config_echo"]
+    assert doc["trials"] == 2
+    assert doc["track_dto"] is True
 
 
 def test_cli_single_run(tmp_path):
@@ -336,12 +347,14 @@ def test_cli_single_run(tmp_path):
     doc["duration"] = 0.5
     scen.write_text(yaml.safe_dump(doc))
     out = tmp_path / "out"
-    rc = cli.main([str(scen), "--scheme", "rti", "--out", str(out)])
+    rc = cli.main([str(scen), "--scheme", "rti", "--dto", "--out", str(out)])
     assert rc == 0
     logs = list(out.glob("*_log.csv"))
     assert len(logs) == 1
     manifest = json.loads(next(out.glob("*_manifest.json")).read_text())
     assert manifest["scheme"] == "rti"
+    assert manifest["track_dto"] is True
+    assert manifest["trials"] == 1
     parsed = parse_log_csv(logs[0])
     assert parsed.n_instants == 10
 

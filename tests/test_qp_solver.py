@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import assemble_qp, dense_equality_jacobian, \
-    dense_inequality_jacobian
+    dense_inequality_jacobian, solve_dense
 from nmpckit import integrator as intg
 from nmpckit import models, qp_solver, transcription as trc
 from nmpckit.errors import QPInfeasibleError, QPNonconvergenceError
@@ -63,7 +63,7 @@ def test_dense_solver_matches_enumeration(seed):
     m_in = int(rng.integers(3, 7))
     H, g, A, b, C, d = _random_qp(rng, n, m_eq, m_in)
     x_ref, y_ref, z_ref = _enumerate_qp(H, g, A, b, C, d)
-    x, y, z, info = qp_solver.solve_dense(H, g, A, b, C, d, tol=1e-10)
+    x, y, z, info = solve_dense(H, g, A, b, C, d, tol=1e-10)
     scale = 1.0 + np.linalg.norm(x_ref)
     assert np.linalg.norm(x - x_ref) <= 1e-7 * scale
     assert np.linalg.norm(y - y_ref) <= 1e-6 * (1.0 + np.linalg.norm(y_ref))
@@ -75,7 +75,7 @@ def test_dense_solver_unconstrained_inequalities_inactive():
     rng = np.random.default_rng(7)
     H, g, A, b, C, d = _random_qp(rng, 4, 0, 3)
     d = d + 100.0          # push every inequality far away
-    x, y, z, info = qp_solver.solve_dense(H, g, A, b, C, d, tol=1e-10)
+    x, y, z, info = solve_dense(H, g, A, b, C, d, tol=1e-10)
     npt.assert_allclose(x, np.linalg.solve(H, -g), atol=1e-8)
     npt.assert_allclose(z, 0.0, atol=1e-8)
 
@@ -89,7 +89,7 @@ def test_dense_solver_detects_infeasible():
     C = np.array([[1.0], [-1.0]])
     d = np.array([-1.0, -1.0])
     with pytest.raises(QPInfeasibleError):
-        qp_solver.solve_dense(H, g, A, b, C, d, tol=1e-8)
+        solve_dense(H, g, A, b, C, d, tol=1e-8)
 
 
 def _stage_qp(model, xs0, us, rng, ref_x=None):
@@ -141,12 +141,7 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
     qp = _oracle_case(case, pendulum, rng)
     sol = qp_solver.solve(qp, tol=1e-10)
 
-    n_w = qp.n_w
-    H = np.zeros((n_w, n_w))
-    for k in range(qp.N):
-        sl = slice(k * qp.n_wk, (k + 1) * qp.n_wk)
-        H[sl, sl] = qp.stage_hessians[k]
-    H[qp.N * qp.n_wk:, qp.N * qp.n_wk:] = qp.term_hessian
+    H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
     lam_flat = qp.lam.ravel()
@@ -154,7 +149,7 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
     g_obj = qp.gradient - A.T @ lam_flat - C.T @ mu_flat
     b = -qp.continuity_residuals.ravel()
     d = -np.concatenate([qp.ineq_values.ravel(), qp.term_ineq_values])
-    x, y, z, info = qp_solver.solve_dense(H, g_obj, A, b, C, d, tol=1e-10)
+    x, y, z, info = solve_dense(H, g_obj, A, b, C, d, tol=1e-10)
 
     if case == "chain":
         assert qp.n_x == 27 and sol.active_set.any()
@@ -163,11 +158,24 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
     npt.assert_allclose(sol.dmu, z - mu_flat, atol=1e-5)
 
 
-def test_stage_solution_satisfies_kkt(pendulum, rng):
-    qp = _pendulum_qp(pendulum, rng)
+@pytest.mark.parametrize(
+    "case", ["pendulum", "pendulum-zero-state-weights", "chain"])
+def test_stage_solution_satisfies_kkt(case, pendulum, rng):
+    qp = _oracle_case(case, pendulum, rng)
     sol = qp_solver.solve(qp, tol=1e-10)
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
+    # stationarity, with the Hessian the solver lifts by its floor
+    floor = qp_solver._HESS_REG_FLOOR
+    H = np.diag(np.concatenate([h + floor if h.min() < floor else h
+                                for h in (*qp.stage_hessians,
+                                          qp.term_hessian)]))
+    lam_flat = qp.lam.ravel()
+    mu_flat = np.concatenate([qp.mu.ravel(), qp.mu_term])
+    g_obj = qp.gradient - A.T @ lam_flat - C.T @ mu_flat
+    stat = H @ sol.dw + g_obj + A.T @ (lam_flat + sol.dlam) \
+        + C.T @ (mu_flat + sol.dmu)
+    assert np.abs(stat).max() <= 1e-8
     # primal feasibility of the increments
     npt.assert_allclose(A @ sol.dw, -qp.continuity_residuals.ravel(),
                         atol=1e-8)
@@ -195,10 +203,39 @@ def test_stage_solver_deterministic(pendulum):
 def test_solution_invariant_to_start_point(pendulum, rng):
     # strictly convex subproblem: the interior-point start must not matter
     qp = _pendulum_qp(pendulum, rng)
-    a = qp_solver.solve(qp, tol=1e-10, start_scale=1.0)
-    b = qp_solver.solve(qp, tol=1e-10, start_scale=3.0)
-    assert np.array_equal(a.active_set, b.active_set)
-    npt.assert_allclose(b.stacked(), a.stacked(), rtol=0, atol=1e-8)
+    backend = qp_solver._StageBackend(qp)
+
+    def run(start_scale):
+        x, y, z, _, _ = qp_solver._mehrotra(backend, 1e-10,
+                                            start_scale=start_scale)
+        slack = backend.d - backend.cmv(x)
+        active = (z > qp_solver._ACTIVE_MU) \
+            | (slack < qp_solver._ACTIVE_SLACK)
+        return active, np.concatenate([x, z, y])
+
+    a_active, a = run(1.0)
+    b_active, b = run(3.0)
+    assert np.array_equal(a_active, b_active)
+    npt.assert_allclose(b, a, rtol=0, atol=1e-8)
+
+
+def test_each_kkt_step_is_one_banded_solve(rng, monkeypatch):
+    calls = {"solve2": 0, "pbtrs": 0}
+    solve2, pbtrs = qp_solver._StageBackend.solve2, qp_solver._pbtrs
+
+    def counted_solve2(self, *args):
+        calls["solve2"] += 1
+        return solve2(self, *args)
+
+    def counted_pbtrs(*args, **kwargs):
+        calls["pbtrs"] += 1
+        return pbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(qp_solver._StageBackend, "solve2", counted_solve2)
+    monkeypatch.setattr(qp_solver, "_pbtrs", counted_pbtrs)
+    qp_solver.solve(_chain_qp(rng), tol=1e-10)
+    assert calls["solve2"] > 0
+    assert calls["pbtrs"] == calls["solve2"]
 
 
 def test_solutions_independent_of_previous_shapes(pendulum):
@@ -219,8 +256,7 @@ def test_solutions_independent_of_previous_shapes(pendulum):
 def test_nonconvex_stage_raises_qp_error(block, pendulum, rng):
     qp = _pendulum_qp(pendulum, rng)
     floor = qp_solver._HESS_REG_FLOOR
-    qp.stage_hessians[3] = (-np.diag([20.0, 20.0, 0.2, 0.2, 0.1])
-                            if block == "negative-definite"
-                            else -floor * np.eye(qp.n_wk))
+    qp.stage_hessians[3] = (-np.array([20.0, 20.0, 0.2, 0.2, 0.1])
+                            if block == "negative-definite" else -floor)
     with pytest.raises(QPNonconvergenceError):
         qp_solver.solve(qp, tol=1e-10)

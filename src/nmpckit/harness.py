@@ -7,7 +7,6 @@ scenarios add randomized-initial-condition trials with stabilizing-time
 statistics. Logs and summaries export to CSV with a JSON run manifest.
 """
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from .transcription import Multipliers, References, Trajectory
 __all__ = [
     "ReferenceSchedule", "ScenarioConfig", "SimulationLog", "TrialSummary",
     "closed_loop_simulate", "randomized_chain_trials", "stabilizing_time",
-    "export_log_csv", "parse_log_csv", "export_summary_csv",
+    "export_log_csv", "export_summary_csv",
     "write_manifest", "load_scenario", "steady_horizon", "perfect_horizon",
 ]
 
@@ -276,8 +275,7 @@ def perfect_horizon(scenario: ScenarioConfig, x0: np.ndarray):
     """
     model = scenario.model
     guess = steady_horizon(scenario)
-    mult0 = Multipliers.zeros(scenario.horizon, model.n_x, model.n_r,
-                              model.n_l)
+    mult0 = Multipliers.zeros(scenario.horizon, model.n_x, model.n_r)
     ocp = OCProblem(model=model, integ=scenario.integrator(),
                     x_hat=np.asarray(x0, dtype=float),
                     refs=scenario.schedule.window(0.0, scenario.horizon,
@@ -381,7 +379,7 @@ def closed_loop_simulate(scenario: ScenarioConfig,
             traj0, mult0 = perfect_horizon(scenario, x0)
         else:
             traj0 = steady_horizon(scenario)
-            mult0 = Multipliers.zeros(N, model.n_x, model.n_r, model.n_l)
+            mult0 = Multipliers.zeros(N, model.n_x, model.n_r)
         state = initialize_controller(
             model, integ, scenario.scheme, traj0, mult0,
             refs0=schedule.window(0.0, N, Ts), x_hat0=x0)
@@ -525,34 +523,6 @@ def export_log_csv(log: SimulationLog, path) -> None:
         raise NMPCError(f"cannot write log to {path}: {exc}") from None
 
 
-def parse_log_csv(path) -> SimulationLog:
-    """Inverse of :func:`export_log_csv` (round-trip exact)."""
-    path = Path(path)
-    try:
-        lines = path.read_text().strip().split("\n")
-    except OSError as exc:
-        raise NMPCError(f"cannot read log from {path}: {exc}") from None
-    header = lines[0].split(",")
-    n_x = sum(1 for h in header if h.startswith("x") and h[1:].isdigit())
-    n_u = sum(1 for h in header if h.startswith("u") and h[1:].isdigit())
-    body = [ln.split(",") for ln in lines[1:]]
-    inst = body[:-1]
-    times = np.array([float(r[0]) for r in inst])
-    states = np.array([[float(v) for v in r[1:1 + n_x]]
-                       for r in body])
-    controls = np.array([[float(v) for v in r[1 + n_x:1 + n_x + n_u]]
-                         for r in inst]).reshape(len(inst), n_u)
-    diag = {}
-    for j, cname in enumerate(_DIAG_COLUMNS):
-        col = 1 + n_x + n_u + j
-        diag[cname] = np.array([float(r[col]) for r in inst])
-    t_s = times[1] - times[0] if times.size > 1 else (
-        float(body[-1][0]) - times[0] if times.size else 0.0)
-    return SimulationLog(t_s=t_s, times=times, states=states,
-                         controls=controls, diag=diag,
-                         ref_windows=np.zeros((len(inst), 0, n_x)))
-
-
 def export_summary_csv(summary: TrialSummary, path) -> None:
     path = Path(path)
     lines = ["trial,t_st,failed"]
@@ -571,16 +541,14 @@ def export_summary_csv(summary: TrialSummary, path) -> None:
 
 def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
                    ) -> None:
-    """JSON run manifest: byte-exact config echo, code version, and the
-    seed, scheme, trial count and oracle flag the run used."""
+    """JSON run manifest: byte-exact config echo (``null`` for a config
+    built in code, which has no file text), code version, and the seed,
+    scheme, trial count and oracle flag the run used."""
     from . import __version__
     path = Path(path)
-    raw = scenario.raw_text
-    if not raw:
-        raw = yaml.safe_dump(_scenario_doc(scenario), sort_keys=False)
     doc = {
         "scenario": scenario.name,
-        "config_echo": raw,
+        "config_echo": scenario.raw_text or None,
         "code_version": __version__,
         "seed": scenario.seed,
         "scheme": scenario.scheme.scheme,
@@ -593,36 +561,3 @@ def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
         path.write_text(json.dumps(doc, indent=2) + "\n")
     except OSError as exc:
         raise NMPCError(f"cannot write manifest to {path}: {exc}") from None
-
-
-def _scenario_doc(s: ScenarioConfig) -> dict:
-    """Best-effort plain-dict echo for configs built in code."""
-    mdl = {"kind": s.model_kind}
-    params = s.model.meta.get("params")
-    if params is not None:
-        pd = dataclasses.asdict(params)
-        mdl["params"] = {k: (v.tolist() if isinstance(v, np.ndarray) else v)
-                         for k, v in pd.items()}
-    sch = {"kind": s.scheme.scheme, "qp_tol": s.scheme.qp_tol,
-           "ml_interval": s.scheme.ml_interval,
-           "track_dto": s.scheme.track_dto,
-           "cmon": dataclasses.asdict(s.scheme.cmon)}
-    return {
-        "model": mdl,
-        "horizon": s.horizon,
-        "t_s": s.t_s,
-        "duration": s.duration,
-        "substeps": s.substeps,
-        "plant_substep_factor": s.plant_substep_factor,
-        "init": s.init_mode,
-        "seed": s.seed,
-        "trials": s.trials,
-        "reference": {"times": s.schedule.times.tolist(),
-                      "states": s.schedule.states.tolist(),
-                      "controls": s.schedule.controls.tolist()},
-        "scheme": sch,
-        "noise": {"position_amplitude": s.noise_pos,
-                  "velocity_amplitude": s.noise_vel},
-        "stabilize": {"threshold": s.stabilize_threshold,
-                      "cap": s.stabilize_cap},
-    }

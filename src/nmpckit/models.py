@@ -2,7 +2,7 @@
 
 Both models expose their dynamics as plain numpy callables that broadcast
 over leading batch dimensions, together with hand-coded analytic Jacobians.
-A :class:`ModelSpec` bundles the callables with constraint definitions and
+A :class:`ModelSpec` bundles the callables with the box bounds and
 diagonal cost weights so the rest of the toolkit never needs to know which
 plant it is driving.
 """
@@ -37,12 +37,12 @@ class ModelSpec:
         Diagonal nonnegative weights on the stacked ``(x, u)`` residual.
     terminal_weights : ndarray
         Diagonal nonnegative weights on the terminal state residual.
-    path_constraint : callable or None
-        ``r(x, u) -> (n_r,)`` with the convention ``r <= 0`` feasible.
-    path_constraint_jacobian : callable or None
-        ``(x, u) -> (n_r, n_x + n_u)`` rows of the constraint Jacobian.
-    terminal_constraint, terminal_constraint_jacobian : callable or None
-        Same contract for the terminal node, in the state only.
+    bound_index, bound_limit : array_like
+        The only inequalities: ``|z_i| <= l_i`` on each stage's
+        ``z = (x_k, u_k)``, one pair ``(bound_index[b], bound_limit[b])``
+        per bounded component. Bound ``b`` gives the rows ``2b`` and
+        ``2b + 1``, ``z_i - l_i`` and ``-z_i - l_i``, with ``<= 0``
+        feasible; ``n_r`` counts them. The terminal node is unbounded.
     """
 
     n_x: int
@@ -51,12 +51,8 @@ class ModelSpec:
     rhs_jacobians: Callable
     stage_weights: np.ndarray
     terminal_weights: np.ndarray
-    path_constraint: Optional[Callable] = None
-    path_constraint_jacobian: Optional[Callable] = None
-    n_r: int = 0
-    terminal_constraint: Optional[Callable] = None
-    terminal_constraint_jacobian: Optional[Callable] = None
-    n_l: int = 0
+    bound_index: np.ndarray = ()
+    bound_limit: np.ndarray = ()
     name: str = "model"
     meta: dict = field(default_factory=dict)
 
@@ -71,34 +67,20 @@ class ModelSpec:
             raise ValueError("weights must be nonnegative")
         if not (np.any(self.stage_weights > 0) or np.any(self.terminal_weights > 0)):
             raise ValueError("at least one weight must be positive")
+        self.bound_index = np.asarray(self.bound_index, dtype=int)
+        self.bound_limit = np.asarray(self.bound_limit, dtype=float)
+        if self.bound_index.ndim != 1 \
+                or self.bound_limit.shape != self.bound_index.shape:
+            raise ValueError("bound_index and bound_limit must pair up")
+        if np.unique(self.bound_index).size != self.bound_index.size \
+                or np.any(self.bound_index < 0) \
+                or np.any(self.bound_index >= self.n_x + self.n_u):
+            raise ValueError("bounds need distinct components of (x, u)")
 
-
-def _box_constraints(n_x: int, n_u: int, bounds):
-    """Path constraint pair for ``|z_i| <= limit`` on ``z = (x, u)``.
-
-    Each ``(i, limit)`` in ``bounds`` gives the rows ``z_i - limit`` and
-    ``-z_i - limit``. Rows read their own component only, so a non-finite
-    entry elsewhere in ``z`` cannot leak into them.
-    """
-    idx = np.repeat([i for i, _ in bounds], 2)
-    sign = np.tile([1.0, -1.0], len(bounds))
-    limit = np.repeat([lim for _, lim in bounds], 2).astype(float)
-    jac_rows = np.zeros((idx.size, n_x + n_u))
-    jac_rows[np.arange(idx.size), idx] = sign
-
-    def constraint(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-        z = np.concatenate([np.broadcast_to(x, batch + (n_x,)),
-                            np.broadcast_to(u, batch + (n_u,))], axis=-1)
-        return sign * z[..., idx] - limit
-
-    def constraint_jac(x, u):
-        batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
-        return np.broadcast_to(jac_rows, batch + jac_rows.shape).copy()
-
-    return constraint, constraint_jac
+    @property
+    def n_r(self) -> int:
+        """Inequality rows per stage, two per bound."""
+        return 2 * self.bound_index.size
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +159,13 @@ def make_pendulum_model(params: Optional[PendulumParams] = None,
                         force_limit: float = 20.0,
                         stage_weights=None,
                         terminal_weights=None) -> ModelSpec:
-    """Assemble the pendulum :class:`ModelSpec` with box path constraints.
-
-    The path constraint stacks ``|p| <= position_limit`` and
-    ``|F| <= force_limit`` as four rows with the ``r <= 0`` convention.
-    """
+    """Assemble the pendulum :class:`ModelSpec` with the box bounds
+    ``|p| <= position_limit`` and ``|F| <= force_limit``."""
     params = params or PendulumParams()
     if stage_weights is None:
         stage_weights = np.array([20.0, 20.0, 0.2, 0.2, 0.02])
     if terminal_weights is None:
         terminal_weights = np.array([20.0, 20.0, 0.2, 0.2])
-
-    constraint, constraint_jac = _box_constraints(
-        4, 1, [(0, position_limit), (4, force_limit)])
 
     return ModelSpec(
         n_x=4, n_u=1,
@@ -197,9 +173,7 @@ def make_pendulum_model(params: Optional[PendulumParams] = None,
         rhs_jacobians=lambda x, u: pendulum_jacobians(x, u, params),
         stage_weights=stage_weights,
         terminal_weights=terminal_weights,
-        path_constraint=constraint,
-        path_constraint_jacobian=constraint_jac,
-        n_r=4,
+        bound_index=[0, 4], bound_limit=[position_limit, force_limit],
         name="pendulum",
         meta={"params": params, "position_limit": position_limit,
               "force_limit": force_limit},
@@ -349,7 +323,8 @@ def make_chain_model(params: Optional[ChainParams] = None,
                      control_limit: float = 1.0,
                      stage_weights=None,
                      terminal_weights=None) -> ModelSpec:
-    """Assemble the chain :class:`ModelSpec` with control box constraints."""
+    """Assemble the chain :class:`ModelSpec` with the control bounds
+    ``|u_j| <= control_limit``."""
     params = params or ChainParams()
     n_x = params.n_x
     if stage_weights is None:
@@ -366,18 +341,13 @@ def make_chain_model(params: Optional[ChainParams] = None,
         tw[3 * params.n:] = 2.0
         terminal_weights = tw
 
-    constraint, constraint_jac = _box_constraints(
-        n_x, 3, [(n_x + j, control_limit) for j in range(3)])
-
     return ModelSpec(
         n_x=n_x, n_u=3,
         rhs=lambda x, u: chain_rhs(x, u, params),
         rhs_jacobians=lambda x, u: chain_jacobians(x, u, params),
         stage_weights=stage_weights,
         terminal_weights=terminal_weights,
-        path_constraint=constraint,
-        path_constraint_jacobian=constraint_jac,
-        n_r=6,
+        bound_index=n_x + np.arange(3), bound_limit=np.full(3, control_limit),
         name="chain",
         meta={"params": params, "control_limit": control_limit},
     )

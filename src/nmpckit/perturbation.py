@@ -9,7 +9,7 @@ constants used by the threshold rule, and measures the actual distance to
 the fully-updated optimum by re-solving the subproblem with exact blocks.
 
 ``M`` is a sparse matrix in stage order: rows and columns both run
-``(lam_k, w_k, mu_k)`` for k < N, then ``(lam_N, x_N, mu_term)``, so every
+``(lam_k, w_k, mu_k)`` for k < N, then ``(lam_N, x_N)``, so every
 stage couples only to its neighbours and ``M`` is banded. Only the
 singular values of ``M`` are read, and a permutation of rows or columns
 leaves them unchanged, so nothing depends on the order. Up to
@@ -29,7 +29,7 @@ from scipy.linalg.lapack import dsbev
 
 from .errors import NearSingularMatrixError
 from .qp_solver import QPSolution, solve
-from .transcription import QPData
+from .transcription import QPData, bound_rows
 
 _DENSE_SVD_LIMIT = 2000
 # the Gram route cannot resolve eigenvalues below its rounding floor,
@@ -41,12 +41,7 @@ def _inequality_at_solution(qp: QPData, sol: QPSolution) -> np.ndarray:
     """Values ``C_j + grad C_j . dw`` of the linearized inequalities."""
     N, nwk = qp.N, qp.n_wk
     body = sol.dw[:N * nwk].reshape(N, nwk)
-    vals = qp.ineq_values + np.einsum('krw,kw->kr', qp.ineq_jac, body)
-    out = vals.ravel()
-    if qp.n_l:
-        term = qp.term_ineq_values + qp.term_ineq_jac @ sol.dw[N * nwk:]
-        out = np.concatenate([out, term])
-    return out
+    return (qp.ineq_values + bound_rows(qp.bound_index, body)).ravel()
 
 
 def _dense_blocks(rows, cols, vals):
@@ -56,6 +51,12 @@ def _dense_blocks(rows, cols, vals):
     j = cols[:, None, None] + np.arange(c)
     return (np.broadcast_to(i, vals.shape).ravel(),
             np.broadcast_to(j, vals.shape).ravel(), vals.ravel())
+
+
+def _entries(rows, cols, vals):
+    """Triplets of single entries, broadcast to one shape."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    return rows.ravel(), cols.ravel(), vals.ravel()
 
 
 def _diagonal_blocks(rows, cols, vals):
@@ -69,24 +70,25 @@ def build_m(qp: QPData, sol: QPSolution) -> scipy.sparse.csr_array:
     """Square subproblem matrix at the solution, sparse, in stage order.
 
     Rows and columns both run ``(lam_k, w_k, mu_k)`` for k < N, then
-    ``(lam_N, x_N, mu_term)``. Row blocks are, per stage, the equality
-    rows, the stationarity rows and the complementarity rows; column
-    blocks the matching solution components. Complementarity rows carry
-    the inequality multipliers at the solution and the linearized
-    constraint values. Only nonzero entries are stored.
+    ``(lam_N, x_N)``. Row blocks are, per stage, the equality rows, the
+    stationarity rows and the complementarity rows; column blocks the
+    matching solution components. Complementarity rows carry the
+    inequality multipliers at the solution and the linearized bound
+    values. Only nonzero entries are stored.
     """
-    N, n_x, nwk, n_r, n_l = qp.N, qp.n_x, qp.n_wk, qp.n_r, qp.n_l
+    N, n_x, nwk, n_r = qp.N, qp.n_x, qp.n_wk, qp.n_r
     stage = n_x + nwk + n_r
-    n = N * stage + 2 * n_x + n_l
+    n = N * stage + 2 * n_x
     lam = stage * np.arange(N + 1)       # block corners; w_N is x_N
-    w, mu = lam + n_x, lam + n_x + nwk
-    mu[N] = lam[N] + 2 * n_x
+    w, mu = lam + n_x, lam[:N] + n_x + nwk
     J = qp.jacobian_blocks
-    # multipliers and linearized inequality values at the solution
-    z = qp.mu + sol.dmu[:N * n_r].reshape(N, n_r)
-    z_term = qp.mu_term + sol.dmu[N * n_r:]
-    c_sol = _inequality_at_solution(qp, sol)
-    c, c_term = c_sol[:N * n_r].reshape(N, n_r), c_sol[N * n_r:]
+    # multipliers and linearized bound values at the solution
+    z = qp.mu + sol.dmu.reshape(N, n_r)
+    c = _inequality_at_solution(qp, sol).reshape(N, n_r)
+    # bound row r of a stage reads component comp[r] with sign[r]
+    comp = np.repeat(qp.bound_index, 2)
+    sign = np.tile([1.0, -1.0], qp.bound_index.size)
+    r = np.arange(n_r)
     t = slice(N, N + 1)                  # the terminal stage
     eye = np.full((N + 1, n_x), -1.0)    # continuity -I ...
     eye[0] = 1.0                         # ... and the embedding +I
@@ -95,18 +97,15 @@ def build_m(qp: QPData, sol: QPSolution) -> scipy.sparse.csr_array:
         _dense_blocks(lam[1:], w[:N], J),
         _diagonal_blocks(lam, w, eye),
         # stationarity rows: the diagonal H, then the transposed equality
-        # and inequality Jacobians
+        # and bound Jacobians
         _diagonal_blocks(w[:N], w[:N], qp.stage_hessians),
         _diagonal_blocks(w[t], w[t], qp.term_hessian[None]),
         _diagonal_blocks(w, lam, eye),
         _dense_blocks(w[:N], lam[1:], J.transpose(0, 2, 1)),
-        _dense_blocks(w[:N], mu[:N], qp.ineq_jac.transpose(0, 2, 1)),
-        _dense_blocks(w[t], mu[t], qp.term_ineq_jac.T[None]),
+        _entries(w[:N, None] + comp, mu[:, None] + r, sign),
         # complementarity rows: -z C and -diag(c)
-        _dense_blocks(mu[:N], w[:N], -z[:, :, None] * qp.ineq_jac),
-        _dense_blocks(mu[t], w[t], -z_term[None, :, None] * qp.term_ineq_jac),
-        _diagonal_blocks(mu[:N], mu[:N], -c),
-        _diagonal_blocks(mu[t], mu[t], -c_term[None]),
+        _entries(mu[:, None] + r, w[:N, None] + comp, -z * sign),
+        _diagonal_blocks(mu, mu, -c),
     ]
     i, j, v = (np.concatenate(p) for p in zip(*parts))
     keep = v != 0.0

@@ -2,15 +2,17 @@
 
 A Mehrotra predictor-corrector iteration runs on the stage backend, which
 keeps the variables in stage order ``[w_0, ..., w_{N-1}, x_N]`` and
-eliminates them: with the block-diagonal ``Hbar = H + C' W C`` (W the
-interior-point weights) the dual Schur complement ``Y = A Hbar^-1 A'`` is
-block tridiagonal with N + 1 blocks of size n_x, symmetric positive
-definite, and factored by one LAPACK banded Cholesky with bandwidth
-``2 n_x - 1``. The Gauss-Newton Hessian H is diagonal with nonnegative
-weights; a block with an entry below a small floor is lifted by it, so
-every ``Hbar_k`` is positive definite. Each KKT step is one banded solve
-without refinement: the iteration measures its residuals with exact
-products, so step accuracy affects the iteration count, not the answer.
+eliminates them. The Gauss-Newton Hessian H is diagonal with nonnegative
+weights, a block with an entry below a small floor is lifted by it, and
+every inequality is a box bound on one component (its Jacobian C a signed
+selection), so ``Hbar = H + C' W C`` (W the interior-point weights) is one
+positive vector: H plus ``w+ + w-`` on the bounded components. Its
+reciprocal eliminates the primal variables, and the dual Schur complement
+``Y = A Hbar^-1 A'`` is block tridiagonal with N + 1 blocks of size n_x,
+symmetric positive definite, and factored by one LAPACK banded Cholesky
+with bandwidth ``2 n_x - 1``. Each KKT step is one banded solve without
+refinement: the iteration measures its residuals with exact products, so
+step accuracy affects the iteration count, not the answer.
 
 The stage solver consumes the Lagrangian-gradient form of the subproblem
 and returns *increments* for the primal variables and both multiplier
@@ -24,7 +26,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.linalg import get_lapack_funcs
 
 from .errors import QPInfeasibleError, QPNonconvergenceError
-from .transcription import QPData
+from .transcription import QPData, bound_rows, bound_rows_t
 
 _HESS_REG_FLOOR = 1e-9
 _ACTIVE_MU = 1e-6
@@ -279,8 +281,8 @@ class _StageBackend:
     """KKT backend for stage-structured QP data.
 
     Solves through the dual Schur complement ``Y = A Hbar^-1 A'`` (see the
-    module docstring). A singular ``Hbar_k``, or a ``Y`` that is not
-    positive definite (a nonconvex stage), raises
+    module docstring). A ``Hbar`` entry that is not positive, or a ``Y``
+    that is not positive definite (a nonconvex stage), raises
     :class:`QPNonconvergenceError`.
     """
 
@@ -300,8 +302,7 @@ class _StageBackend:
 
         self.g = _modified_gradient(qp)
         self.b = -qp.continuity_residuals.ravel()
-        d_stage = -qp.ineq_values.ravel()
-        self.d = np.concatenate([d_stage, -qp.term_ineq_values])
+        self.d = -qp.ineq_values.ravel()
 
     def hmv(self, x):
         return self.h * x
@@ -330,55 +331,42 @@ class _StageBackend:
         return out
 
     def cmv(self, x):
-        qp = self.qp
         N, nwk = self.N, self.nwk
-        body = x[:N * nwk].reshape(N, nwk)
-        vals = np.einsum('krw,kw->kr', qp.ineq_jac, body).ravel()
-        if qp.n_l:
-            vals = np.concatenate([vals, qp.term_ineq_jac @ x[N * nwk:]])
-        return vals
+        return bound_rows(self.qp.bound_index,
+                          x[:N * nwk].reshape(N, nwk)).ravel()
 
     def ctmv(self, z):
-        qp = self.qp
-        N, n_r, nwk = self.N, qp.n_r, self.nwk
-        out = np.zeros(qp.n_w)
-        body = out[:N * nwk].reshape(N, nwk)
-        zz = z[:N * n_r].reshape(N, n_r)
-        body += np.einsum('krw,kr->kw', qp.ineq_jac, zz)
-        if qp.n_l:
-            out[N * nwk:] += qp.term_ineq_jac.T @ z[N * n_r:]
+        N, nwk = self.N, self.nwk
+        out = np.zeros(self.qp.n_w)
+        out[:N * nwk].reshape(N, nwk)[:, self.qp.bound_index] += \
+            bound_rows_t(z.reshape(N, -1))
         return out
 
     def factor(self, w):
-        qp = self.qp
         N, n_x, nwk = self.N, self.n_x, self.nwk
-        stage = np.zeros((N, nwk, nwk))
-        term = np.zeros((n_x, n_x))
+        hbar = self.h
         if w is not None and w.size:
-            n_r = qp.n_r
-            wk = w[:N * n_r].reshape(N, n_r)
-            cjt = qp.ineq_jac.transpose(0, 2, 1)
-            stage = (cjt * wk[:, None, :]) @ qp.ineq_jac
-            if qp.n_l:
-                term = (qp.term_ineq_jac.T * w[N * n_r:]) @ qp.term_ineq_jac
-        # Hbar = H + C' W C with H diagonal
-        stage.reshape(N, -1)[:, ::nwk + 1] += self.h[:N * nwk].reshape(N, nwk)
-        term.flat[::n_x + 1] += self.h[N * nwk:]
-        try:
-            p_stage = np.linalg.inv(stage)
-            p_term = np.linalg.inv(term)
-        except np.linalg.LinAlgError:
+            # C'WC is diagonal: the weights of a bound's two rows add up
+            wk = w.reshape(N, -1)
+            hbar = hbar.copy()
+            hbar[:N * nwk].reshape(N, nwk)[:, self.qp.bound_index] += \
+                wk[:, 0::2] + wk[:, 1::2]
+        if not hbar.min() > 0.0:
             raise QPNonconvergenceError(
-                "singular stage Hessian block in the KKT system") from None
+                "stage Hessian of the KKT system is not positive")
+        p = 1.0 / hbar
+        p_stage = p[:N * nwk].reshape(N, nwk)
 
         # stage k couples dual blocks k (through +-x_k) and k+1 (through
         # J_k); block column r of Y holds Y[r, r] and Y[r + 1, r]
-        J = qp.jacobian_blocks
-        pjt = p_stage @ J.transpose(0, 2, 1)
+        J = self.qp.jacobian_blocks
+        pjt = np.ascontiguousarray(
+            (J * p_stage[:, None, :]).transpose(0, 2, 1))
         cols = np.zeros((N + 1, 3 * n_x, n_x))
-        cols[:N, :n_x] = p_stage[:, :n_x, :n_x]
+        diag = cols.reshape(N + 1, -1)[:, :n_x * n_x:n_x + 1]
+        diag[:N] = p_stage[:, :n_x]
         cols[1:, :n_x] += J @ pjt
-        cols[N, :n_x] += p_term
+        diag[N] += p[N * nwk:]
         cols[:N, n_x:2 * n_x] = -pjt[:, :n_x].transpose(0, 2, 1)
         cols[0, n_x:2 * n_x] *= -1.0
         chol, info = _pbtrf(_lower_band(cols, 2 * n_x - 1), lower=1,
@@ -387,23 +375,14 @@ class _StageBackend:
             raise QPNonconvergenceError(
                 "dual Schur complement of the KKT system is not positive "
                 f"definite (banded Cholesky info {info})")
-        return p_stage, p_term, chol
-
-    def _hbar_solve(self, p_stage, p_term, r):
-        N, nwk = self.N, self.nwk
-        out = np.empty_like(r)
-        out[:N * nwk] = np.einsum('kab,kb->ka', p_stage,
-                                  r[:N * nwk].reshape(N, nwk)).ravel()
-        out[N * nwk:] = p_term @ r[N * nwk:]
-        return out
+        return p, chol
 
     def solve2(self, handle, r1, r2):
         """KKT step ``(dx, dy)`` of ``Hbar dx + A' dy = r1``, ``A dx = r2``
         from one banded solve, unrefined (see the module docstring)."""
-        p_stage, p_term, chol = handle
-        t = self._hbar_solve(p_stage, p_term, r1)
-        dy, _ = _pbtrs(chol, self.amv(t) - r2, lower=1)
-        return self._hbar_solve(p_stage, p_term, r1 - self.atmv(dy)), dy
+        p, chol = handle
+        dy, _ = _pbtrs(chol, self.amv(p * r1) - r2, lower=1)
+        return p * (r1 - self.atmv(dy)), dy
 
 
 def _modified_gradient(qp: QPData) -> np.ndarray:
@@ -419,10 +398,7 @@ def _modified_gradient(qp: QPData) -> np.ndarray:
     body[0, :n_x] -= qp.lam[0]
     body[1:, :n_x] += qp.lam[1:N]
     g[N * nwk:] += qp.lam[N]
-    if qp.n_r:
-        body -= np.einsum('krw,kr->kw', qp.ineq_jac, qp.mu)
-    if qp.n_l:
-        g[N * nwk:] -= qp.term_ineq_jac.T @ qp.mu_term
+    body[:, qp.bound_index] -= bound_rows_t(qp.mu)
     return g
 
 
@@ -437,8 +413,7 @@ def solve(qp: QPData, tol: float = 1e-8) -> QPSolution:
     x, y, z, res, iters = _mehrotra(backend, tol)
     z = z.copy()
     z[z < _MU_TRUNCATE] = 0.0
-    mu_in = np.concatenate([qp.mu.ravel(), qp.mu_term])
     slack = backend.d - backend.cmv(x)
     active = (z > _ACTIVE_MU) | (slack < _ACTIVE_SLACK)
-    return QPSolution(dw=x, dlam=y - qp.lam.ravel(), dmu=z - mu_in,
+    return QPSolution(dw=x, dlam=y - qp.lam.ravel(), dmu=z - qp.mu.ravel(),
                       active_set=active, kkt_residual=res, iterations=iters)

@@ -105,7 +105,7 @@ class ControllerState:
 def _triple_dim(model: ModelSpec, N: int) -> int:
     n_w = N * (model.n_x + model.n_u) + model.n_x
     n_eq = (N + 1) * model.n_x
-    n_in = N * model.n_r + model.n_l
+    n_in = N * model.n_r
     return n_w + n_eq + n_in
 
 

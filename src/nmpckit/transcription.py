@@ -4,8 +4,9 @@ The decision vector stacks ``(x_0, u_0, ..., x_{N-1}, u_{N-1}, x_N)``.
 Equality rows stack the measurement embedding ``x_0 - x_hat`` followed by
 the continuity residuals ``phi_k(x_k, u_k) - x_{k+1}``; their Jacobian is
 block banded with an identity in the first block row and ``[dphi_k, -I]``
-rows below it. Inequality rows stack the per-node path constraints and the
-terminal constraint.
+rows below it. Inequality rows are the per-node box bounds: each bounded
+component ``z_i`` of ``z_k = (x_k, u_k)`` gives the rows ``z_i - l_i`` and
+``-z_i - l_i``, so their Jacobian is a signed selection that nothing stores.
 
 The QP objective gradient is the gradient of the problem Lagrangian with
 exact sensitivities, while equality rows may carry stale Jacobian blocks;
@@ -58,19 +59,17 @@ class Multipliers:
 
     lam: np.ndarray      # (N+1, n_x)
     mu: np.ndarray       # (N, n_r)
-    mu_term: np.ndarray  # (n_l,)
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
         self.mu = np.asarray(self.mu, dtype=float)
-        self.mu_term = np.asarray(self.mu_term, dtype=float)
 
     def copy(self) -> "Multipliers":
-        return Multipliers(self.lam.copy(), self.mu.copy(), self.mu_term.copy())
+        return Multipliers(self.lam.copy(), self.mu.copy())
 
     @classmethod
-    def zeros(cls, N: int, n_x: int, n_r: int, n_l: int = 0) -> "Multipliers":
-        return cls(np.zeros((N + 1, n_x)), np.zeros((N, n_r)), np.zeros(n_l))
+    def zeros(cls, N: int, n_x: int, n_r: int) -> "Multipliers":
+        return cls(np.zeros((N + 1, n_x)), np.zeros((N, n_r)))
 
 
 @dataclass
@@ -97,8 +96,10 @@ class QPData:
     equality rows, which may be stale. The Gauss-Newton Hessian of the
     tracking cost is diagonal, constant along the trajectory and free of
     multipliers; ``stage_hessians`` and ``term_hessian`` hold its diagonals,
-    the model's weights. Current multipliers ride along so the solver can
-    return increments.
+    the model's weights. ``bound_index`` names the bounded components of
+    each ``(x_k, u_k)``; ``ineq_values`` holds their rows, two per bound
+    (see :func:`bound_rows`). Current multipliers ride along so the solver
+    can return increments.
     """
 
     stage_hessians: np.ndarray       # (N, n_x+n_u) Gauss-Newton diagonals
@@ -106,14 +107,11 @@ class QPData:
     gradient: np.ndarray             # (n_w,)
     continuity_residuals: np.ndarray  # (N+1, n_x); row 0 is the embedding
     jacobian_blocks: np.ndarray      # (N, n_x, n_x+n_u)
+    bound_index: np.ndarray          # (n_r/2,) bounded components of w_k
     ineq_values: np.ndarray          # (N, n_r)
-    ineq_jac: np.ndarray             # (N, n_r, n_x+n_u)
-    term_ineq_values: np.ndarray     # (n_l,)
-    term_ineq_jac: np.ndarray        # (n_l, n_x)
     measurement: np.ndarray          # (n_x,)
     lam: np.ndarray                  # (N+1, n_x) current equality multipliers
     mu: np.ndarray                   # (N, n_r)
-    mu_term: np.ndarray              # (n_l,)
 
     def __post_init__(self):
         N, n_x, nwk = (self.jacobian_blocks.shape[0],
@@ -123,12 +121,12 @@ class QPData:
                 or self.term_hessian.shape != (n_x,) \
                 or self.continuity_residuals.shape != (N + 1, n_x) \
                 or self.gradient.shape != (N * nwk + n_x,) \
-                or self.lam.shape != (N + 1, n_x):
+                or self.lam.shape != (N + 1, n_x) \
+                or self.ineq_values.shape != (N, 2 * self.bound_index.size):
             raise AssemblyError("inconsistent QP block shapes")
         for arr in (self.stage_hessians, self.term_hessian, self.gradient,
                     self.continuity_residuals, self.jacobian_blocks,
-                    self.ineq_values, self.ineq_jac, self.term_ineq_values,
-                    self.term_ineq_jac, self.measurement):
+                    self.ineq_values, self.measurement):
             if not np.all(np.isfinite(arr)):
                 raise AssemblyError("non-finite entry in QP data")
 
@@ -153,10 +151,6 @@ class QPData:
         return self.ineq_values.shape[1]
 
     @property
-    def n_l(self) -> int:
-        return self.term_ineq_values.shape[0]
-
-    @property
     def n_w(self) -> int:
         return self.N * self.n_wk + self.n_x
 
@@ -166,7 +160,7 @@ class QPData:
 
     @property
     def n_in(self) -> int:
-        return self.N * self.n_r + self.n_l
+        return self.N * self.n_r
 
 
 def split_primal(dw: np.ndarray, N: int, n_x: int, n_u: int):
@@ -175,6 +169,19 @@ def split_primal(dw: np.ndarray, N: int, n_x: int, n_u: int):
     body = dw[:N * nwk].reshape(N, nwk)
     dxs = np.vstack([body[:, :n_x], dw[N * nwk:][None, :]])
     return dxs, body[:, n_x:]
+
+
+def bound_rows(bound_index: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Rows ``(z_i, -z_i)`` of each bounded component, per node: the
+    product of the inequality Jacobian with ``nodes`` (N, n_x+n_u)."""
+    sel = nodes[:, bound_index, None] * np.array([1.0, -1.0])
+    return sel.reshape(nodes.shape[0], -1)
+
+
+def bound_rows_t(rows: np.ndarray) -> np.ndarray:
+    """Transposed product of :func:`bound_rows` with per-node row values
+    ``rows`` (N, n_r), on the bounded components only: (N, n_r/2)."""
+    return rows[:, 0::2] - rows[:, 1::2]
 
 
 def _objective_gradient(traj: Trajectory, model: ModelSpec, refs: References):
@@ -225,12 +232,7 @@ def lagrangian_gradient(traj: Trajectory, mult: Multipliers, model: ModelSpec,
     g_nodes[0, :n_x] += mult.lam[0]
     g_nodes[1:, :n_x] -= mult.lam[1:N]
     g_term = g_term - mult.lam[N]
-    if model.n_r:
-        cjac = model.path_constraint_jacobian(traj.xs[:-1], traj.us)
-        g_nodes = g_nodes + np.einsum('kr,krw->kw', mult.mu, cjac)
-    if model.n_l:
-        tjac = model.terminal_constraint_jacobian(traj.xs[-1])
-        g_term = g_term + mult.mu_term @ tjac
+    g_nodes[:, model.bound_index] += bound_rows_t(mult.mu)
     return np.concatenate([g_nodes.ravel(), g_term])
 
 
@@ -258,29 +260,15 @@ def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
     resid = np.empty((N + 1, n_x))
     resid[0] = traj.xs[0] - x_hat
     resid[1:] = phis - traj.xs[1:]
-
-    if model.n_r:
-        ineq_values = model.path_constraint(traj.xs[:-1], traj.us)
-        ineq_jac = model.path_constraint_jacobian(traj.xs[:-1], traj.us)
-    else:
-        ineq_values = np.zeros((N, 0))
-        ineq_jac = np.zeros((N, 0, n_x + model.n_u))
-    if model.n_l:
-        term_ineq = np.asarray(model.terminal_constraint(traj.xs[-1]), dtype=float)
-        term_jac = np.asarray(model.terminal_constraint_jacobian(traj.xs[-1]),
-                              dtype=float)
-    else:
-        term_ineq = np.zeros(0)
-        term_jac = np.zeros((0, n_x))
+    ineq_values = bound_rows(model.bound_index, traj.nodes()) \
+        - np.repeat(model.bound_limit, 2)
     return QPData(
         stage_hessians=np.tile(model.stage_weights, (N, 1)),
         term_hessian=model.terminal_weights.copy(),
         gradient=gradient,
         continuity_residuals=resid, jacobian_blocks=np.array(blocks),
-        ineq_values=ineq_values, ineq_jac=ineq_jac,
-        term_ineq_values=term_ineq, term_ineq_jac=term_jac,
-        measurement=x_hat, lam=mult.lam.copy(), mu=mult.mu.copy(),
-        mu_term=mult.mu_term.copy())
+        bound_index=model.bound_index, ineq_values=ineq_values,
+        measurement=x_hat, lam=mult.lam.copy(), mu=mult.mu.copy())
 
 
 def apply_step(traj: Trajectory, mult: Multipliers, sol):
@@ -293,14 +281,10 @@ def apply_step(traj: Trajectory, mult: Multipliers, sol):
     dxs, dus = split_primal(sol.dw, N, n_x, n_u)
     new_traj = Trajectory(traj.xs + dxs, traj.us + dus)
     new_lam = mult.lam + sol.dlam.reshape(N + 1, n_x)
-    n_r = mult.mu.shape[1]
-    dmu = sol.dmu[:N * n_r].reshape(N, n_r)
-    new_mu = mult.mu + dmu
-    new_mu_term = mult.mu_term + sol.dmu[N * n_r:]
-    low = min(new_mu.min(initial=0.0), new_mu_term.min(initial=0.0))
+    new_mu = mult.mu + sol.dmu.reshape(mult.mu.shape)
+    low = new_mu.min(initial=0.0)
     if low < -1e-8:
         raise ContractViolationError(
             f"inequality multiplier became negative ({low:.3e})")
     np.clip(new_mu, 0.0, None, out=new_mu)
-    np.clip(new_mu_term, 0.0, None, out=new_mu_term)
-    return new_traj, Multipliers(new_lam, new_mu, new_mu_term)
+    return new_traj, Multipliers(new_lam, new_mu)

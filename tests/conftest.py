@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 from nmpckit import integrator as intg
-from nmpckit import models, perturbation as pert, qp_solver
+from nmpckit import harness, models, perturbation as pert, qp_solver
 from nmpckit import transcription as trc
 from nmpckit.cmon import SensitivityStore
 
@@ -80,13 +80,14 @@ def dense_equality_jacobian(qp):
 
 
 def dense_inequality_jacobian(qp):
-    """Dense ``(n_in, n_w)`` inequality Jacobian."""
+    """Dense ``(n_in, n_w)`` inequality Jacobian: bound ``b`` of stage k
+    gives the rows ``+e_i`` and ``-e_i`` on component ``bound_index[b]``."""
     N, n_r, nwk = qp.N, qp.n_r, qp.n_wk
     C = np.zeros((qp.n_in, qp.n_w))
     for k in range(N):
-        C[k * n_r:(k + 1) * n_r, k * nwk:(k + 1) * nwk] = qp.ineq_jac[k]
-    if qp.n_l:
-        C[N * n_r:, N * nwk:] = qp.term_ineq_jac
+        for b, i in enumerate(qp.bound_index):
+            C[k * n_r + 2 * b, k * nwk + i] = 1.0
+            C[k * n_r + 2 * b + 1, k * nwk + i] = -1.0
     return C
 
 
@@ -97,7 +98,7 @@ def dense_kkt_matrix(qp, sol):
     H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
-    z_tot = sol.dmu + np.concatenate([qp.mu.ravel(), qp.mu_term])
+    z_tot = sol.dmu + qp.mu.ravel()
     c_sol = pert._inequality_at_solution(qp, sol)
 
     M = np.zeros((n, n))
@@ -183,13 +184,13 @@ def stage_permutation(qp):
     ``dense_kkt_matrix(qp, sol)[p][:, p]``.
 
     Stage order runs ``(lam_k, w_k, mu_k)`` for k < N, then
-    ``(lam_N, x_N, mu_term)``.
+    ``(lam_N, x_N)``.
     """
     N, n_x, nwk, n_r = qp.N, qp.n_x, qp.n_wk, qp.n_r
     lam0 = qp.n_w + qp.n_in
     parts = []
     for k in range(N + 1):
-        n_wk, n_mu = (nwk, n_r) if k < N else (n_x, qp.n_l)
+        n_wk, n_mu = (nwk, n_r) if k < N else (n_x, 0)
         parts += [lam0 + k * n_x + np.arange(n_x),
                   k * nwk + np.arange(n_wk),
                   qp.n_w + k * n_r + np.arange(n_mu)]
@@ -200,6 +201,30 @@ def wml_order(qp, M):
     """Dense copy of the stage-ordered ``M`` in (w, mu, lam) ordering."""
     inv = np.argsort(stage_permutation(qp))
     return M.toarray()[np.ix_(inv, inv)]
+
+
+def parse_log_csv(path):
+    """Inverse of ``harness.export_log_csv`` (round-trip exact)."""
+    lines = pathlib.Path(path).read_text().strip().split("\n")
+    header = lines[0].split(",")
+    n_x = sum(1 for h in header if h.startswith("x") and h[1:].isdigit())
+    n_u = sum(1 for h in header if h.startswith("u") and h[1:].isdigit())
+    body = [ln.split(",") for ln in lines[1:]]
+    inst = body[:-1]
+    times = np.array([float(r[0]) for r in inst])
+    states = np.array([[float(v) for v in r[1:1 + n_x]]
+                       for r in body])
+    controls = np.array([[float(v) for v in r[1 + n_x:1 + n_x + n_u]]
+                         for r in inst]).reshape(len(inst), n_u)
+    diag = {}
+    for j, cname in enumerate(harness._DIAG_COLUMNS):
+        col = 1 + n_x + n_u + j
+        diag[cname] = np.array([float(r[col]) for r in inst])
+    t_s = times[1] - times[0] if times.size > 1 else (
+        float(body[-1][0]) - times[0] if times.size else 0.0)
+    return harness.SimulationLog(t_s=t_s, times=times, states=states,
+                                 controls=controls, diag=diag,
+                                 ref_windows=np.zeros((len(inst), 0, n_x)))
 
 
 def build_n(qp, sol):

@@ -7,11 +7,11 @@ import numpy.testing as npt
 import pytest
 import yaml
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, parse_log_csv
 from nmpckit import cli, errors, harness, schemes
 from nmpckit.errors import ConfigError
 from nmpckit.harness import (SimulationLog, closed_loop_simulate,
-                             export_log_csv, load_scenario, parse_log_csv,
+                             export_log_csv, load_scenario,
                              perturbed_chain_state, randomized_chain_trials,
                              stabilizing_time, write_manifest)
 
@@ -339,6 +339,20 @@ def test_manifest_echoes_config(tmp_path):
     assert "trials: 10" in doc["config_echo"]
     assert doc["trials"] == 2
     assert doc["track_dto"] is True
+
+
+def test_manifest_of_config_built_in_code_has_no_echo(tmp_path):
+    # no file text to echo: the manifest says so instead of guessing one
+    doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
+    s = harness.scenario_from_dict(doc, name="in_code")
+    assert s.raw_text == ""
+    path = tmp_path / "manifest.json"
+    write_manifest(s, path)
+    manifest = json.loads(path.read_text())
+    assert manifest["config_echo"] is None
+    assert manifest["scenario"] == "in_code"
+    assert manifest["scheme"] == "cmon"
+    assert manifest["seed"] == 0
 
 
 def test_cli_single_run(tmp_path):

@@ -3,8 +3,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import adjoint, sensitivities
-from nmpckit import models
+from conftest import adjoint, assemble_qp, sensitivities
+from nmpckit import integrator as intg
+from nmpckit import models, transcription as trc
 from nmpckit.errors import ModelEvaluationError, SingularGeometryError
 
 # cart-pendulum accelerations derived independently from the Lagrangian
@@ -72,26 +73,38 @@ def test_pendulum_rhs_broadcasts(pendulum, rng):
     npt.assert_array_equal(fu[0], fu0)
 
 
+def _qp_bound_rows(model, x, u):
+    """``build_qp``'s inequality rows of the one-node trajectory (x, u)."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    traj = trc.Trajectory(np.stack([x, x]), u[None])
+    refs = trc.References(np.zeros((2, model.n_x)), np.zeros((1, model.n_u)))
+    qp = assemble_qp(model, traj, trc.Multipliers.zeros(1, model.n_x,
+                                                        model.n_r),
+                     x, refs, intg.IntegratorConfig(dt=0.05, substeps=1))
+    return qp.ineq_values[0]
+
+
+def _selection(n_w, rows):
+    """Explicit +-1 selection: row r reads component rows[r][0] with
+    sign rows[r][1]."""
+    C = np.zeros((len(rows), n_w))
+    for r, (i, sign) in enumerate(rows):
+        C[r, i] = sign
+    return C
+
+
 def test_pendulum_path_constraint_rows(pendulum):
     # box rows |p| <= 1, |F| <= 20 in the r <= 0 convention
-    r = pendulum.path_constraint(np.array([0.4, 0.0, 0.0, 0.0]),
-                                 np.array([-3.0]))
-    assert r.shape == (pendulum.n_r,)
-    assert np.all(r < 0)
-    r_hit = pendulum.path_constraint(np.array([1.0, 0.0, 0.0, 0.0]),
-                                     np.array([20.0]))
+    C = _selection(5, [(0, 1.0), (0, -1.0), (4, 1.0), (4, -1.0)])
+    limits = np.array([1.0, 1.0, 20.0, 20.0])
+    for x, u in (([0.4, 0.0, 0.0, 0.0], [-3.0]),
+                 ([0.2, 0.1, -0.3, 0.5], [4.0])):
+        r = _qp_bound_rows(pendulum, x, u)
+        assert r.shape == (pendulum.n_r,)
+        assert np.all(r < 0)
+        npt.assert_array_equal(r, C @ np.concatenate([x, u]) - limits)
+    r_hit = _qp_bound_rows(pendulum, [1.0, 0.0, 0.0, 0.0], [20.0])
     assert np.isclose(r_hit.max(), 0.0)
-    # constraint jacobian against finite differences
-    x = np.array([0.2, 0.1, -0.3, 0.5])
-    u = np.array([4.0])
-    J = pendulum.path_constraint_jacobian(x, u)
-    h = 1e-7
-    for j in range(5):
-        e = np.zeros(5)
-        e[j] = h
-        hi = pendulum.path_constraint(x + e[:4], u + e[4:])
-        lo = pendulum.path_constraint(x - e[:4], u - e[4:])
-        npt.assert_allclose(J[:, j], (hi - lo) / (2 * h), atol=1e-6)
 
 
 def test_pendulum_rejects_nonfinite(pendulum):
@@ -208,8 +221,14 @@ def test_chain_coincident_points_raise():
 
 
 def test_chain_control_constraint(chain):
-    r = chain.path_constraint(np.zeros(chain.n_x), np.array([0.3, -1.0, 0.9]))
+    n_x = chain.n_x
+    x = models.chain_steady_state(chain.meta["params"], [1.0, 0.0, 0.0])
+    u = np.array([0.3, -1.0, 0.9])
+    r = _qp_bound_rows(chain, x, u)
     assert r.shape == (6,)
+    C = _selection(n_x + 3, [(n_x + j, s) for j in range(3)
+                             for s in (1.0, -1.0)])
+    npt.assert_array_equal(r, C @ np.concatenate([x, u]) - 1.0)
     assert np.isclose(r.max(), 0.0)    # the -1 component sits on the bound
     assert np.all(r <= 1e-15)
 
@@ -220,6 +239,20 @@ def test_model_spec_validates_weights():
     with pytest.raises(ValueError):
         models.make_pendulum_model(
             stage_weights=[-1.0, 1.0, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("index, limit", [
+    ([0, 0], [1.0, 2.0]),      # one component bounded twice
+    ([5], [1.0]),              # past the end of (x, u)
+    ([0, 4], [1.0]),           # unpaired limit
+])
+def test_model_spec_validates_bounds(pendulum, index, limit):
+    with pytest.raises(ValueError):
+        models.ModelSpec(n_x=4, n_u=1, rhs=pendulum.rhs,
+                         rhs_jacobians=pendulum.rhs_jacobians,
+                         stage_weights=np.ones(5),
+                         terminal_weights=np.ones(4),
+                         bound_index=index, bound_limit=limit)
 
 
 def test_pendulum_mass_matrix_never_degenerates(pendulum):

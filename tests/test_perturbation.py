@@ -171,31 +171,20 @@ def chain_preparation():
         mp.setattr(schemes, "conditioning_constants", lambda M: (1.0, 1.0))
         schemes.initialize_controller(
             model, s.integrator(), s.scheme, harness.steady_horizon(s),
-            trc.Multipliers.zeros(N, model.n_x, model.n_r, model.n_l),
+            trc.Multipliers.zeros(N, model.n_x, model.n_r),
             refs0=s.schedule.window(0.0, N, s.t_s),
             x_hat0=harness.perturbed_chain_state(s, 0))
     (qp, sol), = captured
     return qp, sol
 
 
-def _with_terminal_rows(qp, rng):
-    """The subproblem with two inactive terminal inequalities added."""
-    return dataclasses.replace(
-        qp, term_ineq_values=np.array([-0.5, -0.7]),
-        term_ineq_jac=rng.standard_normal((2, qp.n_x)),
-        mu_term=np.array([0.1, 0.2]))
-
-
-@pytest.mark.parametrize("case", ["pendulum", "pendulum-terminal", "chain"])
+@pytest.mark.parametrize("case", ["pendulum", "chain"])
 def test_sparse_m_equals_permuted_dense_oracle(case, pendulum, rng, request):
     if case == "chain":
         qp, sol = request.getfixturevalue("chain_preparation")
         assert sol.active_set.any()
     else:
         qp, sol = _pendulum_qp_sol(pendulum, rng)
-        if case == "pendulum-terminal":
-            qp = _with_terminal_rows(qp, rng)
-            sol = qp_solver.solve(qp, tol=1e-10)
     M = pert.build_m(qp, sol)
     assert scipy.sparse.issparse(M)
     p = stage_permutation(qp)

@@ -145,10 +145,10 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
     lam_flat = qp.lam.ravel()
-    mu_flat = np.concatenate([qp.mu.ravel(), qp.mu_term])
+    mu_flat = qp.mu.ravel()
     g_obj = qp.gradient - A.T @ lam_flat - C.T @ mu_flat
     b = -qp.continuity_residuals.ravel()
-    d = -np.concatenate([qp.ineq_values.ravel(), qp.term_ineq_values])
+    d = -qp.ineq_values.ravel()
     x, y, z, info = solve_dense(H, g_obj, A, b, C, d, tol=1e-10)
 
     if case == "chain":
@@ -171,7 +171,7 @@ def test_stage_solution_satisfies_kkt(case, pendulum, rng):
                                 for h in (*qp.stage_hessians,
                                           qp.term_hessian)]))
     lam_flat = qp.lam.ravel()
-    mu_flat = np.concatenate([qp.mu.ravel(), qp.mu_term])
+    mu_flat = qp.mu.ravel()
     g_obj = qp.gradient - A.T @ lam_flat - C.T @ mu_flat
     stat = H @ sol.dw + g_obj + A.T @ (lam_flat + sol.dlam) \
         + C.T @ (mu_flat + sol.dmu)
@@ -179,11 +179,10 @@ def test_stage_solution_satisfies_kkt(case, pendulum, rng):
     # primal feasibility of the increments
     npt.assert_allclose(A @ sol.dw, -qp.continuity_residuals.ravel(),
                         atol=1e-8)
-    slack = C @ sol.dw + np.concatenate([qp.ineq_values.ravel(),
-                                         qp.term_ineq_values])
+    slack = C @ sol.dw + qp.ineq_values.ravel()
     assert slack.max() <= 1e-8
     # multiplier totals stay nonnegative
-    mu_tot = sol.dmu + np.concatenate([qp.mu.ravel(), qp.mu_term])
+    mu_tot = sol.dmu + qp.mu.ravel()
     assert mu_tot.min() >= -1e-10
     # complementarity
     assert np.abs(mu_tot * slack).max() <= 1e-7

@@ -277,7 +277,6 @@ def test_offline_iteration_matches_controller_step(pendulum, kind):
     npt.assert_array_equal(res.traj.us, state.traj.us)
     npt.assert_array_equal(res.mult.lam, state.mult.lam)
     npt.assert_array_equal(res.mult.mu, state.mult.mu)
-    npt.assert_array_equal(res.mult.mu_term, state.mult.mu_term)
 
 
 @pytest.mark.parametrize("kind, interval",

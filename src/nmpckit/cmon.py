@@ -91,15 +91,16 @@ class SensitivityStore:
         """Blocks exact at ``traj``: their node has not moved since."""
         return np.all(self.node_points == traj.nodes(), axis=1)
 
-    def refresh(self, model: ModelSpec, traj, stages: np.ndarray,
+    def refresh(self, model: ModelSpec, traj, jacs,
                 cfg: intg.IntegratorConfig, mask: np.ndarray) -> int:
-        """Recompute the masked blocks at the trajectory, whose RK4 stage
-        states are ``stages``; returns the count."""
+        """Recompute the masked blocks from the trajectory's stage
+        Jacobians ``jacs`` (:func:`integrator.stage_jacobians`); returns
+        the count."""
         mask = np.asarray(mask, dtype=bool)
         if not np.any(mask):
             return 0
         self.blocks[mask] = intg.forward_sensitivity_batch(
-            model, stages[mask], traj.us[mask], cfg)
+            model, *intg.node_subset(jacs, mask), cfg)
         self.node_points[mask] = traj.nodes()[mask]
         return int(mask.sum())
 
@@ -143,11 +144,11 @@ def dual_cmon(adj_rows_now: np.ndarray,
     return _safe_ratio(num, den)
 
 
-def adjoint_rows(model: ModelSpec, stages: np.ndarray, us: np.ndarray,
-                 cfg: intg.IntegratorConfig, *seeds: np.ndarray):
+def adjoint_rows(model: ModelSpec, jacs, cfg: intg.IntegratorConfig,
+                 *seeds: np.ndarray):
     """Exact rows ``seed_k^T dphi_k`` at every interval, one array per
-    seed array, from one reverse sweep over the RK4 stage states."""
-    rows = intg.adjoint_batch(model, stages, us, cfg, np.stack(seeds, axis=1))
+    seed array, from one reverse sweep over the stage Jacobians ``jacs``."""
+    rows = intg.adjoint_batch(model, *jacs, cfg, np.stack(seeds, axis=1))
     return tuple(rows[:, i] for i in range(len(seeds)))
 
 

@@ -5,10 +5,11 @@ steps with the control held constant. Sensitivities differentiate the
 discrete scheme itself (variational RK4), so forward and adjoint products
 agree with each other to rounding and with the integrator map exactly.
 
-One stage record is shared by all three kernels: :func:`integrate_batch`
-returns the states the right-hand side was evaluated at, and both
-sensitivity sweeps read that record, or a node subset of it, instead of
-integrating again. All kernels are batched over leading node dimensions.
+One stage record is shared by all kernels: :func:`integrate_batch`
+returns the states the right-hand side was evaluated at, one
+:func:`stage_jacobians` call adds the model Jacobians at all of them, and
+both sensitivity sweeps read those, or a node subset of them, instead of
+evaluating the model. All kernels are batched over leading node dimensions.
 """
 
 from dataclasses import dataclass
@@ -63,24 +64,36 @@ def integrate_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
     return x, np.stack(stages, axis=-2)
 
 
-def forward_sensitivity_batch(model: ModelSpec, stages, u,
+def stage_jacobians(model: ModelSpec, stages, u):
+    """Model Jacobians at every stage state of :func:`integrate_batch`, in
+    one call: ``(..., 4 * substeps, n_x, n_x)`` and ``(..., 4 * substeps,
+    n_x, n_u)``, the record both sensitivity sweeps read."""
+    u = np.asarray(u, dtype=float)
+    return model.rhs_jacobians(stages, u[..., None, :])
+
+
+def node_subset(jacs, mask):
+    """The stage Jacobians ``jacs`` at the masked nodes, without a copy
+    when every node is masked."""
+    return jacs if np.all(mask) else tuple(a[mask] for a in jacs)
+
+
+def forward_sensitivity_batch(model: ModelSpec, jac_x, jac_u,
                               cfg: IntegratorConfig):
     """Exact Jacobian ``(..., n_x, n_x + n_u)`` of the discrete shooting
-    map w.r.t. ``(x0, u)``, from the stage states of :func:`integrate_batch`.
+    map w.r.t. ``(x0, u)``, from the record of :func:`stage_jacobians`.
     """
-    u = np.asarray(u, dtype=float)
     n_x, n_u = model.n_x, model.n_u
-    S = np.zeros(stages.shape[:-2] + (n_x, n_x + n_u))
+    S = np.zeros(jac_x.shape[:-3] + (n_x, n_x + n_u))
     S[..., :, :n_x] = np.eye(n_x)
     h = cfg.dt / cfg.substeps
 
     def stage(j, S_in):
-        A, B = model.rhs_jacobians(stages[..., j, :], u)
-        K = A @ S_in
-        K[..., :, n_x:] += B
+        K = jac_x[..., j, :, :] @ S_in
+        K[..., :, n_x:] += jac_u[..., j, :, :]
         return K
 
-    for j in range(0, stages.shape[-2], 4):
+    for j in range(0, jac_x.shape[-3], 4):
         K1 = stage(j, S)
         K2 = stage(j + 1, S + 0.5 * h * K1)
         K3 = stage(j + 2, S + 0.5 * h * K2)
@@ -95,9 +108,10 @@ def _row_products(w, M):
     return np.einsum('...kx,...xy->...ky', w, M)
 
 
-def adjoint_batch(model: ModelSpec, stages, u, cfg: IntegratorConfig, seeds):
+def adjoint_batch(model: ModelSpec, jac_x, jac_u, cfg: IntegratorConfig,
+                  seeds):
     """Adjoint directional sensitivities ``seed^T d(end state)/d(x0, u)``
-    from the stage states of :func:`integrate_batch`.
+    from the record of :func:`stage_jacobians`.
 
     Parameters
     ----------
@@ -108,16 +122,13 @@ def adjoint_batch(model: ModelSpec, stages, u, cfg: IntegratorConfig, seeds):
     -------
     rows : ndarray, shape (..., k, n_x + n_u)
     """
-    u = np.asarray(u, dtype=float)
     h = cfg.dt / cfg.substeps
     lam = np.array(seeds, dtype=float)
     lu = np.zeros(lam.shape[:-1] + (model.n_u,))
     c_end, c_mid = h / 6.0, h / 3.0
-    for j in reversed(range(0, stages.shape[-2], 4)):
-        A1, B1 = model.rhs_jacobians(stages[..., j, :], u)
-        A2, B2 = model.rhs_jacobians(stages[..., j + 1, :], u)
-        A3, B3 = model.rhs_jacobians(stages[..., j + 2, :], u)
-        A4, B4 = model.rhs_jacobians(stages[..., j + 3, :], u)
+    for j in reversed(range(0, jac_x.shape[-3], 4)):
+        A1, A2, A3, A4 = (jac_x[..., j + i, :, :] for i in range(4))
+        B1, B2, B3, B4 = (jac_u[..., j + i, :, :] for i in range(4))
         w4 = c_end * lam
         t4 = _row_products(w4, A4)
         w3 = c_mid * lam + h * t4

@@ -17,7 +17,8 @@ leaves them unchanged, so nothing depends on the order. Up to
 it, the spectrum comes from the eigenvalues of the Gram matrix ``M'M``,
 which is banded as well and goes to LAPACK's symmetric band eigensolver.
 Squaring the spectrum costs accuracy in the smallest singular values, so
-the Gram route serves only the sizes where the dense SVD is too slow.
+the Gram route serves only the sizes where the dense SVD is too slow, and
+hands back to it when its smallest eigenvalue sits at its rounding floor.
 """
 
 from dataclasses import dataclass, replace
@@ -116,9 +117,7 @@ def _gram_eigenvalues(M: scipy.sparse.csr_array) -> np.ndarray:
     """Eigenvalues of ``M'M``, ascending, from its lower band.
 
     The band width is read off the Gram's sparsity, so the stage order of
-    :func:`build_m` keeps it narrow. Raises
-    :class:`NearSingularMatrixError` when the smallest eigenvalue sits at
-    the rounding floor, where the Gram route cannot tell it from zero.
+    :func:`build_m` keeps it narrow.
     """
     gram = scipy.sparse.tril(M.T @ M, format="coo")
     lag = gram.row - gram.col
@@ -128,12 +127,6 @@ def _gram_eigenvalues(M: scipy.sparse.csr_array) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(
             f"banded Gram eigenvalues did not converge (dsbev info {info})")
-    if eigs[0] <= _GRAM_FLOOR * eigs[-1]:
-        smin = float(np.sqrt(max(eigs[0], 0.0)))
-        raise NearSingularMatrixError(
-            f"subproblem matrix numerically singular (sigma_min {smin:.3e} "
-            f"at the Gram rounding floor of sigma_max "
-            f"{np.sqrt(eigs[-1]):.3e})", sigma_min=smin)
     return eigs
 
 
@@ -141,13 +134,15 @@ def singular_values(M) -> np.ndarray:
     """Full spectrum of a dense or sparse square matrix, descending.
 
     Up to ``_DENSE_SVD_LIMIT`` rows this is ``svdvals`` of the dense
-    matrix; larger matrices go through the banded Gram route.
+    matrix; larger matrices go through the banded Gram route unless it
+    cannot tell its smallest eigenvalue from zero.
     """
-    if M.shape[0] <= _DENSE_SVD_LIMIT:
-        dense = M.toarray() if scipy.sparse.issparse(M) else M
-        return scipy.linalg.svdvals(dense)
-    eigs = _gram_eigenvalues(scipy.sparse.csr_array(M))
-    return np.sqrt(eigs)[::-1]
+    if M.shape[0] > _DENSE_SVD_LIMIT:
+        eigs = _gram_eigenvalues(scipy.sparse.csr_array(M))
+        if eigs[0] > _GRAM_FLOOR * eigs[-1]:
+            return np.sqrt(eigs)[::-1]
+    dense = M.toarray() if scipy.sparse.issparse(M) else M
+    return scipy.linalg.svdvals(dense)
 
 
 def conditioning_constants(M):

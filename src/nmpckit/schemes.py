@@ -121,6 +121,11 @@ def _new_state(model: ModelSpec, integ: intg.IntegratorConfig,
         n_dim=_triple_dim(model, N))
     if cfg.scheme == "cmon":
         state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, 0.0)
+    # glibc maps each block above its mmap threshold afresh, faulting in
+    # every page, and raises the threshold to the size of such a block when
+    # it is freed; freeing one twice the size of an instant's stage
+    # Jacobians keeps them and their sweeps on reused heap pages
+    np.empty(2 * N * 4 * integ.substeps * model.n_x * (model.n_x + model.n_u))
     return state
 
 
@@ -142,8 +147,9 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
     traj = state.traj
     if cfg.scheme != "cmon":
         _, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
-        state.store.refresh(model, traj, stages, integ,
-                            np.ones(traj.horizon, dtype=bool))
+        state.store.refresh(model, traj,
+                            intg.stage_jacobians(model, stages, traj.us),
+                            integ, np.ones(traj.horizon, dtype=bool))
         return state
     if refs0 is None:
         raise ConfigError("the cmon scheme needs preparation references")
@@ -158,15 +164,17 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
 def _linearize(state: ControllerState, x_hat, refs: References):
     """Stages 1 and 2 of the step and the assembly of stage 3.
 
-    Returns ``(qp, phis, stages, diag)``: the subproblem, the integration
-    values at the nodes and their RK4 stage states, which every sweep
-    reads, and the instant's diagnostics without the solve's entries.
+    Returns ``(qp, phis, jacs, diag)``: the subproblem, the integration
+    values at the nodes, the Jacobians at their RK4 stage states, which
+    every sweep reads (``None`` when no sweep ran: then every block is
+    exact), and the instant's diagnostics without the solve's entries.
     """
     model, integ, cfg = state.model, state.integ, state.cfg
     store, traj = state.store, state.traj
     N = traj.horizon
     lam_seeds = state.mult.lam[1:]
     phis, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
+    jacs = None                 # evaluated once, when a sweep first needs it
     kappa = kappa_dual = np.zeros(N)
     eta_pri = eta_dual = np.inf
     lam_rows = None             # exact gradient rows at every node
@@ -177,7 +185,8 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         if store.has_caches():
             kappa = primal_cmon(phis, store.prev_phi, store.prev_dir_pri)
             # one sweep serves the dual measure and the stale gradient rows
-            rows_now, lam_rows = adjoint_rows(model, stages, traj.us, integ,
+            jacs = intg.stage_jacobians(model, stages, traj.us)
+            rows_now, lam_rows = adjoint_rows(model, jacs, integ,
                                               store.prev_dlam, lam_seeds)
             kappa_dual = dual_cmon(rows_now, store.prev_dir_dual)
             v_pri = float(np.linalg.norm(store.prev_dir_pri))
@@ -191,12 +200,14 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         full = cfg.scheme == "rti" or (
             cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0)
         mask = np.full(N, full) | ~store.computed
-    refreshed = store.refresh(model, traj, stages, integ, mask)
+    stale = ~(store.fresh_mask(traj) | mask)    # inexact after the refresh
+    if jacs is None and (mask.any() or stale.any()):
+        jacs = intg.stage_jacobians(model, stages, traj.us)
+    refreshed = store.refresh(model, traj, jacs, integ, mask)
 
-    fresh = store.fresh_mask(traj)
-    seeds = 2 * N if lam_rows is not None else int(N - fresh.sum())
-    lam_dphi = exact_gradient_rows(model, stages, traj.us, integ, lam_seeds,
-                                   fresh_mask=fresh, blocks=store.blocks,
+    seeds = 2 * N if lam_rows is not None else int(stale.sum())
+    lam_dphi = exact_gradient_rows(model, jacs, integ, lam_seeds,
+                                   fresh_mask=~stale, blocks=store.blocks,
                                    swept=lam_rows)
     qp = build_qp(traj, state.mult, x_hat, store.blocks, model, refs, phis,
                   lam_dphi)
@@ -209,12 +220,11 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         kappa_max=float(kappa.max(initial=0.0)),
         kappa_dual_max=float(kappa_dual.max(initial=0.0)),
         eta_pri=eta_pri, eta_dual=eta_dual, e_bar=state.e_bar)
-    return qp, phis, stages, diag
+    return qp, phis, jacs, diag
 
 
-def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray,
-                     stages: np.ndarray, diag: StepDiagnostics
-                     ) -> StepDiagnostics:
+def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
+                     diag: StepDiagnostics) -> StepDiagnostics:
     """The rest of stage 3: solve, update the measure caches, apply."""
     cfg, model, store = state.cfg, state.model, state.store
     N = store.horizon
@@ -224,7 +234,7 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray,
         exact, stale = store.blocks.copy(), ~store.fresh_mask(state.traj)
         if stale.any():
             exact[stale] = intg.forward_sensitivity_batch(
-                model, stages[stale], state.traj.us[stale], state.integ)
+                model, *intg.node_subset(jacs, stale), state.integ)
         diag.dto = measure_dto(qp, sol, exact, state.e_bar, tol=cfg.qp_tol)
     diag.dy_norm = float(np.linalg.norm(sol.stacked()))
     diag.dw_norm = float(np.linalg.norm(sol.dw))
@@ -302,7 +312,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
     blocks_total = adjoint_total = grows = 0
     converged = False
     while True:
-        qp, phis, stages, diag = _linearize(state, ocp.x_hat, ocp.refs)
+        qp, phis, jacs, diag = _linearize(state, ocp.x_hat, ocp.refs)
         blocks_total += diag.sens_blocks
         adjoint_total += diag.adjoint_seeds
         res = _sqp_residual(qp)
@@ -316,7 +326,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
             break
         if len(counts) >= max_iter:
             break
-        _solve_and_apply(state, qp, phis, stages, diag)
+        _solve_and_apply(state, qp, phis, jacs, diag)
         counts.append(diag.refreshed)
     return SQPResult(traj=state.traj, mult=state.mult,
                      iterations=len(counts), converged=converged,

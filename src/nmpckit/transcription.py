@@ -192,19 +192,19 @@ def _objective_gradient(traj: Trajectory, model: ModelSpec, refs: References):
     return g_nodes, g_term
 
 
-def exact_gradient_rows(model: ModelSpec, stages: np.ndarray,
-                        us: np.ndarray, cfg: intg.IntegratorConfig,
+def exact_gradient_rows(model: ModelSpec, jacs, cfg: intg.IntegratorConfig,
                         seeds: np.ndarray, fresh_mask: np.ndarray,
                         blocks: np.ndarray,
                         swept: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows ``seed_k^T dphi_k`` with exact sensitivities at the trajectory
-    whose RK4 stage states are ``stages``.
+    whose stage Jacobians are ``jacs`` (:func:`integrator.stage_jacobians`).
 
     Nodes flagged in ``fresh_mask`` use a plain product with the supplied
     ``blocks`` (already exact there). The rest take the rows of ``swept``,
-    a sweep at every node the caller already ran, or else run one.
+    a sweep at every node the caller already ran, or else run one; only
+    then is ``jacs`` read, so it may be ``None`` when every node is fresh.
     """
-    out = np.empty((stages.shape[0], model.n_x + model.n_u))
+    out = np.empty((seeds.shape[0], model.n_x + model.n_u))
     fresh_mask = np.asarray(fresh_mask, dtype=bool)
     if np.any(fresh_mask):
         out[fresh_mask] = np.einsum(
@@ -213,7 +213,7 @@ def exact_gradient_rows(model: ModelSpec, stages: np.ndarray,
     if swept is not None:
         out[stale] = swept[stale]
     elif np.any(stale):
-        rows = intg.adjoint_batch(model, stages[stale], us[stale], cfg,
+        rows = intg.adjoint_batch(model, *intg.node_subset(jacs, stale), cfg,
                                   seeds[stale][:, None, :])
         out[stale] = rows[:, 0, :]
     return out

@@ -28,24 +28,30 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def stage_record(model, x, u, cfg):
+    """End states and stage Jacobians from one RK4 pass."""
+    phi, stages = intg.integrate_batch(model, x, u, cfg)
+    return phi, intg.stage_jacobians(model, stages, u)
+
+
 def sensitivities(model, x, u, cfg):
     """End states and forward sensitivity blocks from one RK4 pass."""
-    phi, stages = intg.integrate_batch(model, x, u, cfg)
-    return phi, intg.forward_sensitivity_batch(model, stages, u, cfg)
+    phi, jacs = stage_record(model, x, u, cfg)
+    return phi, intg.forward_sensitivity_batch(model, *jacs, cfg)
 
 
 def adjoint(model, x, u, cfg, seeds):
     """Adjoint rows ``seed^T dphi`` from one RK4 pass."""
-    stages = intg.integrate_batch(model, x, u, cfg)[1]
-    return intg.adjoint_batch(model, stages, u, cfg, seeds)
+    jacs = stage_record(model, x, u, cfg)[1]
+    return intg.adjoint_batch(model, *jacs, cfg, seeds)
 
 
 def fresh_store(model, traj, cfg):
     """Sensitivity store with every block exact at ``traj``."""
     N = traj.horizon
     store = SensitivityStore.empty(N, model.n_x, model.n_u)
-    stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, cfg)[1]
-    store.refresh(model, traj, stages, cfg, np.ones(N, dtype=bool))
+    jacs = stage_record(model, traj.xs[:-1], traj.us, cfg)[1]
+    store.refresh(model, traj, jacs, cfg, np.ones(N, dtype=bool))
     return store
 
 
@@ -57,9 +63,8 @@ def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     """
     N = traj.horizon
     store = fresh_store(model, traj, cfg)
-    phis, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, cfg)
-    lam_dphi = trc.exact_gradient_rows(model, stages, traj.us, cfg,
-                                       mult.lam[1:],
+    phis, jacs = stage_record(model, traj.xs[:-1], traj.us, cfg)
+    lam_dphi = trc.exact_gradient_rows(model, jacs, cfg, mult.lam[1:],
                                        fresh_mask=np.full(N, fresh),
                                        blocks=store.blocks)
     return trc.build_qp(traj, mult, x_hat, store.blocks, model, refs, phis,

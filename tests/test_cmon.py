@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import sensitivities
+from conftest import sensitivities, stage_record
 from nmpckit import cmon, integrator as intg, models
 from nmpckit.cmon import CMoNConfig, SensitivityStore
 from nmpckit.errors import ContractViolationError
@@ -49,9 +49,8 @@ def test_kappa_zero_on_linear_model(rng):
 
     seeds = rng.standard_normal((6, 3))
     rows0 = np.einsum('kx,kxw->kw', seeds, S)
-    _, stages1 = intg.integrate_batch(model, x0 + q[:, :3], u0 + q[:, 3:],
-                                      cfg)
-    rows1, = cmon.adjoint_rows(model, stages1, u0 + q[:, 3:], cfg, seeds)
+    _, jacs1 = stage_record(model, x0 + q[:, :3], u0 + q[:, 3:], cfg)
+    rows1, = cmon.adjoint_rows(model, jacs1, cfg, seeds)
     kappa_dual = cmon.dual_cmon(rows1, rows0)
     assert kappa_dual.max() <= 1e-12
 
@@ -172,8 +171,8 @@ def test_store_refresh_and_staleness(pendulum, rng):
     store = SensitivityStore.empty(N, 4, 1)
     assert not store.computed.any() and not store.fresh_mask(traj).any()
 
-    stages = intg.integrate_batch(pendulum, xs[:-1], us, cfg)[1]
-    count = store.refresh(pendulum, traj, stages, cfg, mask=np.arange(N) < 4)
+    jacs = stage_record(pendulum, xs[:-1], us, cfg)[1]
+    count = store.refresh(pendulum, traj, jacs, cfg, mask=np.arange(N) < 4)
     assert count == 4
     npt.assert_array_equal(store.computed, np.arange(N) < 4)
     npt.assert_array_equal(store.fresh_mask(traj), np.arange(N) < 4)
@@ -191,12 +190,12 @@ def test_store_partial_refresh_matches_full(pendulum, rng):
     N = 5
     traj = Trajectory(rng.uniform(-0.3, 0.3, (N + 1, 4)),
                       rng.uniform(-2.0, 2.0, (N, 1)))
-    stages = intg.integrate_batch(pendulum, traj.xs[:-1], traj.us, cfg)[1]
+    jacs = stage_record(pendulum, traj.xs[:-1], traj.us, cfg)[1]
     full = SensitivityStore.empty(N, 4, 1)
-    full.refresh(pendulum, traj, stages, cfg, np.ones(N, dtype=bool))
+    full.refresh(pendulum, traj, jacs, cfg, np.ones(N, dtype=bool))
     part = SensitivityStore.empty(N, 4, 1)
-    part.refresh(pendulum, traj, stages, cfg, mask=np.arange(N) % 2 == 0)
-    part.refresh(pendulum, traj, stages, cfg, mask=np.arange(N) % 2 == 1)
+    part.refresh(pendulum, traj, jacs, cfg, mask=np.arange(N) % 2 == 0)
+    part.refresh(pendulum, traj, jacs, cfg, mask=np.arange(N) % 2 == 1)
     npt.assert_array_equal(part.blocks, full.blocks)
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import adjoint, sensitivities
+from conftest import adjoint, sensitivities, stage_record
 from nmpckit import integrator as intg
 from nmpckit import models
 from nmpckit.errors import (IntegrationBlowupError, ModelEvaluationError,
@@ -141,10 +141,11 @@ def test_substep_refinement_shrinks_error(pendulum):
     assert err4.max() < 1e-7
 
 
-# the three kernels, each reached from a state through the RK4 pass whose
-# stage states the sensitivity sweeps read; one seed row for the adjoint
+# the four kernels, each reached from a state through the RK4 pass whose
+# stage Jacobians the sensitivity sweeps read; one seed row for the adjoint
 ENTRY_POINTS = {
     "integrate_batch": intg.integrate_batch,
+    "stage_jacobians": stage_record,
     "forward_sensitivity_batch": sensitivities,
     "adjoint_batch": lambda m, x, u, cfg: adjoint(
         m, x, u, cfg, np.ones((1, m.n_x))),
@@ -231,21 +232,22 @@ def test_adjoint_rows_independent_of_seed_company(pendulum, chain, rng):
          rng.uniform(-1.0, 1.0, (40, 3))),
     )
     for model, cfg, xs, us in cases:
-        _, stages = intg.integrate_batch(model, xs, us, cfg)
+        jacs = stage_record(model, xs, us, cfg)[1]
         a, b = rng.standard_normal((2, 40, model.n_x))
-        both = intg.adjoint_batch(model, stages, us, cfg, np.stack([a, b], 1))
+        both = intg.adjoint_batch(model, *jacs, cfg, np.stack([a, b], 1))
         for i, seed in enumerate((a, b)):
-            alone = intg.adjoint_batch(model, stages, us, cfg, seed[:, None])
+            alone = intg.adjoint_batch(model, *jacs, cfg, seed[:, None])
             npt.assert_array_equal(both[:, i], alone[:, 0])
         sub = np.arange(40) % 3 == 1
-        part = intg.adjoint_batch(model, stages[sub], us[sub], cfg,
+        part = intg.adjoint_batch(model, *intg.node_subset(jacs, sub), cfg,
                                   b[sub][:, None])
         npt.assert_array_equal(both[sub, 1], part[:, 0])
 
 
 def test_stage_record_selects_nodes(pendulum, rng):
-    # stage states are node-major, so a node subset of the record equals
-    # the record of the subset, and sweeps over it equal its rows
+    # stage states and their Jacobians are node-major, so a node subset of
+    # the record equals the record of the subset, and sweeps over it equal
+    # its rows
     cfg = intg.IntegratorConfig(dt=0.05, substeps=3)
     xs = rng.uniform(-0.5, 0.5, (7, 4))
     us = rng.uniform(-5.0, 5.0, (7, 1))
@@ -255,7 +257,39 @@ def test_stage_record_selects_nodes(pendulum, rng):
     mask = np.array([True, False, True, True, False, False, True])
     _, sub = intg.integrate_batch(pendulum, xs[mask], us[mask], cfg)
     npt.assert_array_equal(stages[mask], sub)
-    S = intg.forward_sensitivity_batch(pendulum, stages, us, cfg)
+    jacs = intg.stage_jacobians(pendulum, stages, us)
+    assert jacs[0].shape == (7, 12, 4, 4) and jacs[1].shape == (7, 12, 4, 1)
+    S = intg.forward_sensitivity_batch(pendulum, *jacs, cfg)
     npt.assert_array_equal(
-        intg.forward_sensitivity_batch(pendulum, stages[mask], us[mask], cfg),
+        intg.forward_sensitivity_batch(
+            pendulum, *intg.node_subset(jacs, mask), cfg),
         S[mask])
+    assert intg.node_subset(jacs, np.ones(7, dtype=bool)) is jacs
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "chain"])
+def test_sweeps_over_record_subset_equal_subset_record(plant, request, rng):
+    # the closed loop sweeps a node subset of the instant's Jacobian
+    # record; that must round exactly as a record built for the subset
+    model = request.getfixturevalue(plant)
+    cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
+    if plant == "chain":
+        x_ss = models.chain_steady_state(model.meta["params"], [1.0, 0, 0])
+        xs = x_ss + rng.uniform(-0.2, 0.2, (9, model.n_x))
+    else:
+        xs = rng.uniform(-0.5, 0.5, (9, model.n_x))
+    us = rng.uniform(-1.0, 1.0, (9, model.n_u))
+    seeds = rng.standard_normal((9, 2, model.n_x))
+    mask = np.array([False, True, True, False, True, False, False, True,
+                     False])
+    whole = stage_record(model, xs, us, cfg)[1]
+    alone = stage_record(model, xs[mask], us[mask], cfg)[1]
+    part = intg.node_subset(whole, mask)
+    for a, b in zip(part, alone):
+        npt.assert_array_equal(a, b)
+    npt.assert_array_equal(
+        intg.forward_sensitivity_batch(model, *part, cfg),
+        intg.forward_sensitivity_batch(model, *alone, cfg))
+    npt.assert_array_equal(
+        intg.adjoint_batch(model, *part, cfg, seeds[mask]),
+        intg.adjoint_batch(model, *alone, cfg, seeds[mask]))

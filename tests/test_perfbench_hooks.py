@@ -45,3 +45,31 @@ def test_probe_calls_resolve_in_harness(monkeypatch):
             assert getattr(harness, name) is not fn, name
     for name, fn in originals.items():
         assert getattr(harness, name) is fn, name
+
+
+def test_traced_sweep_work_matches_log(monkeypatch):
+    # the tracer reads each sweep's work from its arguments: the nodes of a
+    # forward sweep, nodes x seeds of a reverse one; over the instants of a
+    # chain cmon loop, which refreshes blocks and sweeps adjoints, those
+    # counts must add up to the logged ones
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    s.duration = 0.8
+    with tracing.Tracer(full=True) as tracer:
+        tracer.begin_loop()
+        tracer.wrap_model(s.model)
+        log = harness.closed_loop_simulate(
+            s, harness.perturbed_chain_state(s, 0))
+    assert not log.failed and log.n_instants == s.n_instants
+
+    def traced(name):
+        return sum(span.work for span in tracer.spans
+                   if span.name == name and span.instant >= 0)
+
+    blocks = log.diag["sens_blocks"].sum()
+    seeds = log.diag["adjoint_seeds"].sum()
+    assert blocks > 0 and seeds > 0
+    assert traced("integrator.forward_sensitivity_batch") == blocks
+    assert traced("integrator.adjoint_batch") == seeds

@@ -233,7 +233,8 @@ def test_chain_preparation_constants_match_svdvals(chain_preparation):
 def test_gram_route_rejects_rank_deficient_chain_m(chain_preparation):
     # columns of x_0[5] and x_0[7] made equal: the Gram's smallest
     # eigenvalue is rounding noise (about 4e-16 lambda_max), which an
-    # absolute threshold on sigma_min lets through
+    # absolute threshold on the Gram's sigma_min lets through; the dense
+    # SVD the Gram route falls back to resolves it as singular
     qp, sol = chain_preparation
     col = np.argsort(stage_permutation(qp))
     M = pert.build_m(qp, sol).toarray()
@@ -241,3 +242,31 @@ def test_gram_route_rejects_rank_deficient_chain_m(chain_preparation):
     with pytest.raises(NearSingularMatrixError) as err:
         pert.conditioning_constants(M)
     assert err.value.sigma_min < 1e-6
+
+
+def test_gram_floor_falls_back_to_svdvals():
+    """A chain_n40 start whose preparation M (sigma_min 1.1e-6, condition
+    9.5e6) puts the Gram's smallest eigenvalue at its rounding floor: the
+    loop completes, with the constants of the dense SVD."""
+    s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    s.seed = 303
+    s.duration = 2.0
+    captured = []
+    with pytest.MonkeyPatch.context() as mp:
+        build, constants = schemes.build_m, schemes.conditioning_constants
+        mp.setattr(schemes, "build_m",
+                   lambda qp, sol: captured.append(build(qp, sol))
+                   or captured[-1])
+        mp.setattr(schemes, "conditioning_constants",
+                   lambda M: captured.append(constants(M)) or captured[-1])
+        log = harness.closed_loop_simulate(
+            s, harness.perturbed_chain_state(s, 3))
+    assert not log.failed and log.n_instants == s.n_instants
+    M, (rho, gamma) = captured
+    assert M.shape[0] > pert._DENSE_SVD_LIMIT
+    eigs = pert._gram_eigenvalues(M)
+    assert eigs[0] <= pert._GRAM_FLOOR * eigs[-1]
+    sigma = scipy.linalg.svdvals(M.toarray())
+    assert sigma[-1] == pytest.approx(1.14e-6, rel=0.01)
+    assert rho == 1.0 / sigma[-1]
+    assert gamma == float(np.std(1.0 / sigma)) + 1.0

@@ -284,8 +284,10 @@ def test_offline_iteration_matches_controller_step(pendulum, kind):
 def test_closed_loop_work_counts(kind, interval, monkeypatch):
     # per controller instant: one RK4 pass (four rhs calls per substep),
     # then one forward sweep if any block is refreshed and one reverse
-    # sweep if any adjoint row is needed (four Jacobian calls per substep
-    # each); the logged adjoint workload is nodes x seeds of that sweep
+    # sweep if any adjoint row is needed; an instant that runs either sweep
+    # evaluates the Jacobians once, at all N x 4·substeps stage states, and
+    # one that runs none evaluates none; the logged adjoint workload is
+    # nodes x seeds of the reverse sweep
     s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
     s.duration = 0.3
     s.scheme = dataclasses.replace(s.scheme, scheme=kind,
@@ -293,6 +295,7 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
     model, N = s.model, s.horizon
     calls = dict(rhs=0, jac=0, integrate=0, forward=0, adjoint=0, seeds=0,
                  blocks=0)
+    jac_batches = []
 
     def counted(fn, name, work=None):
         # work: (counter, count taken from the positional arguments)
@@ -304,7 +307,13 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
         return wrapper
 
     model.rhs = counted(model.rhs, "rhs")
-    model.rhs_jacobians = counted(model.rhs_jacobians, "jac")
+    jacobians = counted(model.rhs_jacobians, "jac")
+
+    def recorded(x, u):
+        jac_batches.append(np.shape(x)[:-1])
+        return jacobians(x, u)
+
+    model.rhs_jacobians = recorded
     for attr, name, work in (
             ("integrate_batch", "integrate", None),
             ("forward_sensitivity_batch", "forward",
@@ -327,10 +336,11 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
     log = harness.closed_loop_simulate(s, x0)
     assert not log.failed and len(steps) == s.n_instants
     per_sweep = 4 * s.integrator().substeps
+    assert set(jac_batches) == {(N, per_sweep)}
     for i, (d, c) in enumerate(steps):
         swept = d.adjoint_seeds > 0
         assert c["rhs"] == per_sweep
-        assert c["jac"] == per_sweep * ((d.sens_blocks > 0) + swept)
+        assert c["jac"] == int(d.sens_blocks > 0 or swept)
         assert c["integrate"] == 1 and c["adjoint"] == swept
         assert c["seeds"] == d.adjoint_seeds
         assert c["blocks"] == d.sens_blocks
@@ -342,6 +352,9 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
         elif kind == "cmon" and i > 0:
             # the dual-measure seeds and the gradient seeds share a sweep
             assert d.adjoint_seeds == 2 * N
+        elif kind == "cmon":
+            # at the preparation point every block is exact: no sweep runs
+            assert c["jac"] == 0
 
 
 def test_fixed_thresholds_skip_conditioning_constants(monkeypatch):

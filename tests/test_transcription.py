@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import assemble_qp, dense_equality_jacobian, \
-    dense_inequality_jacobian, fresh_store
+    dense_inequality_jacobian, fresh_store, stage_record
 from nmpckit import integrator as intg
 from nmpckit import transcription as trc
 from nmpckit.errors import AssemblyError, ContractViolationError
@@ -98,13 +98,13 @@ def test_gradient_includes_multiplier_rows(setup, rng):
 def test_exact_gradient_rows_fresh_equals_product(setup, rng):
     model, traj, mult, refs, store = setup
     seeds = rng.standard_normal((N, 4))
-    stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, CFG)[1]
-    rows_fresh = trc.exact_gradient_rows(model, stages, traj.us, CFG, seeds,
+    jacs = stage_record(model, traj.xs[:-1], traj.us, CFG)[1]
+    rows_fresh = trc.exact_gradient_rows(model, jacs, CFG, seeds,
                                          fresh_mask=store.fresh_mask(traj),
                                          blocks=store.blocks)
     expect = np.einsum('kx,kxw->kw', seeds, store.blocks)
     npt.assert_array_equal(rows_fresh, expect)
-    rows_adj = trc.exact_gradient_rows(model, stages, traj.us, CFG, seeds,
+    rows_adj = trc.exact_gradient_rows(model, jacs, CFG, seeds,
                                        fresh_mask=np.zeros(N, dtype=bool),
                                        blocks=store.blocks)
     npt.assert_allclose(rows_adj, expect, atol=1e-10)

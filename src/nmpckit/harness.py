@@ -354,7 +354,8 @@ def closed_loop_simulate(scenario: ScenarioConfig,
     """Run one closed loop; controller failures truncate the log.
 
     A failure while setting the loop up (the perfect or steady start, the
-    preparation phase) gives a failed log with no instant.
+    preparation phase) gives a failed log with no instant. A stray LAPACK
+    failure (``np.linalg.LinAlgError``) is recorded like an ``NMPCError``.
     """
     model = scenario.model
     N = scenario.horizon
@@ -395,7 +396,7 @@ def closed_loop_simulate(scenario: ScenarioConfig,
             diags.append(d)
             windows.append(refs.xs.copy())
             states.append(x.copy())
-    except NMPCError as exc:
+    except (NMPCError, np.linalg.LinAlgError) as exc:
         failed = True
         reason = f"{type(exc).__name__}: {exc}"
     return _collect_log(scenario, times, states, controls, diags, windows,

@@ -14,6 +14,12 @@ with bandwidth ``2 n_x - 1``. Each KKT step is one banded solve without
 refinement: the iteration measures its residuals with exact products, so
 step accuracy affects the iteration count, not the answer.
 
+Near convergence a polish guesses the active set and solves for it
+exactly. An active bound pins its component: the factor gives it an
+infinite weight, so its entry of ``Hbar^-1`` is 0 and no step moves it,
+and its multiplier is read off the component's stationarity row. A model
+without bounds is solved by this polish alone, on the empty set.
+
 The stage solver consumes the Lagrangian-gradient form of the subproblem
 and returns *increments* for the primal variables and both multiplier
 sets, converting internally to the equivalent total-multiplier QP.
@@ -61,26 +67,14 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
     g, b, d = backend.g, backend.b, backend.d
     m_in = d.shape[0]
 
-    handle = backend.factor(None)
-    dx, dy = backend.solve2(handle, -g, b)
-    x, y = dx, dy
+    handle0 = backend.factor(None)
     if m_in == 0:
-        res = _residuals(backend, x, y, np.zeros(0), np.zeros(0))
-        for _ in range(3):
-            _check_finite(res)
-            if res <= tol:
-                return x, y, np.zeros(0), res, 1
-            r_d = backend.hmv(x) + g + backend.atmv(y)
-            r_p = backend.amv(x) - b
-            cx, cy = backend.solve2(handle, -r_d, -r_p)
-            x, y = x + cx, y + cy
-            res = _residuals(backend, x, y, np.zeros(0), np.zeros(0))
-        _check_finite(res)
-        if res > tol:
+        polished = _polish(backend, handle0, np.zeros(0, dtype=bool), tol)
+        if polished is None:
             raise QPNonconvergenceError(
-                f"equality-constrained solve stalled at residual {res:.3e}",
-                best_residual=res)
-        return x, y, np.zeros(0), res, 1
+                "equality-constrained solve stalled above the tolerance")
+        return (*polished, 1)
+    x, y = backend.solve2(handle0, -g, b)
 
     s_raw = d - backend.cmv(x)
     shift = max(1e-1, -1.5 * float(s_raw.min(initial=0.0)))
@@ -89,7 +83,6 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
 
     best = np.inf
     best_iter = 0
-    handle0 = handle
     last_attempt = -10
     for it in range(1, max_iter + 1):
         r_d = backend.hmv(x) + g + backend.atmv(y) + backend.ctmv(z)
@@ -162,78 +155,50 @@ def _raise_failure(best, z, r_p, r_g):
 
 
 def _polish(backend, handle0, act, tol):
-    """Newton polish on a tentative active set via a Schur complement.
+    """Newton solve with the active rows ``act`` pinned to their bounds.
 
-    Solves the equality-constrained KKT system exactly and verifies signs
-    and feasibility; returns None when the tentative set is wrong.
+    Each active row pins its component: one factor with an infinite weight
+    on it zeroes that entry of ``Hbar^-1``, so every step from the pinned
+    start keeps the component at its bound, and the row's multiplier is
+    read off the component's stationarity row. Verifies signs and
+    feasibility; returns None when the set is wrong or pins a singular
+    system.
     """
     g, b, d = backend.g, backend.b, backend.d
-    idx = np.flatnonzero(act)
+    handle = handle0
+    if act.any():
+        try:
+            handle = backend.factor(np.where(act, np.inf, 0.0))
+        except QPNonconvergenceError:
+            return None
 
-    if idx.size:
-        vxs, vys = [], []
-        for i in idx:
-            e = np.zeros(d.shape[0])
-            e[i] = 1.0
-            vx, vy = backend.solve2(handle0, backend.ctmv(e), np.zeros_like(b))
-            vxs.append(vx)
-            vys.append(vy)
-        vxs = np.array(vxs)
-        vys = np.array(vys)
-        S = np.array([backend.cmv(vx)[idx] for vx in vxs]).T
-
-        def step(r1, r2, r3):
-            vx0, vy0 = backend.solve2(handle0, r1, r2)
-            rhs = backend.cmv(vx0)[idx] - r3
-            try:
-                dza = np.linalg.solve(S, rhs)
-            except np.linalg.LinAlgError:
-                dza, *_ = np.linalg.lstsq(S, rhs, rcond=None)
-            return vx0 - vxs.T @ dza, vy0 - vys.T @ dza, dza
-    else:
-        def step(r1, r2, r3):
-            vx0, vy0 = backend.solve2(handle0, r1, r2)
-            return vx0, vy0, np.zeros(0)
-
-    def full_residual(x, y, za):
+    # the pinned start; y = 0, so A'y drops out of its stationarity
+    x, y = backend.ctmv(np.where(act, d, 0.0)), np.zeros_like(b)
+    r_d = backend.hmv(x) + g
+    best = None
+    for _ in range(5):
+        cx, cy = backend.solve2(handle, -r_d, b - backend.amv(x))
+        x, y = x + cx, y + cy
+        r_d = backend.hmv(x) + g + backend.atmv(y)
+        z = np.where(act, -backend.cmv(r_d), 0.0)
         slack = d - backend.cmv(x)
-        return _residuals(backend, x, y, _embed(za, idx, d.shape[0]),
-                          np.clip(slack, 0.0, None))
-
-    x, y, za = step(-g, b, d[idx])
-    best = (full_residual(x, y, za), x, y, za)
-    for _ in range(4):
+        res = _residuals(backend, x, r_d, z, np.clip(slack, 0.0, None))
+        if best is None or res < best[0]:
+            best = (res, x, y, r_d, z, slack)
         if best[0] <= 0.25 * tol:
             break
-        r1 = -(backend.hmv(x) + g + backend.atmv(y)
-               + backend.ctmv(_embed(za, idx, d.shape[0])))
-        r2 = b - backend.amv(x)
-        r3 = d[idx] - backend.cmv(x)[idx]
-        cx, cy, cz = step(r1, r2, r3)
-        x, y, za = x + cx, y + cy, za + cz
-        res = full_residual(x, y, za)
-        if res < best[0]:
-            best = (res, x, y, za)
-    res, x, y, za = best
+    _, x, y, r_d, z, slack = best
 
-    scale = 1e-9 * (1.0 + float(np.abs(za).max(initial=0.0)))
-    if za.min(initial=0.0) < -scale:
+    scale = 1e-9 * (1.0 + float(np.abs(z).max(initial=0.0)))
+    if z.min(initial=0.0) < -scale:
         return None
-    za = np.clip(za, 0.0, None)
-    slack = d - backend.cmv(x)
+    z = np.clip(z, 0.0, None)
     if slack.min(initial=0.0) < -1e-9:
         return None
-    z = _embed(za, idx, d.shape[0])
-    res = _residuals(backend, x, y, z, np.clip(slack, 0.0, None))
-    if res > tol:
+    res = _residuals(backend, x, r_d, z, np.clip(slack, 0.0, None))
+    if not res <= tol:
         return None
     return x, y, z, res
-
-
-def _embed(za, idx, m):
-    z = np.zeros(m)
-    z[idx] = za
-    return z
 
 
 def _max_step(v, dv):
@@ -243,8 +208,9 @@ def _max_step(v, dv):
     return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def _residuals(backend, x, y, z, s):
-    r_d = backend.hmv(x) + backend.g + backend.atmv(y)
+def _residuals(backend, x, r_d, z, s):
+    """KKT residual of ``x`` with bound multipliers ``z`` and slacks ``s``;
+    ``r_d`` is its stationarity residual without the bound terms."""
     if z.size:
         r_d = r_d + backend.ctmv(z)
     r_p = backend.amv(x) - backend.b
@@ -343,6 +309,11 @@ class _StageBackend:
         return out
 
     def factor(self, w):
+        """Factor of ``Y`` with the weights ``w`` (None for none) in Hbar.
+
+        An infinite weight pins its component: its entry of ``Hbar^-1``
+        is 0, so no step moves it.
+        """
         N, n_x, nwk = self.N, self.n_x, self.nwk
         hbar = self.h
         if w is not None and w.size:

@@ -118,7 +118,12 @@ def dense_kkt_matrix(qp, sol):
 
 class _DenseBackend:
     """Dense LU of the augmented KKT matrix, one refinement pass per solve;
-    the oracle backend of :func:`solve_dense`."""
+    the oracle backend of :func:`solve_dense`.
+
+    An infinite weight pins its row: the LU is bordered with that row of C
+    as an extra equality row with a zero right-hand side, and the row's
+    multiplier is dropped from the step.
+    """
 
     def __init__(self, H, g, A, b, C, d):
         self.H = np.atleast_2d(np.asarray(H, dtype=float))
@@ -148,28 +153,34 @@ class _DenseBackend:
         return self.C.T @ z
 
     def factor(self, w):
-        n, m = self.g.shape[0], self.b.shape[0]
+        n = self.g.shape[0]
         Hbar = self.H.copy()
+        pinned = np.zeros(self.d.shape[0], dtype=bool)
         if w is not None and w.size:
+            pinned = np.isinf(w)
+            w = np.where(pinned, 0.0, w)
             Hbar += (self.C.T * w) @ self.C
+        # border rows: the equalities, then the pinned rows of C
+        B = np.vstack([self.A, self.C[pinned]])
+        m = B.shape[0]
         K = np.zeros((n + m, n + m))
         K[:n, :n] = Hbar
-        K[:n, n:] = self.A.T
-        K[n:, :n] = self.A
-        return lu_factor(K), w
+        K[:n, n:] = B.T
+        K[n:, :n] = B
+        return lu_factor(K), w, self.C[pinned]
 
     def solve2(self, handle, r1, r2):
-        lu, w = handle
-        n = self.g.shape[0]
-        sol = lu_solve(lu, np.concatenate([r1, r2]))
-        dx, dy = sol[:n], sol[n:]
-        # one refinement pass against the augmented system
-        res1 = r1 - self.hmv(dx) - self.atmv(dy)
+        lu, w, P = handle
+        n, m = self.g.shape[0], self.b.shape[0]
+        sol = lu_solve(lu, np.concatenate([r1, r2, np.zeros(P.shape[0])]))
+        dx, dy, dz = sol[:n], sol[n:n + m], sol[n + m:]
+        # one refinement pass against the bordered system
+        res1 = r1 - self.hmv(dx) - self.atmv(dy) - P.T @ dz
         if w is not None and w.size:
             res1 -= self.ctmv(w * self.cmv(dx))
         res2 = r2 - self.amv(dx)
-        corr = lu_solve(lu, np.concatenate([res1, res2]))
-        return dx + corr[:n], dy + corr[n:]
+        corr = lu_solve(lu, np.concatenate([res1, res2, -P @ dx]))
+        return dx + corr[:n], dy + corr[n:n + m]
 
 
 def solve_dense(H, g, A, b, C, d, tol=1e-8):

@@ -155,6 +155,21 @@ def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
     npt.assert_array_equal(log.states, s.schedule.states[:1])
 
 
+def test_lapack_failure_in_setup_ends_loop_as_recorded_failure(monkeypatch):
+    # a LAPACK routine that fails (dsbev in the Gram spectrum, say) raises
+    # numpy's LinAlgError, not an NMPCError; the loop still records it
+    def failing(M):
+        raise np.linalg.LinAlgError("dsbev did not converge")
+
+    monkeypatch.setattr(schemes, "conditioning_constants", failing)
+    s = _short_pendulum(duration=0.5, scheme="cmon")
+    log = closed_loop_simulate(s)
+    assert log.failed
+    assert log.failure_reason.startswith("LinAlgError")
+    assert log.n_instants == 0
+    assert log.states.shape == (1, 4)
+
+
 @pytest.mark.parametrize("scheme", ["rti", "cmon"])
 @pytest.mark.parametrize("init_mode", ["perfect", "steady"])
 def test_nan_measurement_ends_loop_as_recorded_failure(init_mode, scheme):

@@ -1,4 +1,5 @@
 """Interior-point QP solver vs a brute-force active-set enumeration oracle."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -134,28 +135,30 @@ def _oracle_case(name, pendulum, rng):
     return _chain_qp(rng)
 
 
+def _dense_oracle(qp):
+    """Dense-backend totals ``(x, y, z)`` of the stage subproblem."""
+    A = dense_equality_jacobian(qp)
+    C = dense_inequality_jacobian(qp)
+    H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
+    g_obj = qp.gradient - A.T @ qp.lam.ravel() - C.T @ qp.mu.ravel()
+    x, y, z, _ = solve_dense(H, g_obj, A, -qp.continuity_residuals.ravel(),
+                             C, -qp.ineq_values.ravel(), tol=1e-10)
+    return x, y, z
+
+
 @pytest.mark.parametrize(
     "case", ["pendulum", "pendulum-zero-state-weights", "chain"])
 def test_stage_solver_matches_dense_backend(case, pendulum, rng):
     """Dual-route check: block-structured backend vs the generic dense one."""
     qp = _oracle_case(case, pendulum, rng)
     sol = qp_solver.solve(qp, tol=1e-10)
-
-    H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
-    A = dense_equality_jacobian(qp)
-    C = dense_inequality_jacobian(qp)
-    lam_flat = qp.lam.ravel()
-    mu_flat = qp.mu.ravel()
-    g_obj = qp.gradient - A.T @ lam_flat - C.T @ mu_flat
-    b = -qp.continuity_residuals.ravel()
-    d = -qp.ineq_values.ravel()
-    x, y, z, info = solve_dense(H, g_obj, A, b, C, d, tol=1e-10)
+    x, y, z = _dense_oracle(qp)
 
     if case == "chain":
         assert qp.n_x == 27 and sol.active_set.any()
     npt.assert_allclose(sol.dw, x, atol=1e-6)
-    npt.assert_allclose(sol.dlam, y - lam_flat, atol=1e-5)
-    npt.assert_allclose(sol.dmu, z - mu_flat, atol=1e-5)
+    npt.assert_allclose(sol.dlam, y - qp.lam.ravel(), atol=1e-5)
+    npt.assert_allclose(sol.dmu, z - qp.mu.ravel(), atol=1e-5)
 
 
 @pytest.mark.parametrize(
@@ -218,9 +221,11 @@ def test_solution_invariant_to_start_point(pendulum, rng):
     npt.assert_allclose(b, a, rtol=0, atol=1e-8)
 
 
-def test_each_kkt_step_is_one_banded_solve(rng, monkeypatch):
-    calls = {"solve2": 0, "pbtrs": 0}
+def test_each_kkt_step_is_one_banded_solve(pendulum, rng, monkeypatch):
+    calls = {"solve2": 0, "pbtrs": 0, "pbtrf": 0}
+    pinned = []
     solve2, pbtrs = qp_solver._StageBackend.solve2, qp_solver._pbtrs
+    pbtrf, polish = qp_solver._pbtrf, qp_solver._polish
 
     def counted_solve2(self, *args):
         calls["solve2"] += 1
@@ -230,11 +235,30 @@ def test_each_kkt_step_is_one_banded_solve(rng, monkeypatch):
         calls["pbtrs"] += 1
         return pbtrs(*args, **kwargs)
 
+    def counted_pbtrf(*args, **kwargs):
+        calls["pbtrf"] += 1
+        return pbtrf(*args, **kwargs)
+
+    def counted_polish(backend, handle0, act, tol):
+        pinned.append(bool(act.any()))
+        return polish(backend, handle0, act, tol)
+
     monkeypatch.setattr(qp_solver._StageBackend, "solve2", counted_solve2)
     monkeypatch.setattr(qp_solver, "_pbtrs", counted_pbtrs)
-    qp_solver.solve(_chain_qp(rng), tol=1e-10)
-    assert calls["solve2"] > 0
-    assert calls["pbtrs"] == calls["solve2"]
+    monkeypatch.setattr(qp_solver, "_pbtrf", counted_pbtrf)
+    monkeypatch.setattr(qp_solver, "_polish", counted_polish)
+    # the chain subproblem ends in a polish that pins bounds, the pendulum
+    # one in a polish on the empty set
+    for case, pins in (("chain", True), ("pendulum", False)):
+        calls.update(solve2=0, pbtrs=0, pbtrf=0)
+        pinned.clear()
+        sol = qp_solver.solve(_oracle_case(case, pendulum, rng), tol=1e-10)
+        assert calls["solve2"] > 0
+        assert calls["pbtrs"] == calls["solve2"]
+        assert pinned and any(pinned) == pins
+        # one factor for the start, one per interior-point step taken and
+        # one per polish that pins a bound; the empty set reuses the first
+        assert calls["pbtrf"] == sol.iterations + sum(pinned)
 
 
 def test_solutions_independent_of_previous_shapes(pendulum):
@@ -259,3 +283,76 @@ def test_nonconvex_stage_raises_qp_error(block, pendulum, rng):
                             if block == "negative-definite" else -floor)
     with pytest.raises(QPNonconvergenceError):
         qp_solver.solve(qp, tol=1e-10)
+
+
+def _fresh_polish(qp, act, tol=1e-10):
+    backend = qp_solver._StageBackend(qp)
+    return qp_solver._polish(backend, backend.factor(None), act, tol)
+
+
+def test_polish_on_the_active_set_matches_dense_backend(rng):
+    qp = _chain_qp(rng)
+    x_ref, y_ref, z_ref = _dense_oracle(qp)
+    act = z_ref > qp_solver._ACTIVE_MU
+    assert act.any()
+    x, y, z, res = _fresh_polish(qp, act)
+    assert res <= 1e-10
+    npt.assert_allclose(x, x_ref, atol=1e-6)
+    npt.assert_allclose(y, y_ref, atol=1e-5)
+    npt.assert_allclose(z, z_ref, atol=1e-5)
+    npt.assert_array_equal(z > 0, act)
+
+
+def _wrong_set(case, qp):
+    if case == "pins-x0":
+        # the upper bound of the cart position x_0[0]: the measurement
+        # embedding fixes x_0, so Y is singular
+        act = np.zeros(qp.n_in, dtype=bool)
+        act[0] = True
+        return act
+    act = _dense_oracle(qp)[2] > qp_solver._ACTIVE_MU
+    if case == "extra-row":
+        act[np.flatnonzero(~act)[0]] = True
+    else:
+        act[np.flatnonzero(act)[0]] = False
+    return act
+
+
+@pytest.mark.parametrize("case", ["extra-row", "missing-row", "pins-x0"])
+def test_polish_on_a_wrong_set_returns_none(case, pendulum, rng,
+                                            monkeypatch):
+    qp = _pendulum_qp(pendulum, rng) if case == "pins-x0" else _chain_qp(rng)
+    act = _wrong_set(case, qp)
+    if case == "pins-x0":
+        with pytest.raises(QPNonconvergenceError):
+            qp_solver._StageBackend(qp).factor(np.where(act, np.inf, 0.0))
+    assert _fresh_polish(qp, act) is None
+
+    # a failed polish before each real one leaves the answer unchanged
+    ref = qp_solver.solve(qp, tol=1e-10)
+    polish = qp_solver._polish
+    tried = []
+
+    def wrong_first(backend, handle0, act_now, tol):
+        tried.append(polish(backend, handle0, act, tol))
+        return polish(backend, handle0, act_now, tol)
+
+    monkeypatch.setattr(qp_solver, "_polish", wrong_first)
+    sol = qp_solver.solve(qp, tol=1e-10)
+    assert tried and all(t is None for t in tried)
+    npt.assert_array_equal(sol.dw, ref.dw)
+    npt.assert_array_equal(sol.dlam, ref.dlam)
+    npt.assert_array_equal(sol.dmu, ref.dmu)
+    assert sol.iterations == ref.iterations
+
+
+def test_unbounded_model_solves_in_one_iteration(pendulum, rng):
+    model = dataclasses.replace(pendulum, bound_index=(), bound_limit=())
+    qp = _pendulum_qp(model, rng)
+    assert qp.n_in == 0
+    sol = qp_solver.solve(qp, tol=1e-10)
+    assert sol.iterations == 1
+    assert sol.kkt_residual <= 1e-10
+    x_ref, y_ref, _ = _dense_oracle(qp)
+    npt.assert_allclose(sol.dw, x_ref, atol=1e-6)
+    npt.assert_allclose(sol.dlam, y_ref - qp.lam.ravel(), atol=1e-5)

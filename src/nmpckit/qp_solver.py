@@ -14,11 +14,13 @@ with bandwidth ``2 n_x - 1``. Each KKT step is one banded solve without
 refinement: the iteration measures its residuals with exact products, so
 step accuracy affects the iteration count, not the answer.
 
-Near convergence a polish guesses the active set and solves for it
-exactly. An active bound pins its component: the factor gives it an
+Every solve opens with a polish on the empty active set: a Newton solve
+on the first factor, checked for signs and feasibility. In a typical
+subproblem no bound binds and that answers it; the interior point runs
+only when this polish fails, and near convergence it polishes on a
+guessed set. An active bound pins its component: the factor gives it an
 infinite weight, so its entry of ``Hbar^-1`` is 0 and no step moves it,
-and its multiplier is read off the component's stationarity row. A model
-without bounds is solved by this polish alone, on the empty set.
+and its multiplier is read off the component's stationarity row.
 
 The stage solver consumes the Lagrangian-gradient form of the subproblem
 and returns *increments* for the primal variables and both multiplier
@@ -63,17 +65,17 @@ class QPSolution:
 # an overflow surfaces as a non-finite residual, which ends the solve
 @np.errstate(over="ignore", invalid="ignore")
 def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
-    """Predictor-corrector iteration; returns (x, y, z, res, iters)."""
+    """Empty-set polish, else Mehrotra; returns (x, y, z, res, iters)."""
     g, b, d = backend.g, backend.b, backend.d
     m_in = d.shape[0]
 
     handle0 = backend.factor(None)
-    if m_in == 0:
-        polished = _polish(backend, handle0, np.zeros(0, dtype=bool), tol)
-        if polished is None:
-            raise QPNonconvergenceError(
-                "equality-constrained solve stalled above the tolerance")
+    polished = _polish(backend, handle0, np.zeros(m_in, dtype=bool), tol)
+    if polished is not None:
         return (*polished, 1)
+    if m_in == 0:
+        raise QPNonconvergenceError(
+            "equality-constrained solve stalled above the tolerance")
     x, y = backend.solve2(handle0, -g, b)
 
     s_raw = d - backend.cmv(x)
@@ -112,8 +114,9 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
         # affine predictor
         rhs1 = -r_d - backend.ctmv(w * r_g - z)
         dx, dy = backend.solve2(handle, rhs1, -r_p)
-        ds = -r_g - backend.cmv(dx)
-        dz = w * backend.cmv(dx) + w * r_g - z
+        cdx = backend.cmv(dx)
+        ds = -r_g - cdx
+        dz = w * cdx + w * r_g - z
         a_p = _max_step(s, ds)
         a_d = _max_step(z, dz)
         mu_aff = ((s + a_p * ds) @ (z + a_d * dz)) / m_in
@@ -123,8 +126,9 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
         rsz = ds * dz - sigma * mu
         rhs1 = -r_d - backend.ctmv(w * r_g - z - rsz / s)
         dx, dy = backend.solve2(handle, rhs1, -r_p)
-        ds = -r_g - backend.cmv(dx)
-        dz = w * backend.cmv(dx) + w * r_g - z - rsz / s
+        cdx = backend.cmv(dx)
+        ds = -r_g - cdx
+        dz = w * cdx + w * r_g - z - rsz / s
         tau = 0.9995 if mu < 1e-6 else 0.995
         a_p = min(1.0, tau * _max_step(s, ds))
         a_d = min(1.0, tau * _max_step(z, dz))
@@ -211,14 +215,11 @@ def _max_step(v, dv):
 def _residuals(backend, x, r_d, z, s):
     """KKT residual of ``x`` with bound multipliers ``z`` and slacks ``s``;
     ``r_d`` is its stationarity residual without the bound terms."""
-    if z.size:
-        r_d = r_d + backend.ctmv(z)
+    r_d = r_d + backend.ctmv(z)
     r_p = backend.amv(x) - backend.b
-    res = max(np.linalg.norm(r_d), np.linalg.norm(r_p))
-    if z.size:
-        r_g = backend.cmv(x) + s - backend.d
-        res = max(res, np.linalg.norm(r_g), (s * z).max(initial=0.0))
-    return res
+    r_g = backend.cmv(x) + s - backend.d
+    return max(np.linalg.norm(r_d), np.linalg.norm(r_p),
+               np.linalg.norm(r_g), (s * z).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

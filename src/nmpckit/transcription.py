@@ -109,7 +109,6 @@ class QPData:
     jacobian_blocks: np.ndarray      # (N, n_x, n_x+n_u)
     bound_index: np.ndarray          # (n_r/2,) bounded components of w_k
     ineq_values: np.ndarray          # (N, n_r)
-    measurement: np.ndarray          # (n_x,)
     lam: np.ndarray                  # (N+1, n_x) current equality multipliers
     mu: np.ndarray                   # (N, n_r)
 
@@ -126,7 +125,7 @@ class QPData:
             raise AssemblyError("inconsistent QP block shapes")
         for arr in (self.stage_hessians, self.term_hessian, self.gradient,
                     self.continuity_residuals, self.jacobian_blocks,
-                    self.ineq_values, self.measurement):
+                    self.ineq_values):
             if not np.all(np.isfinite(arr)):
                 raise AssemblyError("non-finite entry in QP data")
 
@@ -268,7 +267,7 @@ def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
         gradient=gradient,
         continuity_residuals=resid, jacobian_blocks=np.array(blocks),
         bound_index=model.bound_index, ineq_values=ineq_values,
-        measurement=x_hat, lam=mult.lam.copy(), mu=mult.mu.copy())
+        lam=mult.lam.copy(), mu=mult.mu.copy())
 
 
 def apply_step(traj: Trajectory, mult: Multipliers, sol):

@@ -83,6 +83,15 @@ def test_step_norm_columns_split_dy_norm(scheme):
                   <= d["dy_norm"] ** 2 * (1.0 + 1e-12))
 
 
+@pytest.mark.parametrize("scheme", ["rti", "cmon"])
+def test_pendulum_loop_qps_skip_the_interior_point(scheme):
+    # no bound binds along the shipped pendulum loop, so the opening
+    # empty-set polish answers every subproblem
+    log = closed_loop_simulate(_short_pendulum(duration=3.0, scheme=scheme))
+    assert not log.failed
+    npt.assert_array_equal(log.diag["qp_iterations"], 1)
+
+
 def test_reference_windows_shift_by_one():
     s = _short_pendulum(duration=1.0)
     log = closed_loop_simulate(s)

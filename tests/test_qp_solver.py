@@ -202,14 +202,16 @@ def test_stage_solver_deterministic(pendulum):
     assert s1.iterations == s2.iterations
 
 
-def test_solution_invariant_to_start_point(pendulum, rng):
-    # strictly convex subproblem: the interior-point start must not matter
-    qp = _pendulum_qp(pendulum, rng)
+def test_solution_invariant_to_start_point(rng):
+    # strictly convex subproblem: the interior-point start must not matter;
+    # bounds bind in the chain subproblem, so the interior point runs
+    qp = _chain_qp(rng)
     backend = qp_solver._StageBackend(qp)
 
     def run(start_scale):
-        x, y, z, _, _ = qp_solver._mehrotra(backend, 1e-10,
-                                            start_scale=start_scale)
+        x, y, z, _, iters = qp_solver._mehrotra(backend, 1e-10,
+                                                start_scale=start_scale)
+        assert iters > 1
         slack = backend.d - backend.cmv(x)
         active = (z > qp_solver._ACTIVE_MU) \
             | (slack < qp_solver._ACTIVE_SLACK)

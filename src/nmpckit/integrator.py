@@ -10,6 +10,10 @@ returns the states the right-hand side was evaluated at, one
 :func:`stage_jacobians` call adds the model Jacobians at all of them, and
 both sensitivity sweeps read those, or a node subset of them, instead of
 evaluating the model. All kernels are batched over leading node dimensions.
+The reverse sweep carries only the state adjoint; the control rows are
+linear in its stage weights, so one contraction gives them after the loop.
+Each seed is a batch item of its own, so its rows round alike whichever
+seeds or nodes share the sweep.
 """
 
 from dataclasses import dataclass
@@ -102,16 +106,13 @@ def forward_sensitivity_batch(model: ModelSpec, jac_x, jac_u,
     return S
 
 
-def _row_products(w, M):
-    # one row at a time: a seed's rows round alike however many seeds
-    # share the sweep (a batched ``w @ M`` does not)
-    return np.einsum('...kx,...xy->...ky', w, M)
-
-
 def adjoint_batch(model: ModelSpec, jac_x, jac_u, cfg: IntegratorConfig,
                   seeds):
     """Adjoint directional sensitivities ``seed^T d(end state)/d(x0, u)``
     from the record of :func:`stage_jacobians`.
+
+    The loop carries the state adjoint and records the stage weights
+    ``W``; the control rows are ``W`` contracted with ``jac_u``.
 
     Parameters
     ----------
@@ -123,21 +124,21 @@ def adjoint_batch(model: ModelSpec, jac_x, jac_u, cfg: IntegratorConfig,
     rows : ndarray, shape (..., k, n_x + n_u)
     """
     h = cfg.dt / cfg.substeps
-    lam = np.array(seeds, dtype=float)
-    lu = np.zeros(lam.shape[:-1] + (model.n_u,))
+    n_st = jac_x.shape[-3]
+    # every seed a batch item: (..., k, 1, n_x) @ (..., 1, n_x, n_x)
+    lam = np.array(seeds, dtype=float)[..., None, :]
+    W = np.empty(lam.shape[:-2] + (n_st, model.n_x))
     c_end, c_mid = h / 6.0, h / 3.0
-    for j in reversed(range(0, jac_x.shape[-3], 4)):
-        A1, A2, A3, A4 = (jac_x[..., j + i, :, :] for i in range(4))
-        B1, B2, B3, B4 = (jac_u[..., j + i, :, :] for i in range(4))
-        w4 = c_end * lam
-        t4 = _row_products(w4, A4)
-        w3 = c_mid * lam + h * t4
-        t3 = _row_products(w3, A3)
-        w2 = c_mid * lam + 0.5 * h * t3
-        t2 = _row_products(w2, A2)
-        w1 = c_end * lam + 0.5 * h * t2
-        t1 = _row_products(w1, A1)
-        lu = lu + _row_products(w1, B1) + _row_products(w2, B2) \
-            + _row_products(w3, B3) + _row_products(w4, B4)
+    for j in reversed(range(0, n_st, 4)):
+        W[..., j + 3:j + 4, :] = w4 = c_end * lam
+        t4 = w4 @ jac_x[..., None, j + 3, :, :]
+        W[..., j + 2:j + 3, :] = w3 = c_mid * lam + h * t4
+        t3 = w3 @ jac_x[..., None, j + 2, :, :]
+        W[..., j + 1:j + 2, :] = w2 = c_mid * lam + 0.5 * h * t3
+        t2 = w2 @ jac_x[..., None, j + 1, :, :]
+        W[..., j:j + 1, :] = w1 = c_end * lam + 0.5 * h * t2
+        t1 = w1 @ jac_x[..., None, j, :, :]
         lam = lam + t1 + t2 + t3 + t4
-    return np.concatenate([lam, lu], axis=-1)
+    lu = W.reshape(lam.shape[:-1] + (-1,)) @ jac_u.reshape(
+        jac_u.shape[:-3] + (1, -1, model.n_u))
+    return np.concatenate([lam, lu], axis=-1)[..., 0, :]

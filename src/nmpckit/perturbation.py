@@ -12,13 +12,12 @@ the fully-updated optimum by re-solving the subproblem with exact blocks.
 ``(lam_k, w_k, mu_k)`` for k < N, then ``(lam_N, x_N)``, so every
 stage couples only to its neighbours and ``M`` is banded. Only the
 singular values of ``M`` are read, and a permutation of rows or columns
-leaves them unchanged, so nothing depends on the order. Up to
-``_DENSE_SVD_LIMIT`` rows the spectrum is the dense ``svdvals``. Beyond
-it, the spectrum comes from the eigenvalues of the Gram matrix ``M'M``,
-which is banded as well and goes to LAPACK's symmetric band eigensolver.
-Squaring the spectrum costs accuracy in the smallest singular values, so
-the Gram route serves only the sizes where the dense SVD is too slow, and
-hands back to it when its smallest eigenvalue sits at its rounding floor.
+leaves them unchanged, so nothing depends on the order. The spectrum
+comes from the eigenvalues of the Gram matrix ``M'M``, which is banded
+as well and goes to LAPACK's symmetric band eigensolver. Squaring the
+spectrum costs accuracy in the smallest singular values, which the
+constants need only above the Gram's rounding floor: when the smallest
+eigenvalue sits at that floor, the dense ``svdvals`` decides instead.
 """
 
 from dataclasses import dataclass, replace
@@ -32,7 +31,6 @@ from .errors import NearSingularMatrixError
 from .qp_solver import QPSolution, solve
 from .transcription import QPData, bound_rows
 
-_DENSE_SVD_LIMIT = 2000
 # the Gram route cannot resolve eigenvalues below its rounding floor,
 # about eps * lambda_max; this factor keeps a margin above that floor
 _GRAM_FLOOR = 100.0 * np.finfo(float).eps
@@ -113,7 +111,7 @@ def build_m(qp: QPData, sol: QPSolution) -> scipy.sparse.csr_array:
     return scipy.sparse.csr_array((v[keep], (i[keep], j[keep])), shape=(n, n))
 
 
-def _gram_eigenvalues(M: scipy.sparse.csr_array) -> np.ndarray:
+def _gram_eigenvalues(M) -> np.ndarray:
     """Eigenvalues of ``M'M``, ascending, from its lower band.
 
     The band width is read off the Gram's sparsity, so the stage order of
@@ -133,16 +131,16 @@ def _gram_eigenvalues(M: scipy.sparse.csr_array) -> np.ndarray:
 def singular_values(M) -> np.ndarray:
     """Full spectrum of a dense or sparse square matrix, descending.
 
-    Up to ``_DENSE_SVD_LIMIT`` rows this is ``svdvals`` of the dense
-    matrix; larger matrices go through the banded Gram route unless it
-    cannot tell its smallest eigenvalue from zero.
+    A sparse matrix goes through the banded Gram route; the dense
+    ``svdvals`` runs only when the Gram cannot tell its smallest
+    eigenvalue from zero, or when ``M`` is handed in dense.
     """
-    if M.shape[0] > _DENSE_SVD_LIMIT:
-        eigs = _gram_eigenvalues(scipy.sparse.csr_array(M))
+    if scipy.sparse.issparse(M):
+        eigs = _gram_eigenvalues(M)
         if eigs[0] > _GRAM_FLOOR * eigs[-1]:
             return np.sqrt(eigs)[::-1]
-    dense = M.toarray() if scipy.sparse.issparse(M) else M
-    return scipy.linalg.svdvals(dense)
+        M = M.toarray()
+    return scipy.linalg.svdvals(M)
 
 
 def conditioning_constants(M):

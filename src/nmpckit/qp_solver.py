@@ -179,30 +179,29 @@ def _polish(backend, handle0, act, tol):
     # the pinned start; y = 0, so A'y drops out of its stationarity
     x, y = backend.ctmv(np.where(act, d, 0.0)), np.zeros_like(b)
     r_d = backend.hmv(x) + g
+    r_p = backend.amv(x) - b
     best = None
     for _ in range(5):
-        cx, cy = backend.solve2(handle, -r_d, b - backend.amv(x))
-        x, y = x + cx, y + cy
+        dx, dy = backend.solve2(handle, -r_d, -r_p)
+        x, y = x + dx, y + dy
         r_d = backend.hmv(x) + g + backend.atmv(y)
+        r_p = backend.amv(x) - b
+        cx = backend.cmv(x)
         z = np.where(act, -backend.cmv(r_d), 0.0)
-        slack = d - backend.cmv(x)
-        res = _residuals(backend, x, r_d, z, np.clip(slack, 0.0, None))
+        slack = d - cx
+        res = _residuals(backend, r_d, r_p, cx, np.clip(z, 0.0, None),
+                         np.clip(slack, 0.0, None))
         if best is None or res < best[0]:
-            best = (res, x, y, r_d, z, slack)
+            best = (res, x, y, z, slack)
         if best[0] <= 0.25 * tol:
             break
-    _, x, y, r_d, z, slack = best
+    res, x, y, z, slack = best
 
     scale = 1e-9 * (1.0 + float(np.abs(z).max(initial=0.0)))
-    if z.min(initial=0.0) < -scale:
+    if z.min(initial=0.0) < -scale or slack.min(initial=0.0) < -1e-9 \
+            or not res <= tol:
         return None
-    z = np.clip(z, 0.0, None)
-    if slack.min(initial=0.0) < -1e-9:
-        return None
-    res = _residuals(backend, x, r_d, z, np.clip(slack, 0.0, None))
-    if not res <= tol:
-        return None
-    return x, y, z, res
+    return x, y, np.clip(z, 0.0, None), res
 
 
 def _max_step(v, dv):
@@ -212,12 +211,12 @@ def _max_step(v, dv):
     return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def _residuals(backend, x, r_d, z, s):
-    """KKT residual of ``x`` with bound multipliers ``z`` and slacks ``s``;
-    ``r_d`` is its stationarity residual without the bound terms."""
+def _residuals(backend, r_d, r_p, cx, z, s):
+    """KKT residual of a point with bound multipliers ``z`` and slacks
+    ``s``, from its stationarity residual ``r_d`` without the bound terms,
+    its equality residual ``r_p`` and its bound rows ``cx``."""
     r_d = r_d + backend.ctmv(z)
-    r_p = backend.amv(x) - backend.b
-    r_g = backend.cmv(x) + s - backend.d
+    r_g = cx + s - backend.d
     return max(np.linalg.norm(r_d), np.linalg.norm(r_p),
                np.linalg.norm(r_g), (s * z).max(initial=0.0))
 

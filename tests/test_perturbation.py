@@ -158,24 +158,30 @@ def test_conditioning_bound_on_solution_distance(pendulum, rng):
     assert max(ratios) <= 2.0 * min(ratios)
 
 
-@pytest.fixture(scope="module")
-def chain_preparation():
-    """Subproblem and solution of the chain_n40 ``cmon`` preparation phase,
-    from the trial-0 start (n = 2574, two active bounds)."""
-    s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
-    model, N = s.model, s.horizon
+def _preparation(s, traj0, mult0, x_hat0):
+    """Subproblem and solution of the ``cmon`` preparation phase of the
+    scenario ``s`` from the horizon ``traj0``, ``mult0``."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schemes, "build_m",
                    lambda qp, sol: captured.append((qp, sol)))
         mp.setattr(schemes, "conditioning_constants", lambda M: (1.0, 1.0))
         schemes.initialize_controller(
-            model, s.integrator(), s.scheme, harness.steady_horizon(s),
-            trc.Multipliers.zeros(N, model.n_x, model.n_r),
-            refs0=s.schedule.window(0.0, N, s.t_s),
-            x_hat0=harness.perturbed_chain_state(s, 0))
+            s.model, s.integrator(), s.scheme, traj0, mult0,
+            refs0=s.schedule.window(0.0, s.horizon, s.t_s), x_hat0=x_hat0)
     (qp, sol), = captured
     return qp, sol
+
+
+@pytest.fixture(scope="module")
+def chain_preparation():
+    """Subproblem and solution of the chain_n40 ``cmon`` preparation phase,
+    from the trial-0 start (n = 2574, two active bounds)."""
+    s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    return _preparation(
+        s, harness.steady_horizon(s),
+        trc.Multipliers.zeros(s.horizon, s.model.n_x, s.model.n_r),
+        harness.perturbed_chain_state(s, 0))
 
 
 @pytest.mark.parametrize("case", ["pendulum", "chain"])
@@ -205,15 +211,14 @@ def _block_banded(rng, blocks=20, size=3):
     return B
 
 
-def test_gram_route_matches_svdvals(pendulum, rng, monkeypatch):
-    """The banded Gram route, forced at every size, on a sparse pendulum M
-    and on a dense block-banded matrix."""
+def test_gram_route_matches_svdvals(pendulum, rng):
+    """The banded Gram route on a pendulum M and on a block-banded
+    matrix, both sparse."""
     qp, sol = _pendulum_qp_sol(pendulum, rng)
-    cases = [(pert.build_m(qp, sol), 1e-5), (_block_banded(rng), 1e-12)]
-    monkeypatch.setattr(pert, "_DENSE_SVD_LIMIT", 0)
+    cases = [(pert.build_m(qp, sol), 1e-5),
+             (scipy.sparse.csr_array(_block_banded(rng)), 1e-12)]
     for M, rtol in cases:
-        dense = M.toarray() if scipy.sparse.issparse(M) else M
-        sigma = scipy.linalg.svdvals(dense)
+        sigma = scipy.linalg.svdvals(M.toarray())
         npt.assert_allclose(pert.singular_values(M), sigma, rtol=rtol)
         rho, gamma = pert.conditioning_constants(M)
         assert rho == pytest.approx(1.0 / sigma[-1], rel=rtol)
@@ -223,11 +228,27 @@ def test_gram_route_matches_svdvals(pendulum, rng, monkeypatch):
 def test_chain_preparation_constants_match_svdvals(chain_preparation):
     qp, sol = chain_preparation
     M = pert.build_m(qp, sol)
-    assert M.shape[0] > pert._DENSE_SVD_LIMIT
     rho, gamma = pert.conditioning_constants(M)
     sigma = scipy.linalg.svdvals(M.toarray())
     assert rho == pytest.approx(1.0 / sigma[-1], rel=1e-6)
     assert gamma == pytest.approx(np.std(1.0 / sigma) + 1.0, rel=1e-6)
+
+
+def test_pendulum_preparation_spectrum_needs_no_dense_svd(monkeypatch):
+    """The pendulum_n40 preparation M (n = 528) takes the Gram route: its
+    smallest eigenvalue sits far above the Gram's rounding floor."""
+    s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
+    x0 = s.schedule.states[0]
+    qp, sol = _preparation(s, *harness.perfect_horizon(s, x0), x0)
+    M = pert.build_m(qp, sol)
+    assert M.shape[0] == 528
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense svdvals called")
+
+    monkeypatch.setattr(scipy.linalg, "svdvals", forbidden)
+    rho, gamma = pert.conditioning_constants(M)
+    assert np.isfinite(rho) and gamma >= 1.0
 
 
 def test_gram_route_rejects_rank_deficient_chain_m(chain_preparation):
@@ -240,7 +261,7 @@ def test_gram_route_rejects_rank_deficient_chain_m(chain_preparation):
     M = pert.build_m(qp, sol).toarray()
     M[:, col[5]] = M[:, col[7]]
     with pytest.raises(NearSingularMatrixError) as err:
-        pert.conditioning_constants(M)
+        pert.conditioning_constants(scipy.sparse.csr_array(M))
     assert err.value.sigma_min < 1e-6
 
 
@@ -263,7 +284,6 @@ def test_gram_floor_falls_back_to_svdvals():
             s, harness.perturbed_chain_state(s, 3))
     assert not log.failed and log.n_instants == s.n_instants
     M, (rho, gamma) = captured
-    assert M.shape[0] > pert._DENSE_SVD_LIMIT
     eigs = pert._gram_eigenvalues(M)
     assert eigs[0] <= pert._GRAM_FLOOR * eigs[-1]
     sigma = scipy.linalg.svdvals(M.toarray())

@@ -263,6 +263,25 @@ def test_each_kkt_step_is_one_banded_solve(pendulum, rng, monkeypatch):
         assert calls["pbtrf"] == sol.iterations + sum(pinned)
 
 
+def test_verified_polish_evaluates_each_product_once(pendulum, rng,
+                                                    monkeypatch):
+    # a pendulum QP that the opening polish verifies in one Newton step:
+    # the start, the step and its residual take each product once, the
+    # step's own solve one more amv, and solve reads the slack once more
+    calls = dict.fromkeys(("amv", "cmv", "ctmv", "solve2"), 0)
+    for name in calls:
+        method = getattr(qp_solver._StageBackend, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(qp_solver._StageBackend, name, counted)
+    sol = qp_solver.solve(_pendulum_qp(pendulum, rng), tol=1e-8)
+    assert sol.iterations == 1 and calls["solve2"] == 1
+    assert calls["amv"] <= 3 and calls["cmv"] <= 3 and calls["ctmv"] <= 2
+
+
 def test_solutions_independent_of_previous_shapes(pendulum):
     # a solve of another (N, n_x) in between must not change the result
     first = qp_solver.solve(_pendulum_qp(pendulum, np.random.default_rng(5)))

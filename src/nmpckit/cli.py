@@ -47,12 +47,11 @@ def main(argv=None) -> int:
         if args.scheme is not None:
             scenario.scheme = dataclasses.replace(scenario.scheme,
                                                   scheme=args.scheme)
+        # replace() re-runs the scenario's own checks on the overrides
         if args.seed is not None:
-            scenario.seed = args.seed
+            scenario = dataclasses.replace(scenario, seed=args.seed)
         if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("trial count must be positive")
-            scenario.trials = args.trials
+            scenario = dataclasses.replace(scenario, trials=args.trials)
         if args.dto:
             scenario.scheme = dataclasses.replace(scenario.scheme,
                                                   track_dto=True)

@@ -49,6 +49,12 @@ class CMoNConfig:
                 f"unknown threshold mode {self.threshold_mode!r}")
         if not 0.0 <= self.min_update_fraction <= 1.0:
             raise ContractViolationError("min_update_fraction outside [0, 1]")
+        if not (self.alpha > 0.0 and self.beta > 0.0):
+            raise ContractViolationError("alpha and beta must be positive")
+        if not (0.0 <= self.eps_abs < math.inf
+                and 0.0 <= self.eps_rel < math.inf):
+            raise ContractViolationError(
+                "eps_abs and eps_rel must be finite and nonnegative")
 
     def floor_count(self, N: int) -> int:
         return int(math.ceil(self.min_update_fraction * N))

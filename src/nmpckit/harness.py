@@ -18,7 +18,7 @@ import yaml
 
 from . import integrator as intg
 from .cmon import CMoNConfig
-from .errors import ConfigError, NMPCError
+from .errors import ConfigError, ContractViolationError, NMPCError
 from .models import (ChainParams, PendulumParams, chain_steady_state,
                      make_chain_model, make_pendulum_model, ModelSpec)
 from .schemes import (OCProblem, SchemeConfig, controller_step,
@@ -107,6 +107,8 @@ class ScenarioConfig:
             raise ConfigError(f"unknown init mode {self.init_mode!r}")
         if self.trials < 1:
             raise ConfigError("trial count must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
     @property
     def n_instants(self) -> int:
@@ -190,7 +192,7 @@ def _build_scheme(spec: dict) -> SchemeConfig:
         raise ConfigError(f"unknown scheme keys {sorted(spec)}")
     try:
         return SchemeConfig(cmon=CMoNConfig(**ckw), **kwargs)
-    except TypeError as exc:
+    except (TypeError, ContractViolationError) as exc:
         raise ConfigError(f"bad scheme config: {exc}") from None
 
 
@@ -354,7 +356,9 @@ def closed_loop_simulate(scenario: ScenarioConfig,
     """Run one closed loop; controller failures truncate the log.
 
     A failure while setting the loop up (the perfect or steady start, the
-    preparation phase) gives a failed log with no instant. A stray LAPACK
+    preparation phase) gives a failed log with no instant; so does one in
+    instant 0, which under ``cmon`` also computes the conditioning
+    constants from the subproblem it solves. A stray LAPACK
     failure (``np.linalg.LinAlgError``) is recorded like an ``NMPCError``.
     """
     model = scenario.model
@@ -381,9 +385,8 @@ def closed_loop_simulate(scenario: ScenarioConfig,
         else:
             traj0 = steady_horizon(scenario)
             mult0 = Multipliers.zeros(N, model.n_x, model.n_r)
-        state = initialize_controller(
-            model, integ, scenario.scheme, traj0, mult0,
-            refs0=schedule.window(0.0, N, Ts), x_hat0=x0)
+        state = initialize_controller(model, integ, scenario.scheme, traj0,
+                                      mult0)
         for i in range(scenario.n_instants):
             t = i * Ts
             refs = schedule.window(t, N, Ts)

@@ -131,33 +131,20 @@ def _new_state(model: ModelSpec, integ: intg.IntegratorConfig,
 
 def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
                           cfg: SchemeConfig, traj0: Trajectory,
-                          mult0: Multipliers,
-                          refs0: Optional[References] = None,
-                          x_hat0: Optional[np.ndarray] = None
-                          ) -> ControllerState:
-    """Preparation phase: sensitivity blocks at ``traj0`` (``adj`` keeps
-    them there for good) and, for ``cmon``, the conditioning constants of
-    the reference subproblem.
+                          mult0: Multipliers) -> ControllerState:
+    """Preparation phase, the same for every scheme: every sensitivity
+    block at ``traj0`` (``adj`` keeps them there for good).
 
-    The ``cmon`` scheme needs ``refs0``: it linearizes at ``traj0`` with
-    the step kernel, which computes every block since none exists yet,
-    and, unless its thresholds are fixed, solves that subproblem once.
+    Under ``cmon`` with automatic thresholds, the conditioning constants
+    come from the first subproblem the controller solves, as in
+    :func:`sqp_solve`.
     """
     state = _new_state(model, integ, cfg, traj0, mult0)
     traj = state.traj
-    if cfg.scheme != "cmon":
-        _, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
-        state.store.refresh(model, traj,
-                            intg.stage_jacobians(model, stages, traj.us),
-                            integ, np.ones(traj.horizon, dtype=bool))
-        return state
-    if refs0 is None:
-        raise ConfigError("the cmon scheme needs preparation references")
-    x_hat = traj.xs[0] if x_hat0 is None else np.asarray(x_hat0, float)
-    qp, *_ = _linearize(state, x_hat, refs0)
-    if cfg.cmon.threshold_mode == "auto":
-        sol = solve(qp, tol=cfg.qp_tol)
-        state.rho0, state.gamma0 = conditioning_constants(build_m(qp, sol))
+    _, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
+    state.store.refresh(model, traj,
+                        intg.stage_jacobians(model, stages, traj.us),
+                        integ, np.ones(traj.horizon, dtype=bool))
     return state
 
 
@@ -242,7 +229,9 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
     diag.qp_iterations = sol.iterations
     if cfg.scheme == "cmon":
         if cfg.cmon.threshold_mode == "auto" and np.isnan(state.rho0):
-            # no preparation phase: take the first subproblem's constants
+            # the first subproblem solved fixes the constants, in the
+            # closed loop and in sqp_solve alike; before it no direction
+            # exists, so its thresholds never read them
             state.rho0, state.gamma0 = conditioning_constants(
                 build_m(qp, sol))
         dxs, dus = split_primal(sol.dw, N, model.n_x, model.n_u)
@@ -302,8 +291,9 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
 
     The scheme in ``cfg`` picks the block update policy: ``rti`` is plain
     Gauss-Newton SQP with every block exact. There is no preparation
-    phase, so the first iteration computes every block and, under
-    ``cmon``, fixes the conditioning constants from its subproblem. Five
+    phase, so the first iteration computes every block. Under ``cmon``
+    its subproblem fixes the conditioning constants, as the first
+    instant's does in the closed loop. Five
     consecutive residual increases raise :class:`DivergenceError` with
     the trace attached.
     """

@@ -160,6 +160,12 @@ def test_config_validation():
         CMoNConfig(min_update_fraction=1.5)
     with pytest.raises(ContractViolationError):
         CMoNConfig(threshold_mode="sometimes")
+    for bad in ({"alpha": 0.0}, {"beta": 0.0}, {"eps_abs": -0.1},
+                {"eps_rel": math.inf}, {"eps_abs": math.nan}):
+        with pytest.raises(ContractViolationError):
+            CMoNConfig(**bad)
+    # a zero tolerance is legal: it forces full updates
+    CMoNConfig(eps_abs=0.0, eps_rel=0.0)
 
 
 def test_store_refresh_and_staleness(pendulum, rng):

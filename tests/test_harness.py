@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from conftest import SCENARIO_DIR, parse_log_csv
-from nmpckit import cli, errors, harness, schemes
+from nmpckit import cli, errors, harness, integrator as intg, schemes
 from nmpckit.errors import ConfigError
 from nmpckit.harness import (SimulationLog, closed_loop_simulate,
                              export_log_csv, load_scenario,
@@ -145,9 +145,14 @@ def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
     assert log.states.shape == (3, 4)
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the loop got past the failing call")
+
+
 def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
-    # every subproblem gets a negative definite stage Hessian, so the cmon
-    # preparation QP in initialize_controller fails before the first instant
+    # every subproblem gets a negative definite stage Hessian, so the first
+    # QP of the perfect start's SQP fails before the controller is set up
+    # (an offset start: at the reference the SQP solves no QP)
     build_qp = schemes.build_qp
 
     def poisoned(*args):
@@ -156,27 +161,37 @@ def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
         return qp
 
     monkeypatch.setattr(schemes, "build_qp", poisoned)
-    s = _short_pendulum(duration=0.5, scheme="cmon", init_mode="steady")
-    log = closed_loop_simulate(s)
+    monkeypatch.setattr(harness, "initialize_controller", _unreachable)
+    s = _short_pendulum(duration=0.5, scheme="cmon", init_mode="perfect")
+    x0 = s.schedule.states[0] + [0.05, 0.1, 0.0, 0.0]
+    log = closed_loop_simulate(s, x0)
     assert log.failed
     assert log.failure_reason.startswith("QPNonconvergenceError")
     assert log.n_instants == 0
-    npt.assert_array_equal(log.states, s.schedule.states[:1])
+    npt.assert_array_equal(log.states, x0[None])
 
 
-def test_lapack_failure_in_setup_ends_loop_as_recorded_failure(monkeypatch):
+def test_lapack_failure_in_setup_ends_loop_as_recorded_failure():
     # a LAPACK routine that fails (dsbev in the Gram spectrum, say) raises
-    # numpy's LinAlgError, not an NMPCError; the loop still records it
-    def failing(M):
-        raise np.linalg.LinAlgError("dsbev did not converge")
+    # numpy's LinAlgError, not an NMPCError; the loop still records it,
+    # whether it fails in initialize_controller or in instant 0, which
+    # fixes the cmon conditioning constants
+    def failing(*args):
+        raise np.linalg.LinAlgError("LAPACK routine did not converge")
 
-    monkeypatch.setattr(schemes, "conditioning_constants", failing)
-    s = _short_pendulum(duration=0.5, scheme="cmon")
-    log = closed_loop_simulate(s)
-    assert log.failed
-    assert log.failure_reason.startswith("LinAlgError")
-    assert log.n_instants == 0
-    assert log.states.shape == (1, 4)
+    for module, name, unreached in (
+            (intg, "stage_jacobians", "controller_step"),
+            (schemes, "conditioning_constants", None)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, name, failing)
+            if unreached is not None:
+                mp.setattr(harness, unreached, _unreachable)
+            log = closed_loop_simulate(_short_pendulum(
+                duration=0.5, scheme="cmon", init_mode="steady"))
+        assert log.failed
+        assert log.failure_reason.startswith("LinAlgError")
+        assert log.n_instants == 0
+        assert log.states.shape == (1, 4)
 
 
 @pytest.mark.parametrize("scheme", ["rti", "cmon"])
@@ -484,6 +499,30 @@ def test_cli_bad_config_exit_code(tmp_path):
 def test_cli_rejects_bad_trial_count(tmp_path):
     scen = SCENARIO_DIR / "pendulum_n40.yaml"
     assert cli.main([str(scen), "--trials", "0"]) == 2
+
+
+@pytest.mark.parametrize("cmon, top, args", [
+    ({"c1": 1.5}, {}, []),
+    ({"threshold_mode": "sometimes"}, {}, []),
+    ({"min_update_fraction": 1.5}, {}, []),
+    ({"alpha": 0.0}, {}, []),
+    ({"beta": -1.0}, {}, []),
+    ({"eps_abs": -0.1}, {}, []),
+    ({"eps_rel": float("inf")}, {}, []),
+    ({}, {"seed": -1}, []),
+    ({}, {}, ["--seed", "-1"]),
+], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
+        "eps_abs", "eps_rel", "seed", "cli_seed"])
+def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
+                                           args):
+    doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
+    doc["duration"] = 0.5
+    doc["scheme"]["cmon"].update(cmon)
+    doc.update(top)
+    scen = tmp_path / "bad.yaml"
+    scen.write_text(yaml.safe_dump(doc))
+    assert cli.main([str(scen), "--out", str(tmp_path / "out")] + args) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_plant_matches_model_without_mismatch():

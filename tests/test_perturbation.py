@@ -158,27 +158,29 @@ def test_conditioning_bound_on_solution_distance(pendulum, rng):
     assert max(ratios) <= 2.0 * min(ratios)
 
 
-def _preparation(s, traj0, mult0, x_hat0):
-    """Subproblem and solution of the ``cmon`` preparation phase of the
-    scenario ``s`` from the horizon ``traj0``, ``mult0``."""
+def _first_subproblem(s, traj0, mult0, x_hat0):
+    """Subproblem and solution from which the first ``cmon`` instant of the
+    scenario ``s`` takes its conditioning constants, from the horizon
+    ``traj0``, ``mult0`` and the measurement ``x_hat0``."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schemes, "build_m",
                    lambda qp, sol: captured.append((qp, sol)))
         mp.setattr(schemes, "conditioning_constants", lambda M: (1.0, 1.0))
-        schemes.initialize_controller(
-            s.model, s.integrator(), s.scheme, traj0, mult0,
-            refs0=s.schedule.window(0.0, s.horizon, s.t_s), x_hat0=x_hat0)
+        state = schemes.initialize_controller(
+            s.model, s.integrator(), s.scheme, traj0, mult0)
+        schemes.controller_step(state, x_hat0,
+                                s.schedule.window(0.0, s.horizon, s.t_s))
     (qp, sol), = captured
     return qp, sol
 
 
 @pytest.fixture(scope="module")
-def chain_preparation():
-    """Subproblem and solution of the chain_n40 ``cmon`` preparation phase,
-    from the trial-0 start (n = 2574, two active bounds)."""
+def chain_first_subproblem():
+    """First ``cmon`` subproblem and solution of chain_n40 from the
+    trial-0 start (n = 2574, two active bounds)."""
     s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
-    return _preparation(
+    return _first_subproblem(
         s, harness.steady_horizon(s),
         trc.Multipliers.zeros(s.horizon, s.model.n_x, s.model.n_r),
         harness.perturbed_chain_state(s, 0))
@@ -187,7 +189,7 @@ def chain_preparation():
 @pytest.mark.parametrize("case", ["pendulum", "chain"])
 def test_sparse_m_equals_permuted_dense_oracle(case, pendulum, rng, request):
     if case == "chain":
-        qp, sol = request.getfixturevalue("chain_preparation")
+        qp, sol = request.getfixturevalue("chain_first_subproblem")
         assert sol.active_set.any()
     else:
         qp, sol = _pendulum_qp_sol(pendulum, rng)
@@ -225,8 +227,8 @@ def test_gram_route_matches_svdvals(pendulum, rng):
         assert gamma == pytest.approx(np.std(1.0 / sigma) + 1.0, rel=rtol)
 
 
-def test_chain_preparation_constants_match_svdvals(chain_preparation):
-    qp, sol = chain_preparation
+def test_chain_preparation_constants_match_svdvals(chain_first_subproblem):
+    qp, sol = chain_first_subproblem
     M = pert.build_m(qp, sol)
     rho, gamma = pert.conditioning_constants(M)
     sigma = scipy.linalg.svdvals(M.toarray())
@@ -235,11 +237,11 @@ def test_chain_preparation_constants_match_svdvals(chain_preparation):
 
 
 def test_pendulum_preparation_spectrum_needs_no_dense_svd(monkeypatch):
-    """The pendulum_n40 preparation M (n = 528) takes the Gram route: its
+    """The pendulum_n40 first-instant M (n = 528) takes the Gram route: its
     smallest eigenvalue sits far above the Gram's rounding floor."""
     s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
     x0 = s.schedule.states[0]
-    qp, sol = _preparation(s, *harness.perfect_horizon(s, x0), x0)
+    qp, sol = _first_subproblem(s, *harness.perfect_horizon(s, x0), x0)
     M = pert.build_m(qp, sol)
     assert M.shape[0] == 528
 
@@ -251,12 +253,12 @@ def test_pendulum_preparation_spectrum_needs_no_dense_svd(monkeypatch):
     assert np.isfinite(rho) and gamma >= 1.0
 
 
-def test_gram_route_rejects_rank_deficient_chain_m(chain_preparation):
+def test_gram_route_rejects_rank_deficient_chain_m(chain_first_subproblem):
     # columns of x_0[5] and x_0[7] made equal: the Gram's smallest
     # eigenvalue is rounding noise (about 4e-16 lambda_max), which an
     # absolute threshold on the Gram's sigma_min lets through; the dense
     # SVD the Gram route falls back to resolves it as singular
-    qp, sol = chain_preparation
+    qp, sol = chain_first_subproblem
     col = np.argsort(stage_permutation(qp))
     M = pert.build_m(qp, sol).toarray()
     M[:, col[5]] = M[:, col[7]]
@@ -266,7 +268,7 @@ def test_gram_route_rejects_rank_deficient_chain_m(chain_preparation):
 
 
 def test_gram_floor_falls_back_to_svdvals():
-    """A chain_n40 start whose preparation M (sigma_min 1.1e-6, condition
+    """A chain_n40 start whose first-instant M (sigma_min 1.1e-6, condition
     9.5e6) puts the Gram's smallest eigenvalue at its rounding floor: the
     loop completes, with the constants of the dense SVD."""
     s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")

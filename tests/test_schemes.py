@@ -92,21 +92,23 @@ def test_initialize_controller_auto_constants(pendulum):
     x_hat = np.array([0.0, 0.3, 0.0, 0.0])
     traj0, mult0 = _steady_guess(pendulum, x_hat)
     refs0 = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
-    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0,
-                                  refs0=refs0, x_hat0=x_hat)
+    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     n_w = N * 5 + 4
     assert state.n_dim == n_w + 4 * N + (N + 1) * 4
-    assert np.isfinite(state.rho0) and state.rho0 > 0
-    assert state.gamma0 >= 1.0
     assert state.e_bar >= 0.1 * np.sqrt(state.n_dim)
     assert state.store.fresh_mask(state.traj).all()
+    # the constants come from the first subproblem solved
+    assert np.isnan(state.rho0) and np.isnan(state.gamma0)
+    controller_step(state, x_hat, refs0)
+    assert np.isfinite(state.rho0) and state.rho0 > 0
+    assert state.gamma0 >= 1.0
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "chain"])
 def test_preparation_constants_match_first_subproblem(pendulum, plant,
                                                       monkeypatch):
-    # the preparation phase linearizes with the step kernel, so its
-    # constants are those of the subproblem the first instant solves
+    # set-up and the first instant solve one subproblem between them, and
+    # the constants are that subproblem's
     if plant == "pendulum":
         model, ref = pendulum, np.zeros(4)
         x_hat = np.array([0.05, 0.3, 0.0, 0.0])
@@ -129,13 +131,12 @@ def test_preparation_constants_match_first_subproblem(pendulum, plant,
 
     monkeypatch.setattr(schemes, "solve", recording)
     state = initialize_controller(model, CFG, SchemeConfig(scheme="cmon"),
-                                  traj0, mult0, refs0=refs, x_hat0=x_hat)
-    constants = (state.rho0, state.gamma0)
-    solved.clear()
+                                  traj0, mult0)
     controller_step(state, x_hat, refs)
     assert len(solved) == 1
     qp, sol = solved[0]
-    assert constants == conditioning_constants(build_m(qp, sol))
+    assert (state.rho0, state.gamma0) == \
+        conditioning_constants(build_m(qp, sol))
 
 
 def test_rti_step_counters(pendulum):
@@ -206,8 +207,7 @@ def test_cmon_step_quiets_down(pendulum):
     x_hat = np.array([0.0, 0.3, 0.0, 0.0])
     traj0, mult0 = _steady_guess(pendulum, x_hat)
     refs0 = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
-    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0,
-                                  refs0=refs0, x_hat0=x_hat)
+    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     fracs = [controller_step(state, x_hat, refs0).refresh_fraction
              for _ in range(12)]
     assert fracs[-1] == 0.0
@@ -247,8 +247,7 @@ def test_linear_plant_schemes_coincide(rng):
         traj0 = Trajectory(np.tile(x0, (horizon + 1, 1)),
                            np.zeros((horizon, 2)))
         state = initialize_controller(model, integ, cfg, traj0,
-                                      Multipliers.zeros(horizon, 3, 0),
-                                      refs0=refs, x_hat0=x0)
+                                      Multipliers.zeros(horizon, 3, 0))
         x = x0.copy()
         xs_log = [x.copy()]
         for _ in range(10):
@@ -270,8 +269,7 @@ def test_offline_iteration_matches_controller_step(pendulum, kind):
     cfg = SchemeConfig(scheme=kind)
     res = sqp_solve(ocp, traj0, mult0, cfg, tol=0.0, max_iter=1)
     assert res.iterations == 1
-    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0,
-                                  refs0=ocp.refs, x_hat0=ocp.x_hat)
+    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     controller_step(state, ocp.x_hat, ocp.refs)
     npt.assert_array_equal(res.traj.xs, state.traj.xs)
     npt.assert_array_equal(res.traj.us, state.traj.us)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import integrator as intg
-from .errors import ContractViolationError
+from .errors import ConfigError
 from .models import ModelSpec
 
 
@@ -43,17 +43,17 @@ class CMoNConfig:
 
     def __post_init__(self):
         if not 0.0 < self.c1 < 1.0:
-            raise ContractViolationError("c1 must lie strictly in (0, 1)")
+            raise ConfigError("c1 must lie strictly in (0, 1)")
         if self.threshold_mode not in ("auto", "fixed"):
-            raise ContractViolationError(
+            raise ConfigError(
                 f"unknown threshold mode {self.threshold_mode!r}")
         if not 0.0 <= self.min_update_fraction <= 1.0:
-            raise ContractViolationError("min_update_fraction outside [0, 1]")
+            raise ConfigError("min_update_fraction outside [0, 1]")
         if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ContractViolationError("alpha and beta must be positive")
+            raise ConfigError("alpha and beta must be positive")
         if not (0.0 <= self.eps_abs < math.inf
                 and 0.0 <= self.eps_rel < math.inf):
-            raise ContractViolationError(
+            raise ConfigError(
                 "eps_abs and eps_rel must be finite and nonnegative")
 
     def floor_count(self, N: int) -> int:

@@ -18,7 +18,7 @@ import yaml
 
 from . import integrator as intg
 from .cmon import CMoNConfig
-from .errors import ConfigError, ContractViolationError, NMPCError
+from .errors import ConfigError, NMPCError
 from .models import (ChainParams, PendulumParams, chain_steady_state,
                      make_chain_model, make_pendulum_model, ModelSpec)
 from .schemes import (OCProblem, SchemeConfig, controller_step,
@@ -192,7 +192,7 @@ def _build_scheme(spec: dict) -> SchemeConfig:
         raise ConfigError(f"unknown scheme keys {sorted(spec)}")
     try:
         return SchemeConfig(cmon=CMoNConfig(**ckw), **kwargs)
-    except (TypeError, ContractViolationError) as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad scheme config: {exc}") from None
 
 
@@ -355,6 +355,9 @@ def closed_loop_simulate(scenario: ScenarioConfig,
                          x0: Optional[np.ndarray] = None) -> SimulationLog:
     """Run one closed loop; controller failures truncate the log.
 
+    The plant steps the unbatched state, one ``integrate_batch`` call of
+    ``substeps * plant_substep_factor`` RK4 steps per instant.
+
     A failure while setting the loop up (the perfect or steady start, the
     preparation phase) gives a failed log with no instant; so does one in
     instant 0, which under ``cmon`` also computes the conditioning
@@ -392,8 +395,7 @@ def closed_loop_simulate(scenario: ScenarioConfig,
             refs = schedule.window(t, N, Ts)
             d = controller_step(state, x, refs)
             u0 = state.traj.us[0].copy()
-            x = intg.integrate_batch(model, x[None], u0[None],
-                                     plant_integ)[0][0]
+            x = intg.integrate_batch(model, x, u0, plant_integ)[0]
             times.append(t)
             controls.append(u0)
             diags.append(d)

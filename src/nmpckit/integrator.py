@@ -47,7 +47,7 @@ def integrate_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
     """
     x = np.array(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+    if not (np.isfinite(x).all() and np.isfinite(u).all()):
         raise ModelEvaluationError("non-finite integrator input")
     h = cfg.dt / cfg.substeps
     stages = []
@@ -61,7 +61,7 @@ def integrate_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
         s4 = s1 + h * k3
         k4 = model.rhs(s4, u)
         x = s1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise IntegrationBlowupError(
                 "state became non-finite during integration")
         stages += (s1, s2, s3, s4)

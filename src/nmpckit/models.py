@@ -8,6 +8,7 @@ plant it is driving.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +26,10 @@ class ModelSpec:
     n_x, n_u : int
         State and control dimensions.
     rhs : callable
-        ``rhs(x, u) -> xdot``; broadcasts over leading dimensions.
+        ``rhs(x, u) -> xdot``; broadcasts over leading dimensions, and
+        ``xdot`` has the broadcast batch shape. It must also accept inputs
+        with no leading dimension, ``x`` of shape ``(n_x,)`` and ``u`` of
+        shape ``(n_u,)``: the simulated plant steps the unbatched state.
     rhs_jacobians : callable
         ``rhs_jacobians(x, u) -> (f_x, f_u)`` analytic Jacobians, batched
         the same way.
@@ -103,18 +107,14 @@ def pendulum_rhs(x, u, params: PendulumParams):
     State is ``(p, theta, pdot, thetadot)``, control is the horizontal
     force on the cart. Broadcasts over leading dimensions of ``x``/``u``.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    th = x[..., 1]
-    pd = x[..., 2]
-    td = x[..., 3]
-    F = u[..., 0]
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    th, pd, td, F = x[..., 1], x[..., 2], x[..., 3], u[..., 0]
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     s, c = np.sin(th), np.cos(th)
     den = m2 + m1 - m1 * c * c
     pdd = (-m1 * l * s * td ** 2 + m1 * g * c * s + F) / den
     tdd = (F * c - m1 * l * c * s * td ** 2 + (m2 + m1) * g * s) / (l * den)
-    out = np.empty(np.broadcast_shapes(x[..., 0].shape, F.shape) + (4,))
+    out = np.empty(np.shape(tdd) + (4,))
     out[..., 0] = pd
     out[..., 1] = td
     out[..., 2] = pdd
@@ -124,11 +124,8 @@ def pendulum_rhs(x, u, params: PendulumParams):
 
 def pendulum_jacobians(x, u, params: PendulumParams):
     """Analytic Jacobians ``(f_x, f_u)`` of :func:`pendulum_rhs`."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    th = x[..., 1]
-    td = x[..., 3]
-    F = u[..., 0]
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    th, td, F = x[..., 1], x[..., 3], u[..., 0]
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
     s, c = np.sin(th), np.cos(th)
     s2, c2 = np.sin(2 * th), np.cos(2 * th)
@@ -140,7 +137,7 @@ def pendulum_jacobians(x, u, params: PendulumParams):
     num_t = F * c - m1 * l * c * s * td ** 2 + (m2 + m1) * g * s
     dnum_t_dth = -F * s - m1 * l * c2 * td ** 2 + (m2 + m1) * g * c
 
-    batch = np.broadcast_shapes(th.shape, F.shape)
+    batch = np.shape(num_t)
     fx = np.zeros(batch + (4, 4))
     fu = np.zeros(batch + (4, 1))
     fx[..., 0, 2] = 1.0
@@ -207,21 +204,38 @@ class ChainParams:
         return 6 * (self.n - 1) + 3
 
 
-def _chain_split(x, n):
-    pos = x[..., :3 * n].reshape(x.shape[:-1] + (n, 3))
-    vel = x[..., 3 * n:].reshape(x.shape[:-1] + (n - 1, 3))
-    return pos, vel
+def _elongations(x, u, params: ChainParams):
+    """Batch shape of ``(x, u)`` and the spring vectors ``d_i = p_i -
+    p_{i-1}`` from the anchor out to the driven end point, ``(..., n, 3)``."""
+    n = params.n
+    batch = np.broadcast(x[..., 0], u[..., 0]).shape
+    allp = np.empty(batch + (n + 1, 3))
+    allp[..., 0, :] = params.anchor
+    allp[..., 1:, :] = x[..., :3 * n].reshape(x.shape[:-1] + (n, 3))
+    return batch, allp[..., 1:, :] - allp[..., :-1, :]
 
 
 def _spring_terms(d, params: ChainParams):
-    # psi(r) scales the elongation direction; psip is its radial derivative
+    # psi(r) scales the elongation direction of each spring force
     r = np.linalg.norm(d, axis=-1)
-    if np.any(r < 1e-12):
+    if (r < 1e-12).any():
         raise SingularGeometryError("adjacent chain points coincide")
     D, D1, L = params.D, params.D1, params.L
-    psi = D * (1.0 - L / r) + D1 * (r - L) ** 3 / r
-    psip = D * L / r ** 2 + D1 * (r - L) ** 2 * (2.0 * r + L) / r ** 2
-    return r, psi, psip
+    return r, D * (1.0 - L / r) + D1 * (r - L) ** 3 / r
+
+
+@lru_cache(maxsize=None)
+def _jacobian_pattern(n: int):
+    """Flat ``f_x`` indices of the velocity ones and of the 3x3 spring
+    blocks: all masses at their own point, then the next, then the previous."""
+    n_x, k = 6 * (n - 1) + 3, 3 * np.arange(n - 1)
+    rows = (3 * n + k) * n_x     # flat start of each mass's acceleration rows
+    corner = np.concatenate([rows + k, rows + k + 3, rows[1:] + k[1:] - 3])
+    blocks = corner[:, None, None] + np.arange(3)[:, None] * n_x \
+        + np.arange(3)
+    ones = np.arange(3 * (n - 1)) * (n_x + 1) + 3 * n
+    ones.flags.writeable = blocks.flags.writeable = False
+    return ones, blocks.ravel()
 
 
 def chain_rhs(x, u, params: ChainParams):
@@ -230,20 +244,12 @@ def chain_rhs(x, u, params: ChainParams):
     Velocity derivatives are ``(F_{i+1} - F_i)/m - g`` with the spring law
     ``F = D*d*(1 - L/r) + D1*d*(r - L)^3 / r`` on each elongation ``d``.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     n = params.n
-    pos, vel = _chain_split(x, n)
-    batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-    allp = np.empty(batch + (n + 1, 3))
-    allp[..., 0, :] = params.anchor
-    allp[..., 1:, :] = pos
-    d = allp[..., 1:, :] - allp[..., :-1, :]
-    r, psi, psip = _spring_terms(d, params)
-    force = psi[..., None] * d
+    batch, d = _elongations(x, u, params)
+    force = _spring_terms(d, params)[1][..., None] * d
     out = np.empty(batch + (params.n_x,))
-    out[..., :3 * (n - 1)] = np.broadcast_to(
-        vel, batch + (n - 1, 3)).reshape(batch + (3 * (n - 1),))
+    out[..., :3 * (n - 1)] = x[..., 3 * n:]
     out[..., 3 * (n - 1):3 * n] = u
     acc = (force[..., 1:, :] - force[..., :-1, :]) / params.m - params.g
     out[..., 3 * n:] = acc.reshape(batch + (3 * (n - 1),))
@@ -252,17 +258,12 @@ def chain_rhs(x, u, params: ChainParams):
 
 def chain_jacobians(x, u, params: ChainParams):
     """Analytic Jacobians ``(f_x, f_u)`` of :func:`chain_rhs`."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = params.n
-    n_x = params.n_x
-    pos, _ = _chain_split(x, n)
-    batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-    allp = np.empty(batch + (n + 1, 3))
-    allp[..., 0, :] = params.anchor
-    allp[..., 1:, :] = pos
-    d = allp[..., 1:, :] - allp[..., :-1, :]
-    r, psi, psip = _spring_terms(d, params)
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    n, n_x = params.n, params.n_x
+    batch, d = _elongations(x, u, params)
+    r, psi = _spring_terms(d, params)
+    D, D1, L = params.D, params.D1, params.L
+    psip = D * L / r ** 2 + D1 * (r - L) ** 2 * (2.0 * r + L) / r ** 2
     eye3 = np.eye(3)
     # dF/dd = psi*I + (psip/r) d d^T for each spring
     G = psi[..., None, None] * eye3 + (psip / r)[..., None, None] * (
@@ -270,21 +271,18 @@ def chain_jacobians(x, u, params: ChainParams):
 
     fx = np.zeros(batch + (n_x, n_x))
     fu = np.zeros(batch + (n_x, 3))
+    ones, blocks = _jacobian_pattern(n)
+    flat = fx.reshape(batch + (n_x * n_x,))
     # position derivatives: pdot_i = v_i, end point driven by u
-    for i in range(n - 1):
-        fx[..., 3 * i:3 * i + 3, 3 * n + 3 * i:3 * n + 3 * i + 3] = eye3
+    flat[..., ones] = 1.0
     fu[..., 3 * (n - 1):3 * n, :] = eye3
-    # acceleration rows: mass i couples to points i-1, i, i+1
+    # acceleration rows: mass i couples to point i+1 through G_i, to
+    # point i-1 through G_{i-1}, and to itself through both
     inv_m = 1.0 / params.m
-    for i in range(1, n):
-        rows = slice(3 * n + 3 * (i - 1), 3 * n + 3 * i)
-        Gi = G[..., i, :, :]      # spring to point i+1
-        Gim = G[..., i - 1, :, :]  # spring from point i-1
-        fx[..., rows, 3 * (i - 1):3 * i] += -(Gi + Gim) * inv_m
-        if i + 1 <= n:
-            fx[..., rows, 3 * i:3 * i + 3] += Gi * inv_m
-        if i - 1 >= 1:
-            fx[..., rows, 3 * (i - 2):3 * (i - 1)] += Gim * inv_m
+    Gm = G[..., 1:, :, :] * inv_m
+    flat[..., blocks] = np.concatenate(
+        [-(G[..., 1:, :, :] + G[..., :-1, :, :]) * inv_m, Gm,
+         Gm[..., :-1, :, :]], axis=-3).reshape(batch + (-1,))
     return fx, fu
 
 
@@ -301,7 +299,7 @@ def chain_steady_state(params: ChainParams, free_end_pos) -> np.ndarray:
         pos = z.reshape(n - 1, 3)
         allp = np.vstack([params.anchor, pos, free_end_pos])
         d = allp[1:] - allp[:-1]
-        _, psi, _ = _spring_terms(d, params)
+        _, psi = _spring_terms(d, params)
         force = psi[:, None] * d
         return ((force[1:] - force[:-1]) / params.m - params.g).ravel()
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import sensitivities, stage_record
 from nmpckit import cmon, integrator as intg, models
 from nmpckit.cmon import CMoNConfig, SensitivityStore
-from nmpckit.errors import ContractViolationError
+from nmpckit.errors import ConfigError
 from nmpckit.transcription import Trajectory
 
 
@@ -152,17 +152,17 @@ def test_threshold_edge_cases():
 
 
 def test_config_validation():
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigError):
         CMoNConfig(c1=0.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigError):
         CMoNConfig(c1=1.0)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigError):
         CMoNConfig(min_update_fraction=1.5)
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ConfigError):
         CMoNConfig(threshold_mode="sometimes")
     for bad in ({"alpha": 0.0}, {"beta": 0.0}, {"eps_abs": -0.1},
                 {"eps_rel": math.inf}, {"eps_abs": math.nan}):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ConfigError):
             CMoNConfig(**bad)
     # a zero tolerance is legal: it forces full updates
     CMoNConfig(eps_abs=0.0, eps_rel=0.0)

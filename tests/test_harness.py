@@ -538,6 +538,20 @@ def test_plant_matches_model_without_mismatch():
     npt.assert_array_equal(pred, log.states[1:])
 
 
+def test_chain_plant_matches_model_without_mismatch():
+    # the chain twin: the plant steps the unbatched state, the predictor
+    # replays all instants as one batch, and the two agree exactly
+    s = load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    s.duration = 2.0
+    s.scheme = dataclasses.replace(s.scheme, scheme="rti")
+    s.plant_substep_factor = 1
+    log = closed_loop_simulate(s, x0=perturbed_chain_state(s, 0))
+    assert not log.failed and log.n_instants == 10
+    pred = intg.integrate_batch(s.model, log.states[:-1], log.controls,
+                                s.integrator())[0]
+    npt.assert_array_equal(pred, log.states[1:])
+
+
 def test_plant_mismatch_is_refinement_only():
     # the default plant only refines the integration grid; the gap between
     # the controller predictor and the plant is within the predictor's own

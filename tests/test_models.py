@@ -169,6 +169,41 @@ def test_chain_jacobians_match_fd(chain, rng):
     npt.assert_allclose(fu, fu_fd, rtol=1e-8, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_jacobians_match_fd_short_chains(n, rng):
+    # the Jacobian's block pattern is laid out per chain length
+    par = models.ChainParams(n=n)
+    chain = models.make_chain_model(par)
+    x = models.chain_steady_state(par, [0.3 * n, 0.0, 0.0])
+    x = x + rng.uniform(-0.05, 0.05, par.n_x)
+    u = rng.uniform(-1.0, 1.0, 3)
+    fx, fu = chain.rhs_jacobians(x, u)
+    fx_fd, fu_fd = _fd_jacobians(chain.rhs, x, u)
+    npt.assert_allclose(fx, fx_fd, rtol=2e-5, atol=2e-6)
+    npt.assert_allclose(fu, fu_fd, rtol=1e-8, atol=1e-9)
+
+
+def test_chain_rhs_broadcasts(chain, rng):
+    # a (k, n_x) batch and the stage-shaped call of stage_jacobians, x
+    # (k, m, n_x) with u (k, 1, n_u), equal the unbatched rows bit for bit
+    par = chain.meta["params"]
+    k, m = 3, 4
+    xs = models.chain_steady_state(par, [1.0, 0.0, 0.0]) \
+        + rng.uniform(-0.2, 0.2, (k, m, par.n_x))
+    us = rng.uniform(-1.0, 1.0, (k, 1, 3))
+    rows = [(chain.rhs(xs[i, j], us[i, 0]),)
+            + chain.rhs_jacobians(xs[i, j], us[i, 0])
+            for i in range(k) for j in range(m)]
+    xf, uf = xs.reshape(k * m, par.n_x), np.repeat(us[:, 0], m, axis=0)
+    flat = (chain.rhs(xf, uf),) + chain.rhs_jacobians(xf, uf)
+    staged = (chain.rhs(xs, us),) + chain.rhs_jacobians(xs, us)
+    for out, want in zip(zip(flat, staged), zip(*rows)):
+        want = np.stack(want)
+        for got, batch in zip(out, [(k * m,), (k, m)]):
+            assert got.shape == batch + want.shape[1:]
+            npt.assert_array_equal(got.reshape(want.shape), want)
+
+
 def test_chain_single_spring_by_hand():
     # n=2: one free mass between the anchor and the driven end point
     par = models.ChainParams(n=2)

@@ -6,8 +6,8 @@ linear prediction, relative to the directional sensitivity (primal), and
 the change of an adjoint row relative to its previous value (dual). Blocks
 whose measures stay below the current thresholds keep their stored
 sensitivity; the rest are recomputed. Threshold values follow from a
-desired distance-to-optimum tolerance through offline conditioning
-constants of the subproblem matrix.
+desired distance-to-optimum tolerance through conditioning constants of
+the subproblem matrix, taken from the first subproblem solved.
 """
 
 import math
@@ -187,7 +187,8 @@ def dto_tolerance(cfg: CMoNConfig, n_dim: int, prev_dy_norm: float) -> float:
 
 def thresholds(cfg: CMoNConfig, e_bar: float, rho0: float, gamma0: float,
                v_pri_norm: float, v_dual_norm: float):
-    """Threshold pair from the tolerance and offline conditioning constants.
+    """Threshold pair from the tolerance and the conditioning constants
+    of the first subproblem solved.
 
     A zero tolerance forces full updates; a zero direction norm leaves the
     corresponding threshold unbounded (nothing moved in that direction).

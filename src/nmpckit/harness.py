@@ -109,6 +109,14 @@ class ScenarioConfig:
             raise ConfigError("trial count must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if not (0.0 <= self.noise_pos < math.inf
+                and 0.0 <= self.noise_vel < math.inf):
+            raise ConfigError("noise amplitudes must be finite and "
+                              "nonnegative")
+        if not self.stabilize_threshold > 0:
+            raise ConfigError("stabilize threshold must be positive")
+        if self.stabilize_cap is not None and not self.stabilize_cap > 0:
+            raise ConfigError("stabilize cap must be positive")
 
     @property
     def n_instants(self) -> int:
@@ -170,6 +178,8 @@ def _build_schedule(ref: dict, kind: str, model: ModelSpec
         controls = np.asarray(ref["controls"], dtype=float)
     else:
         controls = np.zeros((times.size, model.n_u))
+    if controls.shape != (times.size, model.n_u):
+        raise ConfigError("reference controls have the wrong shape")
     return ReferenceSchedule(times, states, controls)
 
 
@@ -358,11 +368,12 @@ def closed_loop_simulate(scenario: ScenarioConfig,
     The plant steps the unbatched state, one ``integrate_batch`` call of
     ``substeps * plant_substep_factor`` RK4 steps per instant.
 
-    A failure while setting the loop up (the perfect or steady start, the
-    preparation phase) gives a failed log with no instant; so does one in
-    instant 0, which under ``cmon`` also computes the conditioning
-    constants from the subproblem it solves. A stray LAPACK
-    failure (``np.linalg.LinAlgError``) is recorded like an ``NMPCError``.
+    :func:`initialize_controller` only sets the state up, so instant 0
+    computes every sensitivity block (``refreshed`` 0, ``sens_blocks``
+    N) and, under ``cmon``, the conditioning constants from the
+    subproblem it solves. A failure in the perfect or steady start or in
+    instant 0 gives a failed log with no instant. A stray LAPACK failure
+    (``np.linalg.LinAlgError``) is recorded like an ``NMPCError``.
     """
     model = scenario.model
     N = scenario.horizon

@@ -4,9 +4,10 @@ The subproblem's primal-dual solution, viewed as a function of the error
 ``P`` between stored and exact continuity Jacobian blocks, admits a
 first-order expansion around the exact-Jacobian solution. This module
 assembles the square matrix ``M`` (the KKT map differentiated in the
-solution triple), derives from its spectrum the offline conditioning
-constants used by the threshold rule, and measures the actual distance to
-the fully-updated optimum by re-solving the subproblem with exact blocks.
+solution triple), derives from its spectrum the conditioning constants
+used by the threshold rule (computed once per loop, from the first
+subproblem solved), and measures the actual distance to the fully-updated
+optimum by re-solving the subproblem with exact blocks.
 
 ``M`` is a sparse matrix in stage order: rows and columns both run
 ``(lam_k, w_k, mu_k)`` for k < N, then ``(lam_N, x_N)``, so every
@@ -144,7 +145,8 @@ def singular_values(M) -> np.ndarray:
 
 
 def conditioning_constants(M):
-    """Offline constants ``(rho, gamma)`` from the subproblem spectrum.
+    """Constants ``(rho, gamma)`` from the subproblem spectrum; the
+    controller takes them from the first subproblem it solves.
 
     ``rho`` is the reciprocal smallest singular value; ``gamma`` is one
     plus the spread of the inverse spectrum. ``M`` may be dense or sparse.

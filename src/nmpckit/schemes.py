@@ -9,14 +9,18 @@ horizon problem, in three stages:
 3. assemble the subproblem with an exactly corrected gradient, solve it,
    update the measure caches and apply the full increment.
 
-Schemes differ only in the block update policy of stage 2:
+There is no preparation phase: a block never computed is always
+computed, so the first step computes every block under every scheme. That
+first computation counts in ``sens_blocks`` but not in ``refreshed``,
+which counts only blocks computed before and recomputed now. After the
+first step the schemes differ only in the block update policy of stage 2:
 
 ``rti``
     every block, every instant.
 ``ml``
     every block, every ``ml_interval`` instants, none in between.
 ``adj``
-    blocks stay at their preparation values forever.
+    blocks stay at their first-step values forever.
 ``cmon``
     per-block nonlinearity measures against auto-tuned thresholds.
 
@@ -71,9 +75,9 @@ class StepDiagnostics:
     dy_norm: float              # full increment norm
     dw_norm: float              # primal part of the increment
     dlam_norm: float            # equality-multiplier part of the increment
-    refreshed: int              # sensitivity blocks recomputed this instant
+    refreshed: int              # blocks computed before, recomputed now
     refresh_fraction: float
-    sens_blocks: int            # forward sensitivity block evaluations
+    sens_blocks: int            # forward sensitivity blocks computed
     adjoint_seeds: int          # nodes x seeds of the adjoint sweep
     horizon_passes: int         # integrate_batch plus adjoint_batch calls
     qp_iterations: int
@@ -109,14 +113,21 @@ def _triple_dim(model: ModelSpec, N: int) -> int:
     return n_w + n_eq + n_in
 
 
-def _new_state(model: ModelSpec, integ: intg.IntegratorConfig,
-               cfg: SchemeConfig, traj: Trajectory, mult: Multipliers
-               ) -> ControllerState:
-    """State with copies of the iterate and no sensitivity block yet."""
-    N = traj.horizon
+def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
+                          cfg: SchemeConfig, traj0: Trajectory,
+                          mult0: Multipliers) -> ControllerState:
+    """Controller state with copies of ``traj0`` and ``mult0`` and no
+    sensitivity block yet; it evaluates no model and no kernel.
+
+    The first step computes every block, in the closed loop as in
+    :func:`sqp_solve` (``adj`` keeps them there for good). Under ``cmon``
+    with automatic thresholds, the conditioning constants come from the
+    first subproblem solved.
+    """
+    N = traj0.horizon
     state = ControllerState(
-        model=model, integ=integ, cfg=cfg, traj=traj.copy(),
-        mult=mult.copy(),
+        model=model, integ=integ, cfg=cfg, traj=traj0.copy(),
+        mult=mult0.copy(),
         store=SensitivityStore.empty(N, model.n_x, model.n_u),
         n_dim=_triple_dim(model, N))
     if cfg.scheme == "cmon":
@@ -126,25 +137,6 @@ def _new_state(model: ModelSpec, integ: intg.IntegratorConfig,
     # it is freed; freeing one twice the size of an instant's stage
     # Jacobians keeps them and their sweeps on reused heap pages
     np.empty(2 * N * 4 * integ.substeps * model.n_x * (model.n_x + model.n_u))
-    return state
-
-
-def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
-                          cfg: SchemeConfig, traj0: Trajectory,
-                          mult0: Multipliers) -> ControllerState:
-    """Preparation phase, the same for every scheme: every sensitivity
-    block at ``traj0`` (``adj`` keeps them there for good).
-
-    Under ``cmon`` with automatic thresholds, the conditioning constants
-    come from the first subproblem the controller solves, as in
-    :func:`sqp_solve`.
-    """
-    state = _new_state(model, integ, cfg, traj0, mult0)
-    traj = state.traj
-    _, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
-    state.store.refresh(model, traj,
-                        intg.stage_jacobians(model, stages, traj.us),
-                        integ, np.ones(traj.horizon, dtype=bool))
     return state
 
 
@@ -159,6 +151,7 @@ def _linearize(state: ControllerState, x_hat, refs: References):
     model, integ, cfg = state.model, state.integ, state.cfg
     store, traj = state.store, state.traj
     N = traj.horizon
+    new = ~store.computed       # a first computation is not a refresh
     lam_seeds = state.mult.lam[1:]
     phis, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
     jacs = None                 # evaluated once, when a sweep first needs it
@@ -182,15 +175,16 @@ def _linearize(state: ControllerState, x_hat, refs: References):
                                        state.gamma0, v_pri, v_dual)
         mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
                                floor_count=cfg.cmon.floor_count(N),
-                               invalid=~store.computed)
+                               invalid=new)
     else:
         full = cfg.scheme == "rti" or (
             cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0)
-        mask = np.full(N, full) | ~store.computed
+        mask = np.full(N, full) | new
     stale = ~(store.fresh_mask(traj) | mask)    # inexact after the refresh
     if jacs is None and (mask.any() or stale.any()):
         jacs = intg.stage_jacobians(model, stages, traj.us)
-    refreshed = store.refresh(model, traj, jacs, integ, mask)
+    sens_blocks = store.refresh(model, traj, jacs, integ, mask)
+    refreshed = sens_blocks - int(new.sum())
 
     seeds = 2 * N if lam_rows is not None else int(stale.sum())
     lam_dphi = exact_gradient_rows(model, jacs, integ, lam_seeds,
@@ -202,7 +196,7 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         instant=state.instant, kkt_residual=float(np.linalg.norm(qp.gradient)),
         dy_norm=np.nan, dw_norm=np.nan, dlam_norm=np.nan,
         refreshed=refreshed, refresh_fraction=refreshed / N,
-        sens_blocks=refreshed, adjoint_seeds=seeds,
+        sens_blocks=sens_blocks, adjoint_seeds=seeds,
         horizon_passes=1 + (seeds > 0), qp_iterations=0,
         kappa_max=float(kappa.max(initial=0.0)),
         kappa_dual_max=float(kappa_dual.max(initial=0.0)),
@@ -290,14 +284,15 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
     """Iterate the controller step at fixed ``x_hat`` to convergence.
 
     The scheme in ``cfg`` picks the block update policy: ``rti`` is plain
-    Gauss-Newton SQP with every block exact. There is no preparation
-    phase, so the first iteration computes every block. Under ``cmon``
-    its subproblem fixes the conditioning constants, as the first
-    instant's does in the closed loop. Five
-    consecutive residual increases raise :class:`DivergenceError` with
-    the trace attached.
+    Gauss-Newton SQP with every block exact. The state comes from
+    :func:`initialize_controller`, as in the closed loop, so the first
+    iteration computes every block; that is no refresh, so
+    ``refresh_counts[0]`` is 0 while ``sens_blocks`` counts the N blocks.
+    Under ``cmon`` its subproblem fixes the conditioning constants, as the
+    first instant's does in the closed loop. Five consecutive residual
+    increases raise :class:`DivergenceError` with the trace attached.
     """
-    state = _new_state(ocp.model, ocp.integ, cfg, traj0, mult0)
+    state = initialize_controller(ocp.model, ocp.integ, cfg, traj0, mult0)
     trace, counts = [], []
     blocks_total = adjoint_total = grows = 0
     converged = False

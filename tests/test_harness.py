@@ -173,19 +173,16 @@ def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
 
 def test_lapack_failure_in_setup_ends_loop_as_recorded_failure():
     # a LAPACK routine that fails (dsbev in the Gram spectrum, say) raises
-    # numpy's LinAlgError, not an NMPCError; the loop still records it,
-    # whether it fails in initialize_controller or in instant 0, which
+    # numpy's LinAlgError, not an NMPCError; the loop still records it when
+    # it fails in instant 0, which computes every sensitivity block and
     # fixes the cmon conditioning constants
     def failing(*args):
         raise np.linalg.LinAlgError("LAPACK routine did not converge")
 
-    for module, name, unreached in (
-            (intg, "stage_jacobians", "controller_step"),
-            (schemes, "conditioning_constants", None)):
+    for module, name in ((intg, "stage_jacobians"),
+                         (schemes, "conditioning_constants")):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, name, failing)
-            if unreached is not None:
-                mp.setattr(harness, unreached, _unreachable)
             log = closed_loop_simulate(_short_pendulum(
                 duration=0.5, scheme="cmon", init_mode="steady"))
         assert log.failed
@@ -501,6 +498,11 @@ def test_cli_rejects_bad_trial_count(tmp_path):
     assert cli.main([str(scen), "--trials", "0"]) == 2
 
 
+# two pendulum segments; the cases below give them bad reference controls
+_PENDULUM_REF = {"times": [0.0, 5.0],
+                 "states": [[0.0, 0.0, 0.0, 0.0], [0.6, 1.2, 0.0, 0.0]]}
+
+
 @pytest.mark.parametrize("cmon, top, args", [
     ({"c1": 1.5}, {}, []),
     ({"threshold_mode": "sometimes"}, {}, []),
@@ -511,8 +513,16 @@ def test_cli_rejects_bad_trial_count(tmp_path):
     ({"eps_rel": float("inf")}, {}, []),
     ({}, {"seed": -1}, []),
     ({}, {}, ["--seed", "-1"]),
+    ({}, {"reference": dict(_PENDULUM_REF, controls=[0.0, 0.0])}, []),
+    ({}, {"reference": dict(_PENDULUM_REF, controls=[[0.0, 0.0]] * 2)}, []),
+    ({}, {"stabilize": {"cap": -1.0}}, []),
+    ({}, {"stabilize": {"threshold": 0.0}}, []),
+    ({}, {"noise": {"position_amplitude": -0.1}}, []),
+    ({}, {"noise": {"velocity_amplitude": -0.1}}, []),
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
-        "eps_abs", "eps_rel", "seed", "cli_seed"])
+        "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
+        "controls_width", "stabilize_cap", "stabilize_threshold",
+        "noise_pos", "noise_vel"])
 def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
                                            args):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())

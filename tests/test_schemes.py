@@ -39,9 +39,10 @@ def test_exact_sqp_converges(pendulum):
     assert res.converged
     assert res.kkt_trace[-1] <= 1e-8
     assert res.iterations < 50
-    # every iteration refreshes every block
+    # every iteration computes every block; the first computes them for
+    # the first time, which is no refresh
     assert res.sens_blocks == res.iterations * N + N
-    assert all(c == N for c in res.refresh_counts)
+    assert res.refresh_counts == [0] + [N] * (res.iterations - 1)
 
 
 def test_zero_tolerance_partial_update_matches_exact(pendulum):
@@ -96,12 +97,37 @@ def test_initialize_controller_auto_constants(pendulum):
     n_w = N * 5 + 4
     assert state.n_dim == n_w + 4 * N + (N + 1) * 4
     assert state.e_bar >= 0.1 * np.sqrt(state.n_dim)
-    assert state.store.fresh_mask(state.traj).all()
+    # set-up computes no block; the first step computes them all
+    assert not state.store.computed.any()
     # the constants come from the first subproblem solved
     assert np.isnan(state.rho0) and np.isnan(state.gamma0)
     controller_step(state, x_hat, refs0)
+    assert state.store.computed.all()
     assert np.isfinite(state.rho0) and state.rho0 > 0
     assert state.gamma0 >= 1.0
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("set-up evaluated a kernel")
+
+
+@pytest.mark.parametrize("kind", ["rti", "ml", "adj", "cmon"])
+def test_initialize_controller_evaluates_nothing(pendulum, kind,
+                                                 monkeypatch):
+    # set-up only copies the iterate; the first step computes every block,
+    # for the first time, so it refreshes none
+    cfg = SchemeConfig(scheme=kind, ml_interval=2)
+    x_hat = np.array([0.0, 0.3, 0.0, 0.0])
+    traj0, mult0 = _steady_guess(pendulum, x_hat)
+    with monkeypatch.context() as mp:
+        for name in ("integrate_batch", "stage_jacobians",
+                     "forward_sensitivity_batch"):
+            mp.setattr(intg, name, _forbidden)
+        state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
+    assert not state.store.computed.any()
+    d = controller_step(state, x_hat, References(np.zeros((N + 1, 4)),
+                                                 np.zeros((N, 1))))
+    assert (d.sens_blocks, d.refreshed, d.refresh_fraction) == (N, 0, 0.0)
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "chain"])
@@ -147,8 +173,9 @@ def test_rti_step_counters(pendulum):
     for i in range(3):
         d = controller_step(state, x_hat, References(np.zeros((N + 1, 4)),
                                                      np.zeros((N, 1))))
-        assert d.refreshed == N
-        assert d.refresh_fraction == 1.0
+        # instant 0 computes every block for the first time: no refresh
+        assert d.refreshed == (N if i else 0)
+        assert d.refresh_fraction == (1.0 if i else 0.0)
         assert d.sens_blocks == N
         assert d.adjoint_seeds == 0
         assert d.instant == i
@@ -166,8 +193,8 @@ def test_adj_step_counters(pendulum):
                                        np.zeros((N, 1))))
         assert d.refreshed == 0
         seen.append(d.adjoint_seeds)
-    # blocks stay frozen at the preparation point; once the iterate moves
-    # every gradient row needs an adjoint sweep
+    # blocks stay frozen where the first step computed them; once the
+    # iterate moves every gradient row needs an adjoint sweep
     assert seen[0] == 0
     assert seen[1] == N and seen[2] == N
 
@@ -178,9 +205,10 @@ def test_ml_interval_two_alternates(pendulum):
     traj0, mult0 = _steady_guess(pendulum, x_hat)
     state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     refs = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
-    counts = [controller_step(state, x_hat, refs).refreshed
-              for _ in range(4)]
-    assert counts == [N, 0, N, 0]
+    steps = [controller_step(state, x_hat, refs) for _ in range(4)]
+    assert [d.sens_blocks for d in steps] == [N, 0, N, 0]
+    # the first computation of a block is no refresh
+    assert [d.refreshed for d in steps] == [0, 0, N, 0]
 
 
 def test_ml_interval_one_matches_rti_stepwise(pendulum):
@@ -343,21 +371,22 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
         assert c["seeds"] == d.adjoint_seeds
         assert c["blocks"] == d.sens_blocks
         assert d.horizon_passes == 1 + swept
-        if kind == "rti" or (kind == "ml" and i % 2 == 0):
+        if i == 0:
+            # every scheme computes every block at the first instant, which
+            # refreshes none of them, and needs no adjoint row
+            assert (d.sens_blocks, d.adjoint_seeds, d.refreshed) == (N, 0, 0)
+        elif kind == "rti" or (kind == "ml" and i % 2 == 0):
             assert (d.sens_blocks, d.adjoint_seeds) == (N, 0)
-        elif kind in ("ml", "adj") and i > 0:
+        elif kind in ("ml", "adj"):
             assert (d.sens_blocks, d.adjoint_seeds) == (0, N)
-        elif kind == "cmon" and i > 0:
+        else:
             # the dual-measure seeds and the gradient seeds share a sweep
             assert d.adjoint_seeds == 2 * N
-        elif kind == "cmon":
-            # at the preparation point every block is exact: no sweep runs
-            assert c["jac"] == 0
 
 
 def test_fixed_thresholds_skip_conditioning_constants(monkeypatch):
-    # fixed thresholds never read the constants, so neither the
-    # preparation phase nor the first instant of a loop without one
+    # fixed thresholds never read the constants, so neither the first
+    # instant of a closed loop nor the first iteration of sqp_solve
     # computes them
     def forbidden(*args, **kwargs):
         raise AssertionError("conditioning constants computed")

@@ -19,7 +19,7 @@ from .models import (ChainParams, ModelSpec, PendulumParams,
                      make_pendulum_model)
 from .integrator import IntegratorConfig
 from .transcription import Multipliers, QPData, References, Trajectory
-from .cmon import CMoNConfig, SensitivityStore
+from .cmon import CMoNConfig
 from .schemes import (ControllerState, OCProblem, SchemeConfig, SQPResult,
                       StepDiagnostics, controller_step, initialize_controller,
                       sqp_solve)
@@ -37,7 +37,7 @@ __all__ = [
     "make_chain_model", "chain_steady_state",
     "IntegratorConfig",
     "Trajectory", "Multipliers", "References", "QPData",
-    "CMoNConfig", "SensitivityStore",
+    "CMoNConfig",
     "SchemeConfig", "ControllerState", "StepDiagnostics", "OCProblem",
     "SQPResult", "initialize_controller", "controller_step", "sqp_solve",
     "ReferenceSchedule", "ScenarioConfig", "SimulationLog", "TrialSummary",

@@ -96,9 +96,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 3
         t_st = stabilizing_time(log, scenario.stabilize_threshold,
-                                scenario.stabilize_cap
-                                if scenario.stabilize_cap is not None
-                                else scenario.duration)
+                                scenario.settling_cap)
         print(f"{log.n_instants} instants, t_st {t_st:.3f} s")
         return 0
     except ConfigError as exc:

@@ -5,7 +5,9 @@ nonlinearity measure: the deviation of the new integration value from the
 linear prediction, relative to the directional sensitivity (primal), and
 the change of an adjoint row relative to its previous value (dual). Blocks
 whose measures stay below the current thresholds keep their stored
-sensitivity; the rest are recomputed. Threshold values follow from a
+sensitivity, corrected by exact adjoint gradient rows; the rest are
+recomputed. The blocks and the previous instant's caches these measures
+read live in the controller state. Threshold values follow from a
 desired distance-to-optimum tolerance through conditioning constants of
 the subproblem matrix, taken from the first subproblem solved.
 """
@@ -60,67 +62,6 @@ class CMoNConfig:
         return int(math.ceil(self.min_update_fraction * N))
 
 
-@dataclass
-class SensitivityStore:
-    """Per-interval sensitivity blocks plus the caches the measures need.
-
-    ``node_points`` records the ``(x_k, u_k)`` each block was computed at
-    (NaN before the first computation); it is the only freshness record:
-    a block is exact wherever its node has not moved since. The caches
-    hold, for the previous instant: integration values, directional
-    sensitivity rows (also the threshold direction vectors), adjoint rows,
-    and the dual step seeds.
-    """
-
-    blocks: np.ndarray                 # (N, n_x, n_x+n_u)
-    node_points: np.ndarray            # (N, n_x+n_u) where each block was computed
-    prev_phi: Optional[np.ndarray] = None       # (N, n_x)
-    prev_dir_pri: Optional[np.ndarray] = None   # (N, n_x)
-    prev_dir_dual: Optional[np.ndarray] = None  # (N, n_x+n_u)
-    prev_dlam: Optional[np.ndarray] = None      # (N, n_x) adjoint seeds
-
-    @classmethod
-    def empty(cls, N: int, n_x: int, n_u: int) -> "SensitivityStore":
-        return cls(blocks=np.zeros((N, n_x, n_x + n_u)),
-                   node_points=np.full((N, n_x + n_u), np.nan))
-
-    @property
-    def horizon(self) -> int:
-        return self.blocks.shape[0]
-
-    @property
-    def computed(self) -> np.ndarray:
-        """Blocks computed at least once."""
-        return ~np.isnan(self.node_points).any(axis=1)
-
-    def fresh_mask(self, traj) -> np.ndarray:
-        """Blocks exact at ``traj``: their node has not moved since."""
-        return np.all(self.node_points == traj.nodes(), axis=1)
-
-    def refresh(self, model: ModelSpec, traj, jacs,
-                cfg: intg.IntegratorConfig, mask: np.ndarray) -> int:
-        """Recompute the masked blocks from the trajectory's stage
-        Jacobians ``jacs`` (:func:`integrator.stage_jacobians`); returns
-        the count."""
-        mask = np.asarray(mask, dtype=bool)
-        if not np.any(mask):
-            return 0
-        self.blocks[mask] = intg.forward_sensitivity_batch(
-            model, *intg.node_subset(jacs, mask), cfg)
-        self.node_points[mask] = traj.nodes()[mask]
-        return int(mask.sum())
-
-    def update_caches(self, phis: np.ndarray, dir_pri: np.ndarray,
-                      dir_dual: np.ndarray, dlam_seeds: np.ndarray):
-        self.prev_phi = np.array(phis)
-        self.prev_dir_pri = np.array(dir_pri)
-        self.prev_dir_dual = np.array(dir_dual)
-        self.prev_dlam = np.array(dlam_seeds)
-
-    def has_caches(self) -> bool:
-        return self.prev_phi is not None
-
-
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     # exact zero direction: the measure is zero by convention
     out = np.zeros_like(num)
@@ -164,10 +105,10 @@ def update_decision(kappa: np.ndarray, kappa_dual: np.ndarray,
     """Boolean mask of blocks to recompute.
 
     A block is kept only when both measures sit at or below their
-    thresholds, so a NaN measure refreshes its block; blocks never
-    computed are always refreshed. When fewer than ``floor_count`` blocks
-    are selected, the largest primal measures (lowest index on ties) top
-    up the selection.
+    thresholds, so a NaN measure refreshes its block; blocks flagged
+    ``invalid`` (not computed yet) are always refreshed. When fewer than
+    ``floor_count`` blocks are selected, the largest primal measures
+    (lowest index on ties) top up the selection.
     """
     refresh = ~((kappa <= eta_pri) & (kappa_dual <= eta_dual))
     if invalid is not None:

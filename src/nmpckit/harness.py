@@ -95,12 +95,14 @@ class ScenarioConfig:
     name: str = "scenario"
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ConfigError("duration must be nonnegative")
+        if not 0 <= self.duration < math.inf:
+            raise ConfigError("duration must be finite and nonnegative")
         if self.horizon < 2:
             raise ConfigError("horizon must be at least 2")
-        if self.t_s <= 0:
-            raise ConfigError("sampling interval must be positive")
+        if not 0 < self.t_s < math.inf:
+            raise ConfigError("sampling interval must be finite and positive")
+        if not self.duration / self.t_s < math.inf:
+            raise ConfigError("duration / t_s overflows the instant count")
         if self.substeps < 1 or self.plant_substep_factor < 1:
             raise ConfigError("substep counts must be positive")
         if self.init_mode not in ("steady", "perfect"):
@@ -122,6 +124,13 @@ class ScenarioConfig:
     def n_instants(self) -> int:
         return int(round(self.duration / self.t_s))
 
+    @property
+    def settling_cap(self) -> float:
+        """Settling time of a loop that never settles: ``stabilize_cap``,
+        else ``duration``."""
+        return self.duration if self.stabilize_cap is None \
+            else self.stabilize_cap
+
     def integrator(self) -> intg.IntegratorConfig:
         return intg.IntegratorConfig(dt=self.t_s, substeps=self.substeps)
 
@@ -133,40 +142,42 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # scenario loading
 
+def _check_keys(block: str, spec: dict, allowed) -> None:
+    extra = set(spec) - set(allowed)
+    if extra:
+        raise ConfigError(f"unknown {block} keys {sorted(extra)}")
+
+
+# the bound keys each model kind takes
+_LIMIT_KEYS = {"pendulum": ("position_limit", "force_limit"),
+               "chain": ("control_limit",)}
+
+
 def _build_model(kind: str, spec: dict):
+    if kind not in _LIMIT_KEYS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    _check_keys("model", spec, ("params", "stage_weights",
+                                "terminal_weights") + _LIMIT_KEYS[kind])
+    kwargs = {key: float(spec[key]) for key in _LIMIT_KEYS[kind]
+              if key in spec}
+    for key in ("stage_weights", "terminal_weights"):
+        if key in spec:
+            kwargs[key] = np.asarray(spec[key], dtype=float)
+    pk = {k: int(v) if k == "n" else float(v)
+          for k, v in (spec.get("params") or {}).items()}
     if kind == "pendulum":
-        pk = {k: float(v) for k, v in (spec.get("params") or {}).items()}
-        kwargs = {}
-        for key in ("position_limit", "force_limit"):
-            if key in spec:
-                kwargs[key] = float(spec[key])
-        for key in ("stage_weights", "terminal_weights"):
-            if key in spec:
-                kwargs[key] = np.asarray(spec[key], dtype=float)
         return make_pendulum_model(PendulumParams(**pk), **kwargs)
-    if kind == "chain":
-        pk = dict(spec.get("params") or {})
-        if "n" in pk:
-            pk["n"] = int(pk["n"])
-        for key in ("m", "D", "D1", "L"):
-            if key in pk:
-                pk[key] = float(pk[key])
-        kwargs = {}
-        if "control_limit" in spec:
-            kwargs["control_limit"] = float(spec["control_limit"])
-        for key in ("stage_weights", "terminal_weights"):
-            if key in spec:
-                kwargs[key] = np.asarray(spec[key], dtype=float)
-        return make_chain_model(ChainParams(**pk), **kwargs)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return make_chain_model(ChainParams(**pk), **kwargs)
 
 
 def _build_schedule(ref: dict, kind: str, model: ModelSpec
                     ) -> ReferenceSchedule:
+    _check_keys("reference", ref, ("times", "states", "controls")
+                + (("free_end",) if kind == "chain" else ()))
     times = np.asarray(ref.get("times", [0.0]), dtype=float)
     if "states" in ref:
         states = np.asarray(ref["states"], dtype=float)
-    elif "free_end" in ref and kind == "chain":
+    elif "free_end" in ref:
         params = model.meta["params"]
         states = np.stack([chain_steady_state(params, p)
                            for p in np.asarray(ref["free_end"], dtype=float)])
@@ -198,8 +209,7 @@ def _build_scheme(spec: dict) -> SchemeConfig:
         kwargs["ml_interval"] = int(spec.pop("ml_interval"))
     if "track_dto" in spec:
         kwargs["track_dto"] = bool(spec.pop("track_dto"))
-    if spec:
-        raise ConfigError(f"unknown scheme keys {sorted(spec)}")
+    _check_keys("scheme", spec, ())
     try:
         return SchemeConfig(cmon=CMoNConfig(**ckw), **kwargs)
     except (TypeError, ConfigError) as exc:
@@ -217,16 +227,17 @@ def scenario_from_dict(doc: dict, raw_text: str = "",
                        name: str = "scenario") -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a mapping")
-    extra = set(doc) - _SCENARIO_KEYS
-    if extra:
-        raise ConfigError(f"unknown scenario keys {sorted(extra)}")
+    _check_keys("scenario", doc, _SCENARIO_KEYS)
     try:
         mspec = dict(doc["model"])
         kind = str(mspec.pop("kind"))
         model = _build_model(kind, mspec)
         schedule = _build_schedule(dict(doc["reference"]), kind, model)
         noise = dict(doc.get("noise") or {})
+        _check_keys("noise", noise, ("position_amplitude",
+                                     "velocity_amplitude"))
         stab = dict(doc.get("stabilize") or {})
+        _check_keys("stabilize", stab, ("threshold", "cap"))
         x0 = doc.get("x0")
         return ScenarioConfig(
             model_kind=kind,
@@ -486,8 +497,7 @@ def randomized_chain_trials(scenario: ScenarioConfig,
     if scenario.model_kind != "chain":
         raise ConfigError("randomized trials are defined for chain scenarios")
     trials = scenario.trials if trials is None else int(trials)
-    cap = scenario.stabilize_cap if scenario.stabilize_cap is not None \
-        else scenario.duration
+    cap = scenario.settling_cap
     t_st = np.empty(trials)
     failed = np.zeros(trials, dtype=bool)
     logs = [] if keep_logs else None
@@ -495,7 +505,9 @@ def randomized_chain_trials(scenario: ScenarioConfig,
         x0 = perturbed_chain_state(scenario, trial)
         log = closed_loop_simulate(scenario, x0=x0)
         t_st[trial] = stabilizing_time(log, scenario.stabilize_threshold, cap)
-        failed[trial] = log.failed or t_st[trial] >= cap
+        # a loop with no instant has nothing to settle
+        failed[trial] = log.failed or (log.n_instants > 0
+                                       and t_st[trial] >= cap)
         if keep_logs:
             logs.append(log)
     return TrialSummary(scenario_name=scenario.name,
@@ -534,10 +546,7 @@ def export_log_csv(log: SimulationLog, path) -> None:
     row = [_fmt(final_t)] + [_fmt(v) for v in log.states[-1]]
     row += [""] * (n_u + len(_DIAG_COLUMNS))
     lines.append(",".join(row))
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise NMPCError(f"cannot write log to {path}: {exc}") from None
+    path.write_text("\n".join(lines) + "\n")
 
 
 def export_summary_csv(summary: TrialSummary, path) -> None:
@@ -550,10 +559,7 @@ def export_summary_csv(summary: TrialSummary, path) -> None:
     lines.append(",".join([summary.scheme, str(summary.seed),
                            _fmt(summary.cap), str(summary.n_failures),
                            _fmt(summary.mean_t_st), _fmt(summary.iqr_t_st)]))
-    try:
-        path.write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise NMPCError(f"cannot write summary to {path}: {exc}") from None
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
@@ -574,7 +580,4 @@ def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
     }
     if extra:
         doc.update(extra)
-    try:
-        path.write_text(json.dumps(doc, indent=2) + "\n")
-    except OSError as exc:
-        raise NMPCError(f"cannot write manifest to {path}: {exc}") from None
+    path.write_text(json.dumps(doc, indent=2) + "\n")

@@ -9,11 +9,13 @@ horizon problem, in three stages:
 3. assemble the subproblem with an exactly corrected gradient, solve it,
    update the measure caches and apply the full increment.
 
-There is no preparation phase: a block never computed is always
-computed, so the first step computes every block under every scheme. That
-first computation counts in ``sens_blocks`` but not in ``refreshed``,
-which counts only blocks computed before and recomputed now. After the
-first step the schemes differ only in the block update policy of stage 2:
+There is no preparation phase: the first step (instant 0) computes every
+block under every scheme. That first computation counts in
+``sens_blocks`` but not in ``refreshed``, which counts only blocks
+recomputed after it. A block counts as exact only at the instant that
+computes it; every other node takes its gradient row from an adjoint
+sweep. After the first step the schemes differ only in the block update
+policy of stage 2:
 
 ``rti``
     every block, every instant.
@@ -34,9 +36,8 @@ from typing import Optional, List
 import numpy as np
 
 from . import integrator as intg
-from .cmon import (CMoNConfig, SensitivityStore, adjoint_rows, dual_cmon,
-                   direction_vectors, dto_tolerance, primal_cmon, thresholds,
-                   update_decision)
+from .cmon import (CMoNConfig, adjoint_rows, dual_cmon, direction_vectors,
+                   dto_tolerance, primal_cmon, thresholds, update_decision)
 from .errors import ConfigError, DivergenceError
 from .models import ModelSpec
 from .perturbation import DtORecord, build_m, conditioning_constants, measure_dto
@@ -91,14 +92,23 @@ class StepDiagnostics:
 
 @dataclass
 class ControllerState:
-    """Everything the controller carries from one instant to the next."""
+    """Everything the controller carries from one instant to the next.
+
+    The caches hold, from the previous instant, what the ``cmon``
+    measures read: integration values, directional sensitivity rows
+    along the primal and dual steps, and the dual step's adjoint seeds.
+    """
 
     model: ModelSpec
     integ: intg.IntegratorConfig
     cfg: SchemeConfig
     traj: Trajectory
     mult: Multipliers
-    store: SensitivityStore
+    blocks: np.ndarray          # (N, n_x, n_x+n_u) sensitivity blocks
+    prev_phi: Optional[np.ndarray] = None       # (N, n_x)
+    prev_dir_pri: Optional[np.ndarray] = None   # (N, n_x)
+    prev_dir_dual: Optional[np.ndarray] = None  # (N, n_x+n_u)
+    prev_dlam: Optional[np.ndarray] = None      # (N, n_x)
     instant: int = 0
     n_dim: int = 0              # primal + dual dimension of the subproblem
     rho0: float = np.nan
@@ -128,7 +138,7 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
     state = ControllerState(
         model=model, integ=integ, cfg=cfg, traj=traj0.copy(),
         mult=mult0.copy(),
-        store=SensitivityStore.empty(N, model.n_x, model.n_u),
+        blocks=np.zeros((N, model.n_x, model.n_x + model.n_u)),
         n_dim=_triple_dim(model, N))
     if cfg.scheme == "cmon":
         state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, 0.0)
@@ -145,16 +155,16 @@ def _linearize(state: ControllerState, x_hat, refs: References):
 
     Returns ``(qp, phis, jacs, diag)``: the subproblem, the integration
     values at the nodes, the Jacobians at their RK4 stage states, which
-    every sweep reads (``None`` when no sweep ran: then every block is
-    exact), and the instant's diagnostics without the solve's entries.
+    every sweep reads, and the instant's diagnostics without the solve's
+    entries.
     """
-    model, integ, cfg = state.model, state.integ, state.cfg
-    store, traj = state.store, state.traj
+    model, integ, cfg, traj = state.model, state.integ, state.cfg, state.traj
     N = traj.horizon
-    new = ~store.computed       # a first computation is not a refresh
+    first = state.instant == 0  # computes every block, which is no refresh
     lam_seeds = state.mult.lam[1:]
     phis, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
-    jacs = None                 # evaluated once, when a sweep first needs it
+    # every node is either recomputed or swept, so every step reads these
+    jacs = intg.stage_jacobians(model, stages, traj.us)
     kappa = kappa_dual = np.zeros(N)
     eta_pri = eta_dual = np.inf
     lam_rows = None             # exact gradient rows at every node
@@ -162,36 +172,35 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         # before the first step no direction exists; zero norms leave the
         # automatic thresholds unbounded unless the tolerance is zero
         v_pri = v_dual = 0.0
-        if store.has_caches():
-            kappa = primal_cmon(phis, store.prev_phi, store.prev_dir_pri)
+        if not first:
+            kappa = primal_cmon(phis, state.prev_phi, state.prev_dir_pri)
             # one sweep serves the dual measure and the stale gradient rows
-            jacs = intg.stage_jacobians(model, stages, traj.us)
             rows_now, lam_rows = adjoint_rows(model, jacs, integ,
-                                              store.prev_dlam, lam_seeds)
-            kappa_dual = dual_cmon(rows_now, store.prev_dir_dual)
-            v_pri = float(np.linalg.norm(store.prev_dir_pri))
-            v_dual = float(np.linalg.norm(store.prev_dir_dual))
+                                              state.prev_dlam, lam_seeds)
+            kappa_dual = dual_cmon(rows_now, state.prev_dir_dual)
+            v_pri = float(np.linalg.norm(state.prev_dir_pri))
+            v_dual = float(np.linalg.norm(state.prev_dir_dual))
         eta_pri, eta_dual = thresholds(cfg.cmon, state.e_bar, state.rho0,
                                        state.gamma0, v_pri, v_dual)
         mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
                                floor_count=cfg.cmon.floor_count(N),
-                               invalid=new)
+                               invalid=np.full(N, first))
     else:
-        full = cfg.scheme == "rti" or (
-            cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0)
-        mask = np.full(N, full) | new
-    stale = ~(store.fresh_mask(traj) | mask)    # inexact after the refresh
-    if jacs is None and (mask.any() or stale.any()):
-        jacs = intg.stage_jacobians(model, stages, traj.us)
-    sens_blocks = store.refresh(model, traj, jacs, integ, mask)
-    refreshed = sens_blocks - int(new.sum())
+        mask = np.full(N, first or cfg.scheme == "rti" or (
+            cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0))
+    sens_blocks = int(mask.sum())
+    if sens_blocks:
+        state.blocks[mask] = intg.forward_sensitivity_batch(
+            model, *intg.node_subset(jacs, mask), integ)
 
-    seeds = 2 * N if lam_rows is not None else int(stale.sum())
+    # a kept block counts as stale, so its node's gradient row is swept
+    seeds = 2 * N if lam_rows is not None else N - sens_blocks
     lam_dphi = exact_gradient_rows(model, jacs, integ, lam_seeds,
-                                   fresh_mask=~stale, blocks=store.blocks,
+                                   fresh_mask=mask, blocks=state.blocks,
                                    swept=lam_rows)
-    qp = build_qp(traj, state.mult, x_hat, store.blocks, model, refs, phis,
+    qp = build_qp(traj, state.mult, x_hat, state.blocks, model, refs, phis,
                   lam_dphi)
+    refreshed = 0 if first else sens_blocks
     diag = StepDiagnostics(
         instant=state.instant, kkt_residual=float(np.linalg.norm(qp.gradient)),
         dy_norm=np.nan, dw_norm=np.nan, dlam_norm=np.nan,
@@ -207,15 +216,12 @@ def _linearize(state: ControllerState, x_hat, refs: References):
 def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
                      diag: StepDiagnostics) -> StepDiagnostics:
     """The rest of stage 3: solve, update the measure caches, apply."""
-    cfg, model, store = state.cfg, state.model, state.store
-    N = store.horizon
+    cfg, model = state.cfg, state.model
+    N = state.traj.horizon
     sol = solve(qp, tol=cfg.qp_tol)
     if cfg.track_dto:
         # the oracle compares with exact blocks at the trajectory
-        exact, stale = store.blocks.copy(), ~store.fresh_mask(state.traj)
-        if stale.any():
-            exact[stale] = intg.forward_sensitivity_batch(
-                model, *intg.node_subset(jacs, stale), state.integ)
+        exact = intg.forward_sensitivity_batch(model, *jacs, state.integ)
         diag.dto = measure_dto(qp, sol, exact, state.e_bar, tol=cfg.qp_tol)
     diag.dy_norm = float(np.linalg.norm(sol.stacked()))
     diag.dw_norm = float(np.linalg.norm(sol.dw))
@@ -230,11 +236,11 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
                 build_m(qp, sol))
         dxs, dus = split_primal(sol.dw, N, model.n_x, model.n_u)
         dw_nodes = np.concatenate([dxs[:N], dus], axis=1)
-        dlam_seeds = sol.dlam.reshape(N + 1, model.n_x)[1:].copy()
-        dir_pri, dir_dual = direction_vectors(store.blocks, dw_nodes,
-                                              dlam_seeds)
+        state.prev_dlam = sol.dlam.reshape(N + 1, model.n_x)[1:].copy()
+        state.prev_dir_pri, state.prev_dir_dual = direction_vectors(
+            state.blocks, dw_nodes, state.prev_dlam)
+        state.prev_phi = phis
         state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, diag.dy_norm)
-        store.update_caches(phis, dir_pri, dir_dual, dlam_seeds)
     state.traj, state.mult = apply_step(state.traj, state.mult, sol)
     state.instant += 1
     return diag

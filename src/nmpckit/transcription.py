@@ -200,8 +200,8 @@ def exact_gradient_rows(model: ModelSpec, jacs, cfg: intg.IntegratorConfig,
 
     Nodes flagged in ``fresh_mask`` use a plain product with the supplied
     ``blocks`` (already exact there). The rest take the rows of ``swept``,
-    a sweep at every node the caller already ran, or else run one; only
-    then is ``jacs`` read, so it may be ``None`` when every node is fresh.
+    a sweep at every node the caller already ran, or else run one over
+    them.
     """
     out = np.empty((seeds.shape[0], model.n_x + model.n_u))
     fresh_mask = np.asarray(fresh_mask, dtype=bool)

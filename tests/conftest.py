@@ -8,7 +8,6 @@ from scipy.linalg import lu_factor, lu_solve
 from nmpckit import integrator as intg
 from nmpckit import harness, models, perturbation as pert, qp_solver
 from nmpckit import transcription as trc
-from nmpckit.cmon import SensitivityStore
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -46,15 +45,6 @@ def adjoint(model, x, u, cfg, seeds):
     return intg.adjoint_batch(model, *jacs, cfg, seeds)
 
 
-def fresh_store(model, traj, cfg):
-    """Sensitivity store with every block exact at ``traj``."""
-    N = traj.horizon
-    store = SensitivityStore.empty(N, model.n_x, model.n_u)
-    jacs = stage_record(model, traj.xs[:-1], traj.us, cfg)[1]
-    store.refresh(model, traj, jacs, cfg, np.ones(N, dtype=bool))
-    return store
-
-
 def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     """Subproblem at ``traj`` with exact blocks in the equality rows.
 
@@ -62,12 +52,12 @@ def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     with ``fresh=False`` from an adjoint sweep at every node.
     """
     N = traj.horizon
-    store = fresh_store(model, traj, cfg)
     phis, jacs = stage_record(model, traj.xs[:-1], traj.us, cfg)
+    blocks = intg.forward_sensitivity_batch(model, *jacs, cfg)
     lam_dphi = trc.exact_gradient_rows(model, jacs, cfg, mult.lam[1:],
                                        fresh_mask=np.full(N, fresh),
-                                       blocks=store.blocks)
-    return trc.build_qp(traj, mult, x_hat, store.blocks, model, refs, phis,
+                                       blocks=blocks)
+    return trc.build_qp(traj, mult, x_hat, blocks, model, refs, phis,
                         lam_dphi)
 
 

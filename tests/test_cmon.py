@@ -7,7 +7,7 @@ import pytest
 
 from conftest import sensitivities, stage_record
 from nmpckit import cmon, integrator as intg, models
-from nmpckit.cmon import CMoNConfig, SensitivityStore
+from nmpckit.cmon import CMoNConfig
 from nmpckit.errors import ConfigError
 from nmpckit.transcription import Trajectory
 
@@ -166,43 +166,6 @@ def test_config_validation():
             CMoNConfig(**bad)
     # a zero tolerance is legal: it forces full updates
     CMoNConfig(eps_abs=0.0, eps_rel=0.0)
-
-
-def test_store_refresh_and_staleness(pendulum, rng):
-    cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
-    N = 6
-    xs = rng.uniform(-0.3, 0.3, (N + 1, 4))
-    us = rng.uniform(-2.0, 2.0, (N, 1))
-    traj = Trajectory(xs, us)
-    store = SensitivityStore.empty(N, 4, 1)
-    assert not store.computed.any() and not store.fresh_mask(traj).any()
-
-    jacs = stage_record(pendulum, xs[:-1], us, cfg)[1]
-    count = store.refresh(pendulum, traj, jacs, cfg, mask=np.arange(N) < 4)
-    assert count == 4
-    npt.assert_array_equal(store.computed, np.arange(N) < 4)
-    npt.assert_array_equal(store.fresh_mask(traj), np.arange(N) < 4)
-
-    # moving one node's control invalidates exactly that block
-    traj2 = Trajectory(xs.copy(), us.copy())
-    traj2.us[2, 0] += 0.5
-    expect = np.array([True, True, False, True, False, False])
-    npt.assert_array_equal(store.fresh_mask(traj2), expect)
-
-
-def test_store_partial_refresh_matches_full(pendulum, rng):
-    # refreshing in two stages lands bit-identical blocks
-    cfg = intg.IntegratorConfig(dt=0.05, substeps=4)
-    N = 5
-    traj = Trajectory(rng.uniform(-0.3, 0.3, (N + 1, 4)),
-                      rng.uniform(-2.0, 2.0, (N, 1)))
-    jacs = stage_record(pendulum, traj.xs[:-1], traj.us, cfg)[1]
-    full = SensitivityStore.empty(N, 4, 1)
-    full.refresh(pendulum, traj, jacs, cfg, np.ones(N, dtype=bool))
-    part = SensitivityStore.empty(N, 4, 1)
-    part.refresh(pendulum, traj, jacs, cfg, mask=np.arange(N) % 2 == 0)
-    part.refresh(pendulum, traj, jacs, cfg, mask=np.arange(N) % 2 == 1)
-    npt.assert_array_equal(part.blocks, full.blocks)
 
 
 def test_direction_vectors_shapes(rng):

@@ -37,6 +37,22 @@ def test_unknown_scenario_keys_rejected(tmp_path):
         load_scenario(p)
 
 
+@pytest.mark.parametrize("block, key", [
+    ("noise", "position_amplitud"), ("stabilize", "treshold"),
+    ("reference", "control"), ("model", "forse_limit"),
+    ("model", "control_limit"),
+])
+def test_unknown_nested_keys_rejected(tmp_path, block, key):
+    # a typo in a nested block is an error, as at the top level; the
+    # chain's control_limit is no pendulum key
+    doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
+    doc.setdefault(block, {})[key] = 1.0
+    p = tmp_path / "bad.yaml"
+    p.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match=f"unknown {block} keys.*{key}"):
+        load_scenario(p)
+
+
 def test_missing_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_scenario(tmp_path / "nope.yaml")
@@ -519,10 +535,16 @@ _PENDULUM_REF = {"times": [0.0, 5.0],
     ({}, {"stabilize": {"threshold": 0.0}}, []),
     ({}, {"noise": {"position_amplitude": -0.1}}, []),
     ({}, {"noise": {"velocity_amplitude": -0.1}}, []),
+    ({}, {"t_s": float("nan")}, []),
+    ({}, {"t_s": float("inf")}, []),
+    ({}, {"duration": float("nan")}, []),
+    ({}, {"duration": float("inf")}, []),
+    ({}, {"duration": 1e308, "t_s": 1e-300}, []),
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
         "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
         "controls_width", "stabilize_cap", "stabilize_threshold",
-        "noise_pos", "noise_vel"])
+        "noise_pos", "noise_vel", "t_s_nan", "t_s_inf", "duration_nan",
+        "duration_inf", "instant_count_overflow"])
 def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
                                            args):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
@@ -579,3 +601,29 @@ def test_plant_mismatch_is_refinement_only():
                                fine)[0]
     gap = np.abs(pred - log.states[1:]).max()
     assert gap <= 1.5 * np.abs(pred - ref).max() + 1e-12
+
+
+def test_cli_zero_duration_trials_are_not_failures(tmp_path):
+    # with no stabilize.cap the cap is the duration, 0 here; a loop with no
+    # instant has nothing to settle, so no trial fails
+    doc = yaml.safe_load((SCENARIO_DIR / "chain_n40.yaml").read_text())
+    doc.update(duration=0, trials=2)
+    del doc["stabilize"]["cap"]
+    scen = tmp_path / "still.yaml"
+    scen.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main([str(scen), "--out", str(out)]) == 0
+    manifest = json.loads((out / "still_cmon_manifest.json").read_text())
+    assert manifest["n_failures"] == 0
+    assert manifest["failed"] is False
+
+
+def test_cli_unwritable_log_exits_4(tmp_path, capsys):
+    # a directory where the log file goes: an output failure, not a
+    # controller failure
+    scen = _write_yaml(tmp_path, "pendulum_n40", "pendulum_n40.yaml",
+                       duration=0.2)
+    out = tmp_path / "out"
+    (out / "pendulum_n40_rti_log.csv").mkdir(parents=True)
+    assert cli.main([str(scen), "--scheme", "rti", "--out", str(out)]) == 4
+    assert "output error" in capsys.readouterr().err

@@ -267,6 +267,33 @@ def test_stage_record_selects_nodes(pendulum, rng):
     assert intg.node_subset(jacs, np.ones(7, dtype=bool)) is jacs
 
 
+def test_forward_sweeps_over_node_subsets_equal_full_sweep(pendulum, chain,
+                                                           rng):
+    # a controller step writes the blocks of its masked nodes from a sweep
+    # over that subset, and the distance-to-optimum oracle takes its exact
+    # blocks from one sweep over every node; both agree bit for bit only
+    # when a node's block rounds alike whichever nodes share the sweep
+    x_ss = models.chain_steady_state(chain.meta["params"], [1.0, 0.0, 0.0])
+    cases = (
+        (pendulum, intg.IntegratorConfig(dt=0.05, substeps=4),
+         rng.uniform(-0.6, 0.6, (40, 4)), rng.uniform(-8.0, 8.0, (40, 1))),
+        (chain, intg.IntegratorConfig(dt=0.2, substeps=4),
+         x_ss + rng.uniform(-0.2, 0.2, (40, chain.n_x)),
+         rng.uniform(-1.0, 1.0, (40, 3))),
+    )
+    for model, cfg, xs, us in cases:
+        jacs = stage_record(model, xs, us, cfg)[1]
+        full = intg.forward_sensitivity_batch(model, *jacs, cfg)
+        parts = np.zeros_like(full)
+        # three disjoint subsets: one node, a scattered third, the rest
+        one = np.arange(40) == 17
+        third = (np.arange(40) % 3 == 1) & ~one
+        for mask in (one, third, ~(one | third)):
+            parts[mask] = intg.forward_sensitivity_batch(
+                model, *intg.node_subset(jacs, mask), cfg)
+        npt.assert_array_equal(parts, full)
+
+
 @pytest.mark.parametrize("plant", ["pendulum", "chain"])
 def test_sweeps_over_record_subset_equal_subset_record(plant, request, rng):
     # the closed loop sweeps a node subset of the instant's Jacobian

@@ -97,12 +97,9 @@ def test_initialize_controller_auto_constants(pendulum):
     n_w = N * 5 + 4
     assert state.n_dim == n_w + 4 * N + (N + 1) * 4
     assert state.e_bar >= 0.1 * np.sqrt(state.n_dim)
-    # set-up computes no block; the first step computes them all
-    assert not state.store.computed.any()
     # the constants come from the first subproblem solved
     assert np.isnan(state.rho0) and np.isnan(state.gamma0)
     controller_step(state, x_hat, refs0)
-    assert state.store.computed.all()
     assert np.isfinite(state.rho0) and state.rho0 > 0
     assert state.gamma0 >= 1.0
 
@@ -124,7 +121,6 @@ def test_initialize_controller_evaluates_nothing(pendulum, kind,
                      "forward_sensitivity_batch"):
             mp.setattr(intg, name, _forbidden)
         state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
-    assert not state.store.computed.any()
     d = controller_step(state, x_hat, References(np.zeros((N + 1, 4)),
                                                  np.zeros((N, 1))))
     assert (d.sens_blocks, d.refreshed, d.refresh_fraction) == (N, 0, 0.0)
@@ -193,10 +189,56 @@ def test_adj_step_counters(pendulum):
                                        np.zeros((N, 1))))
         assert d.refreshed == 0
         seen.append(d.adjoint_seeds)
-    # blocks stay frozen where the first step computed them; once the
-    # iterate moves every gradient row needs an adjoint sweep
+    # blocks stay frozen where the first step computed them, and every
+    # later instant sweeps every gradient row
     assert seen[0] == 0
     assert seen[1] == N and seen[2] == N
+
+
+@pytest.mark.parametrize("kind, interval", [("adj", 1), ("ml", 2)])
+def test_kept_blocks_are_swept_at_rest(kind, interval):
+    # a block counts as exact only at the instant that computes it: an
+    # instant that computes none sweeps a gradient row at every node, even
+    # when the plant rests where the blocks were computed
+    s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
+    s.duration = 0.5
+    s.scheme = dataclasses.replace(s.scheme, scheme=kind,
+                                   ml_interval=interval)
+    log = harness.closed_loop_simulate(s)
+    assert not log.failed and log.n_instants == 10
+    npt.assert_array_equal(log.states, 0.0)
+    npt.assert_array_equal(log.controls, 0.0)
+    computes = np.arange(10) % interval == 0 if kind == "ml" \
+        else np.arange(10) == 0
+    npt.assert_array_equal(log.diag["sens_blocks"],
+                           np.where(computes, s.horizon, 0))
+    npt.assert_array_equal(log.diag["adjoint_seeds"],
+                           np.where(computes, 0, s.horizon))
+    npt.assert_array_equal(log.diag["integration_calls"],
+                           np.where(computes, 1, 2))
+
+
+def test_step_recomputes_only_masked_blocks(pendulum, monkeypatch):
+    # a step writes the blocks of the nodes its decision masks, from the
+    # trajectory it linearizes at, and leaves every other block as it was
+    cfg = SchemeConfig(scheme="cmon")
+    x_hat = np.array([0.0, 0.3, 0.0, 0.0])
+    refs = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
+    traj0, mult0 = _steady_guess(pendulum, x_hat)
+    state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
+    controller_step(state, x_hat, refs)
+    mask = np.arange(N) % 3 == 1
+    monkeypatch.setattr(schemes, "update_decision",
+                        lambda *args, **kwargs: mask.copy())
+    before, traj = state.blocks.copy(), state.traj.copy()
+    d = controller_step(state, x_hat, refs)
+    assert (d.sens_blocks, d.refreshed) == (mask.sum(), mask.sum())
+    _, stages = intg.integrate_batch(pendulum, traj.xs[:-1], traj.us, CFG)
+    exact = intg.forward_sensitivity_batch(
+        pendulum, *intg.stage_jacobians(pendulum, stages, traj.us), CFG)
+    npt.assert_array_equal(state.blocks[mask], exact[mask])
+    npt.assert_array_equal(state.blocks[~mask], before[~mask])
+    assert not np.array_equal(before[mask], exact[mask])
 
 
 def test_ml_interval_two_alternates(pendulum):
@@ -310,10 +352,10 @@ def test_offline_iteration_matches_controller_step(pendulum, kind):
 def test_closed_loop_work_counts(kind, interval, monkeypatch):
     # per controller instant: one RK4 pass (four rhs calls per substep),
     # then one forward sweep if any block is refreshed and one reverse
-    # sweep if any adjoint row is needed; an instant that runs either sweep
-    # evaluates the Jacobians once, at all N x 4·substeps stage states, and
-    # one that runs none evaluates none; the logged adjoint workload is
-    # nodes x seeds of the reverse sweep
+    # sweep if any adjoint row is needed; every node is one or the other,
+    # so every instant evaluates the Jacobians once, at all N x 4·substeps
+    # stage states; the logged adjoint workload is nodes x seeds of the
+    # reverse sweep
     s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
     s.duration = 0.3
     s.scheme = dataclasses.replace(s.scheme, scheme=kind,
@@ -366,7 +408,7 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
     for i, (d, c) in enumerate(steps):
         swept = d.adjoint_seeds > 0
         assert c["rhs"] == per_sweep
-        assert c["jac"] == int(d.sens_blocks > 0 or swept)
+        assert c["jac"] == 1
         assert c["integrate"] == 1 and c["adjoint"] == swept
         assert c["seeds"] == d.adjoint_seeds
         assert c["blocks"] == d.sens_blocks

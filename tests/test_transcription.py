@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import assemble_qp, dense_equality_jacobian, \
-    dense_inequality_jacobian, fresh_store, stage_record
+    dense_inequality_jacobian, sensitivities, stage_record
 from nmpckit import integrator as intg
 from nmpckit import transcription as trc
 from nmpckit.errors import AssemblyError, ContractViolationError
@@ -29,17 +29,18 @@ def setup(pendulum, rng):
     traj = _rollout(pendulum, np.array([0.0, 0.3, 0.0, 0.0]), us)
     mult = trc.Multipliers.zeros(N, 4, pendulum.n_r)
     refs = trc.References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
-    return pendulum, traj, mult, refs, fresh_store(pendulum, traj, CFG)
+    blocks = sensitivities(pendulum, traj.xs[:-1], traj.us, CFG)[1]
+    return pendulum, traj, mult, refs, blocks
 
 
 def test_continuity_residuals_vanish_on_rollout(setup):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     qp = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG)
     npt.assert_allclose(qp.continuity_residuals, 0.0, atol=1e-12)
 
 
 def test_embedding_row_carries_measurement(setup):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     x_hat = traj.xs[0] + np.array([0.01, -0.02, 0.0, 0.03])
     qp = assemble_qp(model, traj, mult, x_hat, refs, CFG)
     npt.assert_allclose(qp.continuity_residuals[0], traj.xs[0] - x_hat,
@@ -87,7 +88,7 @@ def test_gradient_matches_fd_of_objective(pendulum, rng):
 def test_gradient_includes_multiplier_rows(setup, rng):
     # nonzero equality multipliers add lam^T dphi rows computed with exact
     # sensitivities, whether from fresh blocks or an all-stale adjoint sweep
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     mult.lam = rng.standard_normal(mult.lam.shape)
     qp_fresh = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG)
     qp_stale = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG,
@@ -96,22 +97,22 @@ def test_gradient_includes_multiplier_rows(setup, rng):
 
 
 def test_exact_gradient_rows_fresh_equals_product(setup, rng):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     seeds = rng.standard_normal((N, 4))
     jacs = stage_record(model, traj.xs[:-1], traj.us, CFG)[1]
     rows_fresh = trc.exact_gradient_rows(model, jacs, CFG, seeds,
-                                         fresh_mask=store.fresh_mask(traj),
-                                         blocks=store.blocks)
-    expect = np.einsum('kx,kxw->kw', seeds, store.blocks)
+                                         fresh_mask=np.ones(N, dtype=bool),
+                                         blocks=blocks)
+    expect = np.einsum('kx,kxw->kw', seeds, blocks)
     npt.assert_array_equal(rows_fresh, expect)
     rows_adj = trc.exact_gradient_rows(model, jacs, CFG, seeds,
                                        fresh_mask=np.zeros(N, dtype=bool),
-                                       blocks=store.blocks)
+                                       blocks=blocks)
     npt.assert_allclose(rows_adj, expect, atol=1e-10)
 
 
 def test_apply_step_adds_increments(setup, rng):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     n_w = N * 5 + 4
     sol = SimpleNamespace(dw=rng.standard_normal(n_w),
                           dlam=rng.standard_normal((N + 1) * 4),
@@ -125,7 +126,7 @@ def test_apply_step_adds_increments(setup, rng):
 
 
 def test_apply_step_clamps_roundoff_negative_multiplier(setup):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     n_w = N * 5 + 4
     dmu = np.zeros(N * model.n_r)
     dmu[3] = -5e-9                     # inside the roundoff slack
@@ -136,7 +137,7 @@ def test_apply_step_clamps_roundoff_negative_multiplier(setup):
 
 
 def test_apply_step_rejects_negative_multiplier(setup):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     n_w = N * 5 + 4
     dmu = np.zeros(N * model.n_r)
     dmu[3] = -1e-3
@@ -147,13 +148,13 @@ def test_apply_step_rejects_negative_multiplier(setup):
 
 
 def test_build_qp_rejects_bad_measurement(setup):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     with pytest.raises(AssemblyError):
         assemble_qp(model, traj, mult, np.zeros(3), refs, CFG)
 
 
 def test_dense_jacobian_shapes(setup):
-    model, traj, mult, refs, store = setup
+    model, traj, mult, refs, blocks = setup
     qp = assemble_qp(model, traj, mult, traj.xs[0], refs, CFG)
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)

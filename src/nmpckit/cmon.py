@@ -94,7 +94,8 @@ def dual_cmon(adj_rows_now: np.ndarray,
 def adjoint_rows(model: ModelSpec, jacs, cfg: intg.IntegratorConfig,
                  *seeds: np.ndarray):
     """Exact rows ``seed_k^T dphi_k`` at every interval, one array per
-    seed array, from one reverse sweep over the stage Jacobians ``jacs``."""
+    seed array, from one reverse sweep over the stage Jacobians ``jacs``:
+    the step's only reverse sweep, under every scheme."""
     rows = intg.adjoint_batch(model, *jacs, cfg, np.stack(seeds, axis=1))
     return tuple(rows[:, i] for i in range(len(seeds)))
 

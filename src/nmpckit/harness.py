@@ -9,7 +9,7 @@ statistics. Logs and summaries export to CSV with a JSON run manifest.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -21,8 +21,8 @@ from .cmon import CMoNConfig
 from .errors import ConfigError, NMPCError
 from .models import (ChainParams, PendulumParams, chain_steady_state,
                      make_chain_model, make_pendulum_model, ModelSpec)
-from .schemes import (OCProblem, SchemeConfig, controller_step,
-                      initialize_controller, sqp_solve)
+from .schemes import (OCProblem, SchemeConfig, StepDiagnostics,
+                      controller_step, initialize_controller, sqp_solve)
 from .transcription import Multipliers, References, Trajectory
 
 __all__ = [
@@ -148,6 +148,13 @@ def _check_keys(block: str, spec: dict, allowed) -> None:
         raise ConfigError(f"unknown {block} keys {sorted(extra)}")
 
 
+def _exact(key: str, value, kind: type):
+    """``value`` if its type is ``kind``: a bool is no ``int`` here."""
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
 # the bound keys each model kind takes
 _LIMIT_KEYS = {"pendulum": ("position_limit", "force_limit"),
                "chain": ("control_limit",)}
@@ -163,7 +170,7 @@ def _build_model(kind: str, spec: dict):
     for key in ("stage_weights", "terminal_weights"):
         if key in spec:
             kwargs[key] = np.asarray(spec[key], dtype=float)
-    pk = {k: int(v) if k == "n" else float(v)
+    pk = {k: _exact("model.params.n", v, int) if k == "n" else float(v)
           for k, v in (spec.get("params") or {}).items()}
     if kind == "pendulum":
         return make_pendulum_model(PendulumParams(**pk), **kwargs)
@@ -206,9 +213,11 @@ def _build_scheme(spec: dict) -> SchemeConfig:
     if "qp_tol" in spec:
         kwargs["qp_tol"] = float(spec.pop("qp_tol"))
     if "ml_interval" in spec:
-        kwargs["ml_interval"] = int(spec.pop("ml_interval"))
+        kwargs["ml_interval"] = _exact("scheme.ml_interval",
+                                       spec.pop("ml_interval"), int)
     if "track_dto" in spec:
-        kwargs["track_dto"] = bool(spec.pop("track_dto"))
+        kwargs["track_dto"] = _exact("scheme.track_dto",
+                                     spec.pop("track_dto"), bool)
     _check_keys("scheme", spec, ())
     try:
         return SchemeConfig(cmon=CMoNConfig(**ckw), **kwargs)
@@ -241,18 +250,20 @@ def scenario_from_dict(doc: dict, raw_text: str = "",
         x0 = doc.get("x0")
         return ScenarioConfig(
             model_kind=kind,
-            horizon=int(doc["horizon"]),
+            horizon=_exact("horizon", doc["horizon"], int),
             t_s=float(doc["t_s"]),
             duration=float(doc["duration"]),
             schedule=schedule,
             scheme=_build_scheme(doc.get("scheme")),
             model=model,
-            substeps=int(doc.get("substeps", 4)),
-            plant_substep_factor=int(doc.get("plant_substep_factor", 4)),
+            substeps=_exact("substeps", doc.get("substeps", 4), int),
+            plant_substep_factor=_exact("plant_substep_factor",
+                                        doc.get("plant_substep_factor", 4),
+                                        int),
             init_mode=str(doc.get("init", "steady")),
             x0=None if x0 is None else np.asarray(x0, dtype=float),
-            seed=int(doc.get("seed", 0)),
-            trials=int(doc.get("trials", 1)),
+            seed=_exact("seed", doc.get("seed", 0), int),
+            trials=_exact("trials", doc.get("trials", 1), int),
             noise_pos=float(noise.get("position_amplitude", 0.0)),
             noise_vel=float(noise.get("velocity_amplitude", 0.0)),
             stabilize_threshold=float(stab.get("threshold", 0.1)),
@@ -313,15 +324,8 @@ def perfect_horizon(scenario: ScenarioConfig, x0: np.ndarray):
 # ---------------------------------------------------------------------------
 # simulation log
 
-_STEP_COLUMNS = [
-    "kkt", "dy_norm", "dw_norm", "dlam_norm", "refreshed",
-    "refresh_fraction", "qp_iterations", "integration_calls", "sens_blocks",
-    "adjoint_seeds", "kappa_max", "kappa_dual_max", "eta_pri", "eta_dual",
-    "e_bar",
-]
-_DIAG_COLUMNS = _STEP_COLUMNS + ["dto_e", "dto_ebar", "dto_active_match"]
-# StepDiagnostics fields logged under another name
-_RENAMED = {"kkt": "kkt_residual", "integration_calls": "horizon_passes"}
+# every StepDiagnostics field after ``instant``, in field order
+_DIAG_COLUMNS = [f.name for f in fields(StepDiagnostics)][1:]
 
 
 @dataclass
@@ -349,19 +353,10 @@ class SimulationLog:
 
 def _collect_log(scenario, times, states, controls, diags, windows,
                  failed=False, reason="") -> SimulationLog:
-    I = len(times)
     n_x = scenario.model.n_x
     n_u = scenario.model.n_u
-    cols = {}
-    for name in _DIAG_COLUMNS:
-        cols[name] = np.full(I, np.nan)
-    for i, d in enumerate(diags):
-        for name in _STEP_COLUMNS:
-            cols[name][i] = getattr(d, _RENAMED.get(name, name))
-        if d.dto is not None:
-            cols["dto_e"][i] = d.dto.e
-            cols["dto_ebar"][i] = d.dto.e_bar
-            cols["dto_active_match"][i] = float(d.dto.active_match)
+    cols = {name: np.array([getattr(d, name) for d in diags], dtype=float)
+            for name in _DIAG_COLUMNS}
     states_arr = np.array(states) if states else np.zeros((1, n_x))
     controls_arr = np.array(controls) if controls else np.zeros((0, n_u))
     windows_arr = np.array(windows) if windows else \

@@ -57,7 +57,6 @@ class ModelSpec:
     terminal_weights: np.ndarray
     bound_index: np.ndarray = ()
     bound_limit: np.ndarray = ()
-    name: str = "model"
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -171,9 +170,7 @@ def make_pendulum_model(params: Optional[PendulumParams] = None,
         stage_weights=stage_weights,
         terminal_weights=terminal_weights,
         bound_index=[0, 4], bound_limit=[position_limit, force_limit],
-        name="pendulum",
-        meta={"params": params, "position_limit": position_limit,
-              "force_limit": force_limit},
+        meta={"params": params},
     )
 
 
@@ -346,6 +343,5 @@ def make_chain_model(params: Optional[ChainParams] = None,
         stage_weights=stage_weights,
         terminal_weights=terminal_weights,
         bound_index=n_x + np.arange(3), bound_limit=np.full(3, control_limit),
-        name="chain",
-        meta={"params": params, "control_limit": control_limit},
+        meta={"params": params},
     )

@@ -21,7 +21,7 @@ constants need only above the Gram's rounding floor: when the smallest
 eigenvalue sits at that floor, the dense ``svdvals`` decides instead.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
@@ -162,27 +162,16 @@ def conditioning_constants(M):
     return rho, gamma
 
 
-@dataclass
-class DtORecord:
-    """One distance-to-optimum measurement against the exact-Jacobian solve."""
-
-    e: float
-    e_bar: float
-    active_match: bool
-    dy_norm: float
-
-
 def measure_dto(qp: QPData, sol: QPSolution, exact_blocks: np.ndarray,
-                e_bar: float, tol: float = 1e-8) -> DtORecord:
+                tol: float = 1e-8):
     """Re-solve the subproblem with exact blocks and compare solutions.
 
-    The comparison runs over the stacked ``(dw, dmu, dlam)`` triple; the
-    active-set flag records whether both solves agree on the binding
+    Returns ``(e, active_match)``: the distance over the stacked ``(dw,
+    dmu, dlam)`` triple, and whether both solves agree on the binding
     inequalities, which is the regime where the tolerance bound applies.
     """
     qp_exact = replace(qp, jacobian_blocks=np.asarray(exact_blocks, dtype=float))
     sol_exact = solve(qp_exact, tol=tol)
     e = float(np.linalg.norm(sol.stacked() - sol_exact.stacked()))
     match = bool(np.array_equal(sol.active_set, sol_exact.active_set))
-    return DtORecord(e=e, e_bar=e_bar, active_match=match,
-                     dy_norm=float(np.linalg.norm(sol_exact.stacked())))
+    return e, match

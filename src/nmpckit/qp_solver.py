@@ -40,6 +40,7 @@ _HESS_REG_FLOOR = 1e-9
 _ACTIVE_MU = 1e-6
 _ACTIVE_SLACK = 1e-6
 _MU_TRUNCATE = 1e-10
+_MAX_ITER = 100
 
 
 @dataclass
@@ -64,7 +65,7 @@ class QPSolution:
 
 # an overflow surfaces as a non-finite residual, which ends the solve
 @np.errstate(over="ignore", invalid="ignore")
-def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
+def _mehrotra(backend, tol, start_scale=1.0):
     """Empty-set polish, else Mehrotra; returns (x, y, z, res, iters)."""
     g, b, d = backend.g, backend.b, backend.d
     m_in = d.shape[0]
@@ -86,7 +87,7 @@ def _mehrotra(backend, tol, max_iter=100, start_scale=1.0):
     best = np.inf
     best_iter = 0
     last_attempt = -10
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         r_d = backend.hmv(x) + g + backend.atmv(y) + backend.ctmv(z)
         r_p = backend.amv(x) - b
         r_g = backend.cmv(x) + s - d

@@ -40,7 +40,7 @@ from .cmon import (CMoNConfig, adjoint_rows, dual_cmon, direction_vectors,
                    dto_tolerance, primal_cmon, thresholds, update_decision)
 from .errors import ConfigError, DivergenceError
 from .models import ModelSpec
-from .perturbation import DtORecord, build_m, conditioning_constants, measure_dto
+from .perturbation import build_m, conditioning_constants, measure_dto
 from .qp_solver import solve
 from .transcription import (Multipliers, References, Trajectory, apply_step,
                             build_qp, exact_gradient_rows, split_primal)
@@ -69,25 +69,28 @@ class SchemeConfig:
 
 @dataclass
 class StepDiagnostics:
-    """Per-instant record returned by :func:`controller_step`."""
+    """Per-instant record returned by :func:`controller_step`; the fields
+    after ``instant`` are the exported log's columns, in this order."""
 
     instant: int
-    kkt_residual: float         # exact Lagrangian gradient norm, pre-step
+    kkt: float                  # exact Lagrangian gradient norm, pre-step
     dy_norm: float              # full increment norm
     dw_norm: float              # primal part of the increment
     dlam_norm: float            # equality-multiplier part of the increment
     refreshed: int              # blocks computed before, recomputed now
     refresh_fraction: float
+    qp_iterations: int
+    integration_calls: int      # integrate_batch plus adjoint_batch calls
     sens_blocks: int            # forward sensitivity blocks computed
     adjoint_seeds: int          # nodes x seeds of the adjoint sweep
-    horizon_passes: int         # integrate_batch plus adjoint_batch calls
-    qp_iterations: int
     kappa_max: float = 0.0
     kappa_dual_max: float = 0.0
     eta_pri: float = np.inf
     eta_dual: float = np.inf
     e_bar: float = np.nan
-    dto: Optional[DtORecord] = None
+    dto_e: float = np.nan       # oracle (track_dto) entries: the distance
+    dto_ebar: float = np.nan    # to the exact-block solution, the tolerance
+    dto_active_match: float = np.nan   # and 1.0 if the active sets agree
 
 
 @dataclass
@@ -153,10 +156,14 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
 def _linearize(state: ControllerState, x_hat, refs: References):
     """Stages 1 and 2 of the step and the assembly of stage 3.
 
-    Returns ``(qp, phis, jacs, diag)``: the subproblem, the integration
-    values at the nodes, the Jacobians at their RK4 stage states, which
-    every sweep reads, and the instant's diagnostics without the solve's
-    entries.
+    The step's one reverse sweep (:func:`adjoint_rows`) runs here, over
+    every node: seeded with the dual step and ``lam`` under ``cmon``,
+    with ``lam`` alone where another scheme keeps its blocks (all or none).
+
+    Returns ``(qp, phis, jacs, mask, diag)``: the subproblem, the
+    integration values at the nodes, the Jacobians at their RK4 stage
+    states, which every sweep reads, the mask of the blocks computed at
+    this step, and the instant's diagnostics without the solve's entries.
     """
     model, integ, cfg, traj = state.model, state.integ, state.cfg, state.traj
     N = traj.horizon
@@ -167,7 +174,7 @@ def _linearize(state: ControllerState, x_hat, refs: References):
     jacs = intg.stage_jacobians(model, stages, traj.us)
     kappa = kappa_dual = np.zeros(N)
     eta_pri = eta_dual = np.inf
-    lam_rows = None             # exact gradient rows at every node
+    swept = ()                  # rows of the sweep, one array per seed
     if cfg.scheme == "cmon":
         # before the first step no direction exists; zero norms leave the
         # automatic thresholds unbounded unless the tolerance is zero
@@ -175,9 +182,9 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         if not first:
             kappa = primal_cmon(phis, state.prev_phi, state.prev_dir_pri)
             # one sweep serves the dual measure and the stale gradient rows
-            rows_now, lam_rows = adjoint_rows(model, jacs, integ,
-                                              state.prev_dlam, lam_seeds)
-            kappa_dual = dual_cmon(rows_now, state.prev_dir_dual)
+            swept = adjoint_rows(model, jacs, integ, state.prev_dlam,
+                                 lam_seeds)
+            kappa_dual = dual_cmon(swept[0], state.prev_dir_dual)
             v_pri = float(np.linalg.norm(state.prev_dir_pri))
             v_dual = float(np.linalg.norm(state.prev_dir_dual))
         eta_pri, eta_dual = thresholds(cfg.cmon, state.e_bar, state.rho0,
@@ -188,41 +195,47 @@ def _linearize(state: ControllerState, x_hat, refs: References):
     else:
         mask = np.full(N, first or cfg.scheme == "rti" or (
             cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0))
+        if not mask[0]:
+            # kept blocks count as stale, so every gradient row is swept
+            swept = adjoint_rows(model, jacs, integ, lam_seeds)
     sens_blocks = int(mask.sum())
     if sens_blocks:
         state.blocks[mask] = intg.forward_sensitivity_batch(
             model, *intg.node_subset(jacs, mask), integ)
 
-    # a kept block counts as stale, so its node's gradient row is swept
-    seeds = 2 * N if lam_rows is not None else N - sens_blocks
-    lam_dphi = exact_gradient_rows(model, jacs, integ, lam_seeds,
-                                   fresh_mask=mask, blocks=state.blocks,
-                                   swept=lam_rows)
+    seeds = N * len(swept)
+    lam_dphi = exact_gradient_rows(lam_seeds, mask, state.blocks,
+                                   swept[-1] if swept else None)
     qp = build_qp(traj, state.mult, x_hat, state.blocks, model, refs, phis,
                   lam_dphi)
     refreshed = 0 if first else sens_blocks
     diag = StepDiagnostics(
-        instant=state.instant, kkt_residual=float(np.linalg.norm(qp.gradient)),
+        instant=state.instant, kkt=float(np.linalg.norm(qp.gradient)),
         dy_norm=np.nan, dw_norm=np.nan, dlam_norm=np.nan,
         refreshed=refreshed, refresh_fraction=refreshed / N,
+        qp_iterations=0, integration_calls=1 + (seeds > 0),
         sens_blocks=sens_blocks, adjoint_seeds=seeds,
-        horizon_passes=1 + (seeds > 0), qp_iterations=0,
         kappa_max=float(kappa.max(initial=0.0)),
         kappa_dual_max=float(kappa_dual.max(initial=0.0)),
         eta_pri=eta_pri, eta_dual=eta_dual, e_bar=state.e_bar)
-    return qp, phis, jacs, diag
+    return qp, phis, jacs, mask, diag
 
 
 def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
-                     diag: StepDiagnostics) -> StepDiagnostics:
+                     mask, diag: StepDiagnostics) -> StepDiagnostics:
     """The rest of stage 3: solve, update the measure caches, apply."""
     cfg, model = state.cfg, state.model
     N = state.traj.horizon
     sol = solve(qp, tol=cfg.qp_tol)
     if cfg.track_dto:
-        # the oracle compares with exact blocks at the trajectory
-        exact = intg.forward_sensitivity_batch(model, *jacs, state.integ)
-        diag.dto = measure_dto(qp, sol, exact, state.e_bar, tol=cfg.qp_tol)
+        # the oracle compares with exact blocks at the trajectory, which
+        # the blocks this step computed already are
+        exact = state.blocks.copy()
+        if not mask.all():
+            exact[~mask] = intg.forward_sensitivity_batch(
+                model, *intg.node_subset(jacs, ~mask), state.integ)
+        diag.dto_e, match = measure_dto(qp, sol, exact, tol=cfg.qp_tol)
+        diag.dto_ebar, diag.dto_active_match = state.e_bar, float(match)
     diag.dy_norm = float(np.linalg.norm(sol.stacked()))
     diag.dw_norm = float(np.linalg.norm(sol.dw))
     diag.dlam_norm = float(np.linalg.norm(sol.dlam))
@@ -303,7 +316,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
     blocks_total = adjoint_total = grows = 0
     converged = False
     while True:
-        qp, phis, jacs, diag = _linearize(state, ocp.x_hat, ocp.refs)
+        qp, phis, jacs, mask, diag = _linearize(state, ocp.x_hat, ocp.refs)
         blocks_total += diag.sens_blocks
         adjoint_total += diag.adjoint_seeds
         res = _sqp_residual(qp)
@@ -317,7 +330,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
             break
         if len(counts) >= max_iter:
             break
-        _solve_and_apply(state, qp, phis, jacs, diag)
+        _solve_and_apply(state, qp, phis, jacs, mask, diag)
         counts.append(diag.refreshed)
     return SQPResult(traj=state.traj, mult=state.mult,
                      iterations=len(counts), converged=converged,

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import integrator as intg
 from .errors import AssemblyError, ContractViolationError
 from .models import ModelSpec
 
@@ -191,30 +190,21 @@ def _objective_gradient(traj: Trajectory, model: ModelSpec, refs: References):
     return g_nodes, g_term
 
 
-def exact_gradient_rows(model: ModelSpec, jacs, cfg: intg.IntegratorConfig,
-                        seeds: np.ndarray, fresh_mask: np.ndarray,
+def exact_gradient_rows(seeds: np.ndarray, fresh_mask: np.ndarray,
                         blocks: np.ndarray,
-                        swept: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows ``seed_k^T dphi_k`` with exact sensitivities at the trajectory
-    whose stage Jacobians are ``jacs`` (:func:`integrator.stage_jacobians`).
+                        swept: Optional[np.ndarray]) -> np.ndarray:
+    """Rows ``seed_k^T dphi_k`` with exact sensitivities.
 
-    Nodes flagged in ``fresh_mask`` use a plain product with the supplied
-    ``blocks`` (already exact there). The rest take the rows of ``swept``,
-    a sweep at every node the caller already ran, or else run one over
-    them.
+    Nodes flagged in ``fresh_mask`` take a plain product with ``blocks``,
+    which are exact there; the rest take the rows of ``swept``, the
+    step's reverse sweep over every node, which is ``None`` when every
+    node is fresh.
     """
-    out = np.empty((seeds.shape[0], model.n_x + model.n_u))
-    fresh_mask = np.asarray(fresh_mask, dtype=bool)
+    out = np.empty((blocks.shape[0], blocks.shape[2])) if swept is None \
+        else swept.copy()
     if np.any(fresh_mask):
         out[fresh_mask] = np.einsum(
             'kx,kxw->kw', seeds[fresh_mask], blocks[fresh_mask])
-    stale = ~fresh_mask
-    if swept is not None:
-        out[stale] = swept[stale]
-    elif np.any(stale):
-        rows = intg.adjoint_batch(model, *intg.node_subset(jacs, stale), cfg,
-                                  seeds[stale][:, None, :])
-        out[stale] = rows[:, 0, :]
     return out
 
 

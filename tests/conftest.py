@@ -54,9 +54,10 @@ def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     N = traj.horizon
     phis, jacs = stage_record(model, traj.xs[:-1], traj.us, cfg)
     blocks = intg.forward_sensitivity_batch(model, *jacs, cfg)
-    lam_dphi = trc.exact_gradient_rows(model, jacs, cfg, mult.lam[1:],
-                                       fresh_mask=np.full(N, fresh),
-                                       blocks=blocks)
+    swept = None if fresh else \
+        intg.adjoint_batch(model, *jacs, cfg, mult.lam[1:, None])[:, 0]
+    lam_dphi = trc.exact_gradient_rows(mult.lam[1:], np.full(N, fresh),
+                                       blocks, swept)
     return trc.build_qp(traj, mult, x_hat, blocks, model, refs, phis,
                         lam_dphi)
 

@@ -30,7 +30,7 @@ def _linear_model(rng):
 
     return models.ModelSpec(n_x=3, n_u=2, rhs=rhs, rhs_jacobians=jacs,
                             stage_weights=np.ones(5),
-                            terminal_weights=np.ones(3), name="linear")
+                            terminal_weights=np.ones(3))
 
 
 def test_kappa_zero_on_linear_model(rng):

@@ -139,6 +139,36 @@ def test_dto_oracle_is_passive():
     assert np.isnan(base.diag["dto_e"]).all()
 
 
+@pytest.mark.parametrize("kind", ["rti", "cmon"])
+def test_dto_oracle_reuses_the_step_blocks(monkeypatch, kind):
+    # the oracle takes the blocks the step computed as they are and
+    # sweeps only the others, so each instant computes N blocks in all;
+    # under rti the step's own sweep is the only one
+    s = _short_pendulum(duration=0.5, scheme=kind)
+    s.scheme = dataclasses.replace(s.scheme, track_dto=True)
+    nodes, per_instant = [], []
+    forward, step = intg.forward_sensitivity_batch, harness.controller_step
+
+    def counted(model, jac_x, jac_u, cfg):
+        nodes.append(jac_x.shape[0])
+        return forward(model, jac_x, jac_u, cfg)
+
+    def stepping(*args):
+        nodes.clear()
+        d = step(*args)
+        per_instant.append(list(nodes))
+        return d
+
+    monkeypatch.setattr(intg, "forward_sensitivity_batch", counted)
+    monkeypatch.setattr(harness, "controller_step", stepping)
+    log = closed_loop_simulate(s)
+    assert not log.failed and len(per_instant) == log.n_instants
+    for calls in per_instant:
+        assert sum(calls) == s.horizon
+        if kind == "rti":
+            assert calls == [s.horizon]
+
+
 def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
     # from the third subproblem on, one stage Hessian is negative definite;
     # the KKT factorization fails and the loop records a QP failure
@@ -332,7 +362,12 @@ def test_export_empty_log_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     export_log_csv(log, path)
     lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("time,x0")
+    # the documented columns, in StepDiagnostics field order
+    assert lines[0] == (
+        "time,x0,x1,x2,x3,u0,kkt,dy_norm,dw_norm,dlam_norm,refreshed,"
+        "refresh_fraction,qp_iterations,integration_calls,sens_blocks,"
+        "adjoint_seeds,kappa_max,kappa_dual_max,eta_pri,eta_dual,e_bar,"
+        "dto_e,dto_ebar,dto_active_match")
     assert len(lines) == 2      # header plus the initial-state row
 
 
@@ -540,11 +575,26 @@ _PENDULUM_REF = {"times": [0.0, 5.0],
     ({}, {"duration": float("nan")}, []),
     ({}, {"duration": float("inf")}, []),
     ({}, {"duration": 1e308, "t_s": 1e-300}, []),
+    ({}, {"horizon": 40.7}, []),
+    ({}, {"substeps": 2.5}, []),
+    ({}, {"plant_substep_factor": 1.5}, []),
+    ({}, {"seed": 1.9}, []),
+    ({}, {"trials": True}, []),
+    ({}, {"scheme": {"kind": "ml", "ml_interval": 2.9}}, []),
+    ({}, {"scheme": {"kind": "ml", "ml_interval": True}}, []),
+    ({}, {"scheme": {"kind": "rti", "track_dto": "no"}}, []),
+    ({}, {"scheme": {"kind": "rti", "track_dto": 0.5}}, []),
+    ({}, {"model": {"kind": "chain", "params": {"n": 5.5}},
+          "reference": {"times": [0.0], "free_end": [[1.0, 0.0, 0.0]]}},
+     []),
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
         "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
         "controls_width", "stabilize_cap", "stabilize_threshold",
         "noise_pos", "noise_vel", "t_s_nan", "t_s_inf", "duration_nan",
-        "duration_inf", "instant_count_overflow"])
+        "duration_inf", "instant_count_overflow", "horizon_float",
+        "substeps_float", "plant_substep_factor_float", "seed_float",
+        "trials_bool", "ml_interval_float", "ml_interval_bool",
+        "track_dto_string", "track_dto_float", "chain_n_float"])
 def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
                                            args):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())

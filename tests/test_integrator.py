@@ -26,8 +26,7 @@ def _scalar_linear_model(a=-0.7, b=1.3):
 
     return models.ModelSpec(n_x=1, n_u=1, rhs=rhs, rhs_jacobians=jacs,
                             stage_weights=np.array([1.0, 0.1]),
-                            terminal_weights=np.array([1.0]),
-                            name="scalar")
+                            terminal_weights=np.array([1.0]))
 
 
 def _square_model():

@@ -305,8 +305,7 @@ def test_linear_plant_schemes_coincide(rng):
                 np.broadcast_to(B, batch + B.shape).copy())
 
     model = ModelSpec(n_x=3, n_u=2, rhs=rhs, rhs_jacobians=jac,
-                      stage_weights=np.ones(5), terminal_weights=np.ones(3),
-                      name="linear")
+                      stage_weights=np.ones(5), terminal_weights=np.ones(3))
     horizon = 8
     integ = intg.IntegratorConfig(dt=0.1, substeps=2)
     refs = References(np.zeros((horizon + 1, 3)), np.zeros((horizon, 2)))
@@ -412,7 +411,7 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
         assert c["integrate"] == 1 and c["adjoint"] == swept
         assert c["seeds"] == d.adjoint_seeds
         assert c["blocks"] == d.sens_blocks
-        assert d.horizon_passes == 1 + swept
+        assert d.integration_calls == 1 + swept
         if i == 0:
             # every scheme computes every block at the first instant, which
             # refreshes none of them, and needs no adjoint row

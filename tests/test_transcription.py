@@ -100,15 +100,17 @@ def test_exact_gradient_rows_fresh_equals_product(setup, rng):
     model, traj, mult, refs, blocks = setup
     seeds = rng.standard_normal((N, 4))
     jacs = stage_record(model, traj.xs[:-1], traj.us, CFG)[1]
-    rows_fresh = trc.exact_gradient_rows(model, jacs, CFG, seeds,
-                                         fresh_mask=np.ones(N, dtype=bool),
-                                         blocks=blocks)
     expect = np.einsum('kx,kxw->kw', seeds, blocks)
+    rows_fresh = trc.exact_gradient_rows(seeds, np.ones(N, dtype=bool),
+                                         blocks, None)
     npt.assert_array_equal(rows_fresh, expect)
-    rows_adj = trc.exact_gradient_rows(model, jacs, CFG, seeds,
-                                       fresh_mask=np.zeros(N, dtype=bool),
-                                       blocks=blocks)
-    npt.assert_allclose(rows_adj, expect, atol=1e-10)
+    swept = intg.adjoint_batch(model, *jacs, CFG, seeds[:, None])[:, 0]
+    npt.assert_allclose(swept, expect, atol=1e-10)
+    # fresh nodes take the product, the others the swept rows
+    mask = np.arange(N) % 2 == 0
+    rows = trc.exact_gradient_rows(seeds, mask, blocks, swept)
+    npt.assert_array_equal(rows[mask], expect[mask])
+    npt.assert_array_equal(rows[~mask], swept[~mask])
 
 
 def test_apply_step_adds_increments(setup, rng):

@@ -9,7 +9,9 @@ sensitivity, corrected by exact adjoint gradient rows; the rest are
 recomputed. The blocks and the previous instant's caches these measures
 read live in the controller state. Threshold values follow from a
 desired distance-to-optimum tolerance through conditioning constants of
-the subproblem matrix, taken from the first subproblem solved.
+the subproblem matrix. They are precomputed, once per scenario, and the
+configuration carries them (``rho0``, ``gamma0``); no controller instant
+computes a spectrum.
 """
 
 import math
@@ -30,7 +32,9 @@ class CMoNConfig:
     ``eps_abs``/``eps_rel`` set the distance-to-optimum tolerance
     ``e_bar = eps_abs*sqrt(n) + eps_rel*||dy_prev||`` over the stacked
     primal-dual triple. ``threshold_mode`` switches between the automatic
-    rule and fixed thresholds.
+    rule and fixed thresholds. The automatic rule reads the conditioning
+    constants ``rho0``/``gamma0``; NaN, the default, means not given yet,
+    and a controller under that rule cannot start without them.
     """
 
     eps_abs: float = 0.1
@@ -42,6 +46,8 @@ class CMoNConfig:
     threshold_mode: str = "auto"
     fixed_eta_pri: float = math.inf
     fixed_eta_dual: float = math.inf
+    rho0: float = math.nan
+    gamma0: float = math.nan
 
     def __post_init__(self):
         if not 0.0 < self.c1 < 1.0:
@@ -57,6 +63,11 @@ class CMoNConfig:
                 and 0.0 <= self.eps_rel < math.inf):
             raise ConfigError(
                 "eps_abs and eps_rel must be finite and nonnegative")
+        if not (math.isnan(self.rho0) and math.isnan(self.gamma0)
+                or 0.0 < self.rho0 < math.inf
+                and 1.0 <= self.gamma0 < math.inf):
+            raise ConfigError("rho0 and gamma0 go together: both finite, "
+                              "rho0 > 0 and gamma0 >= 1, or neither given")
 
     def floor_count(self, N: int) -> int:
         return int(math.ceil(self.min_update_fraction * N))
@@ -127,10 +138,10 @@ def dto_tolerance(cfg: CMoNConfig, n_dim: int, prev_dy_norm: float) -> float:
     return cfg.eps_abs * math.sqrt(n_dim) + cfg.eps_rel * prev_dy_norm
 
 
-def thresholds(cfg: CMoNConfig, e_bar: float, rho0: float, gamma0: float,
-               v_pri_norm: float, v_dual_norm: float):
+def thresholds(cfg: CMoNConfig, e_bar: float, v_pri_norm: float,
+               v_dual_norm: float):
     """Threshold pair from the tolerance and the conditioning constants
-    of the first subproblem solved.
+    ``cfg.rho0``/``cfg.gamma0``.
 
     A zero tolerance forces full updates; a zero direction norm leaves the
     corresponding threshold unbounded (nothing moved in that direction).
@@ -139,7 +150,7 @@ def thresholds(cfg: CMoNConfig, e_bar: float, rho0: float, gamma0: float,
         return cfg.fixed_eta_pri, cfg.fixed_eta_dual
     if e_bar == 0.0:
         return 0.0, 0.0
-    scale = gamma0 * e_bar / rho0
+    scale = cfg.gamma0 * e_bar / cfg.rho0
     if v_pri_norm > 0.0:
         eta_pri = scale * math.sqrt(cfg.c1) / (2.0 * cfg.alpha * v_pri_norm)
     else:

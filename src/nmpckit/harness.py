@@ -22,7 +22,8 @@ from .errors import ConfigError, NMPCError
 from .models import (ChainParams, PendulumParams, chain_steady_state,
                      make_chain_model, make_pendulum_model, ModelSpec)
 from .schemes import (OCProblem, SchemeConfig, StepDiagnostics,
-                      controller_step, initialize_controller, sqp_solve)
+                      controller_step, initialize_controller, sqp_solve,
+                      subproblem_constants)
 from .transcription import Multipliers, References, Trajectory
 
 __all__ = [
@@ -207,6 +208,9 @@ def _build_scheme(spec: dict) -> SchemeConfig:
     for key in list(ckw):
         if key not in ("threshold_mode",):
             ckw[key] = float(ckw[key])
+    # NaN stands for a constant not given, so a given one cannot be NaN
+    if any(math.isnan(ckw.get(key, 0.0)) for key in ("rho0", "gamma0")):
+        raise ConfigError("rho0 and gamma0 must be finite")
     kwargs = {}
     if "kind" in spec:
         kwargs["scheme"] = str(spec.pop("kind"))
@@ -321,6 +325,25 @@ def perfect_horizon(scenario: ScenarioConfig, x0: np.ndarray):
     return res.traj, res.mult
 
 
+def _start_horizon(scenario: ScenarioConfig, x0: np.ndarray):
+    """Start horizon and multipliers of a loop from ``x0``."""
+    if scenario.init_mode == "perfect":
+        return perfect_horizon(scenario, x0)
+    return steady_horizon(scenario), Multipliers.zeros(
+        scenario.horizon, scenario.model.n_x, scenario.model.n_r)
+
+
+def _nominal_constants(scenario: ScenarioConfig):
+    """Conditioning constants of the scenario's nominal subproblem: the
+    first step from the start horizon at the first reference state,
+    measured there."""
+    x = scenario.schedule.states[0]
+    return subproblem_constants(
+        scenario.model, scenario.integrator(), scenario.scheme,
+        *_start_horizon(scenario, x), x,
+        scenario.schedule.window(0.0, scenario.horizon, scenario.t_s))
+
+
 # ---------------------------------------------------------------------------
 # simulation log
 
@@ -376,9 +399,12 @@ def closed_loop_simulate(scenario: ScenarioConfig,
 
     :func:`initialize_controller` only sets the state up, so instant 0
     computes every sensitivity block (``refreshed`` 0, ``sens_blocks``
-    N) and, under ``cmon``, the conditioning constants from the
-    subproblem it solves. A failure in the perfect or steady start or in
-    instant 0 gives a failed log with no instant. A stray LAPACK failure
+    N). Under ``cmon`` with automatic thresholds, conditioning constants
+    that ``scenario.scheme`` does not carry are computed first, from the
+    nominal subproblem (:func:`_nominal_constants`), and stored on
+    ``scenario.scheme.cmon``, so later loops on the same scenario reuse
+    them. A failure there, in the perfect or steady start or in instant 0
+    gives a failed log with no instant. A stray LAPACK failure
     (``np.linalg.LinAlgError``) is recorded like an ``NMPCError``.
     """
     model = scenario.model
@@ -400,13 +426,11 @@ def closed_loop_simulate(scenario: ScenarioConfig,
     x = x0
     failed, reason = False, ""
     try:
-        if scenario.init_mode == "perfect":
-            traj0, mult0 = perfect_horizon(scenario, x0)
-        else:
-            traj0 = steady_horizon(scenario)
-            mult0 = Multipliers.zeros(N, model.n_x, model.n_r)
-        state = initialize_controller(model, integ, scenario.scheme, traj0,
-                                      mult0)
+        if scenario.scheme.lacks_constants:
+            scenario.scheme = scenario.scheme.with_constants(
+                *_nominal_constants(scenario))
+        state = initialize_controller(model, integ, scenario.scheme,
+                                      *_start_horizon(scenario, x0))
         for i in range(scenario.n_instants):
             t = i * Ts
             refs = schedule.window(t, N, Ts)
@@ -561,9 +585,13 @@ def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
                    ) -> None:
     """JSON run manifest: byte-exact config echo (``null`` for a config
     built in code, which has no file text), code version, and the seed,
-    scheme, trial count and oracle flag the run used."""
+    scheme, trial count, oracle flag and conditioning constants the run
+    used (``null`` where the thresholds read none)."""
     from . import __version__
     path = Path(path)
+    sch = scenario.scheme
+    used = sch.scheme == "cmon" and sch.cmon.threshold_mode == "auto" \
+        and not sch.lacks_constants
     doc = {
         "scenario": scenario.name,
         "config_echo": scenario.raw_text or None,
@@ -572,6 +600,8 @@ def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
         "scheme": scenario.scheme.scheme,
         "trials": scenario.trials,
         "track_dto": scenario.scheme.track_dto,
+        "rho0": sch.cmon.rho0 if used else None,
+        "gamma0": sch.cmon.gamma0 if used else None,
     }
     if extra:
         doc.update(extra)

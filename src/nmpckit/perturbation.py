@@ -5,9 +5,10 @@ The subproblem's primal-dual solution, viewed as a function of the error
 first-order expansion around the exact-Jacobian solution. This module
 assembles the square matrix ``M`` (the KKT map differentiated in the
 solution triple), derives from its spectrum the conditioning constants
-used by the threshold rule (computed once per loop, from the first
-subproblem solved), and measures the actual distance to the fully-updated
-optimum by re-solving the subproblem with exact blocks.
+used by the threshold rule (computed once per scenario, from its nominal
+subproblem, never inside a controller instant), and measures the actual
+distance to the fully-updated optimum by re-solving the subproblem with
+exact blocks.
 
 ``M`` is a sparse matrix in stage order: rows and columns both run
 ``(lam_k, w_k, mu_k)`` for k < N, then ``(lam_N, x_N)``, so every
@@ -146,7 +147,8 @@ def singular_values(M) -> np.ndarray:
 
 def conditioning_constants(M):
     """Constants ``(rho, gamma)`` from the subproblem spectrum; the
-    controller takes them from the first subproblem it solves.
+    automatic ``cmon`` thresholds read them, computed once per scenario
+    (``schemes.subproblem_constants``).
 
     ``rho`` is the reciprocal smallest singular value; ``gamma`` is one
     plus the spread of the inverse spectrum. ``M`` may be dense or sparse.

@@ -27,10 +27,13 @@ policy of stage 2:
     per-block nonlinearity measures against auto-tuned thresholds.
 
 :func:`sqp_solve` iterates the same step at a frozen measurement until the
-residual meets its tolerance.
+residual meets its tolerance. :func:`subproblem_constants` computes the
+conditioning constants that the automatic thresholds read, outside any
+step.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional, List
 
 import numpy as np
@@ -65,6 +68,17 @@ class SchemeConfig:
             raise ConfigError("ml_interval must be a positive integer")
         if not self.qp_tol > 0:
             raise ConfigError("qp_tol must be positive")
+
+    @property
+    def lacks_constants(self) -> bool:
+        """Whether the thresholds need conditioning constants that the
+        configuration does not carry yet."""
+        return (self.scheme == "cmon" and self.cmon.threshold_mode == "auto"
+                and math.isnan(self.cmon.rho0))
+
+    def with_constants(self, rho0: float, gamma0: float) -> "SchemeConfig":
+        return replace(self, cmon=replace(self.cmon, rho0=rho0,
+                                          gamma0=gamma0))
 
 
 @dataclass
@@ -114,8 +128,6 @@ class ControllerState:
     prev_dlam: Optional[np.ndarray] = None      # (N, n_x)
     instant: int = 0
     n_dim: int = 0              # primal + dual dimension of the subproblem
-    rho0: float = np.nan
-    gamma0: float = np.nan
     e_bar: float = np.nan       # tolerance the next step's thresholds use
 
 
@@ -134,9 +146,13 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
 
     The first step computes every block, in the closed loop as in
     :func:`sqp_solve` (``adj`` keeps them there for good). Under ``cmon``
-    with automatic thresholds, the conditioning constants come from the
-    first subproblem solved.
+    with automatic thresholds, ``cfg`` must carry the conditioning
+    constants (:func:`subproblem_constants` computes them); without them
+    this raises :class:`ConfigError`.
     """
+    if cfg.lacks_constants:
+        raise ConfigError("automatic cmon thresholds need the conditioning "
+                          "constants rho0 and gamma0")
     N = traj0.horizon
     state = ControllerState(
         model=model, integ=integ, cfg=cfg, traj=traj0.copy(),
@@ -187,8 +203,7 @@ def _linearize(state: ControllerState, x_hat, refs: References):
             kappa_dual = dual_cmon(swept[0], state.prev_dir_dual)
             v_pri = float(np.linalg.norm(state.prev_dir_pri))
             v_dual = float(np.linalg.norm(state.prev_dir_dual))
-        eta_pri, eta_dual = thresholds(cfg.cmon, state.e_bar, state.rho0,
-                                       state.gamma0, v_pri, v_dual)
+        eta_pri, eta_dual = thresholds(cfg.cmon, state.e_bar, v_pri, v_dual)
         mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
                                floor_count=cfg.cmon.floor_count(N),
                                invalid=np.full(N, first))
@@ -241,12 +256,6 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
     diag.dlam_norm = float(np.linalg.norm(sol.dlam))
     diag.qp_iterations = sol.iterations
     if cfg.scheme == "cmon":
-        if cfg.cmon.threshold_mode == "auto" and np.isnan(state.rho0):
-            # the first subproblem solved fixes the constants, in the
-            # closed loop and in sqp_solve alike; before it no direction
-            # exists, so its thresholds never read them
-            state.rho0, state.gamma0 = conditioning_constants(
-                build_m(qp, sol))
         dxs, dus = split_primal(sol.dw, N, model.n_x, model.n_u)
         dw_nodes = np.concatenate([dxs[:N], dus], axis=1)
         state.prev_dlam = sol.dlam.reshape(N + 1, model.n_x)[1:].copy()
@@ -263,6 +272,21 @@ def controller_step(state: ControllerState, x_hat, refs: References
                     ) -> StepDiagnostics:
     """Advance the controller one instant for measurement ``x_hat``."""
     return _solve_and_apply(state, *_linearize(state, x_hat, refs))
+
+
+def subproblem_constants(model: ModelSpec, integ: intg.IntegratorConfig,
+                         cfg: SchemeConfig, traj: Trajectory,
+                         mult: Multipliers, x_hat, refs: References):
+    """Conditioning constants ``(rho0, gamma0)`` of the subproblem that a
+    first step solves from ``traj`` and ``mult`` at measurement ``x_hat``.
+
+    A first step computes every block under any scheme, so an ``rti``
+    state linearizes the same subproblem; it is solved to ``cfg.qp_tol``.
+    """
+    state = initialize_controller(model, integ, replace(cfg, scheme="rti"),
+                                  traj, mult)
+    qp = _linearize(state, x_hat, refs)[0]
+    return conditioning_constants(build_m(qp, solve(qp, tol=cfg.qp_tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +331,15 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
     :func:`initialize_controller`, as in the closed loop, so the first
     iteration computes every block; that is no refresh, so
     ``refresh_counts[0]`` is 0 while ``sens_blocks`` counts the N blocks.
-    Under ``cmon`` its subproblem fixes the conditioning constants, as the
-    first instant's does in the closed loop. Five consecutive residual
-    increases raise :class:`DivergenceError` with the trace attached.
+    Under ``cmon`` with automatic thresholds, constants that ``cfg`` does
+    not carry come from :func:`subproblem_constants` at the start point,
+    so they are those of the first iteration's subproblem. Five
+    consecutive residual increases raise :class:`DivergenceError` with the
+    trace attached.
     """
+    if cfg.lacks_constants:
+        cfg = cfg.with_constants(*subproblem_constants(
+            ocp.model, ocp.integ, cfg, traj0, mult0, ocp.x_hat, ocp.refs))
     state = initialize_controller(ocp.model, ocp.integ, cfg, traj0, mult0)
     trace, counts = [], []
     blocks_total = adjoint_total = grows = 0

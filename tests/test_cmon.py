@@ -130,25 +130,25 @@ def test_dto_tolerance_formula():
 
 
 def test_threshold_formulas():
-    cfg = CMoNConfig(c1=0.1, alpha=1.0, beta=1.0)
     e_bar, rho0, gamma0 = 2.0, 4.0, 3.0
-    eta_pri, eta_dual = cmon.thresholds(cfg, e_bar, rho0, gamma0, 5.0, 7.0)
+    cfg = CMoNConfig(c1=0.1, alpha=1.0, beta=1.0, rho0=rho0, gamma0=gamma0)
+    eta_pri, eta_dual = cmon.thresholds(cfg, e_bar, 5.0, 7.0)
     scale = gamma0 * e_bar / rho0
     assert eta_pri == pytest.approx(scale * math.sqrt(0.1) / (2 * 5.0))
     assert eta_dual == pytest.approx(scale * math.sqrt(0.9) / 7.0)
     # doubling the direction norm halves the threshold
-    eta_pri2, _ = cmon.thresholds(cfg, e_bar, rho0, gamma0, 10.0, 7.0)
+    eta_pri2, _ = cmon.thresholds(cfg, e_bar, 10.0, 7.0)
     assert eta_pri2 == pytest.approx(eta_pri / 2)
 
 
 def test_threshold_edge_cases():
-    cfg = CMoNConfig()
-    assert cmon.thresholds(cfg, 0.0, 1.0, 1.0, 5.0, 5.0) == (0.0, 0.0)
-    eta_pri, eta_dual = cmon.thresholds(cfg, 1.0, 1.0, 1.0, 0.0, 0.0)
+    cfg = CMoNConfig(rho0=1.0, gamma0=1.0)
+    assert cmon.thresholds(cfg, 0.0, 5.0, 5.0) == (0.0, 0.0)
+    eta_pri, eta_dual = cmon.thresholds(cfg, 1.0, 0.0, 0.0)
     assert math.isinf(eta_pri) and math.isinf(eta_dual)
     fixed = CMoNConfig(threshold_mode="fixed", fixed_eta_pri=0.25,
                        fixed_eta_dual=0.75)
-    assert cmon.thresholds(fixed, 1.0, 1.0, 1.0, 5.0, 5.0) == (0.25, 0.75)
+    assert cmon.thresholds(fixed, 1.0, 5.0, 5.0) == (0.25, 0.75)
 
 
 def test_config_validation():
@@ -206,13 +206,13 @@ def test_stacked_norm_bound_on_kept_blocks(pendulum, rng):
 
 
 def test_refresh_count_monotone_in_tolerance():
-    cfg = cmon.CMoNConfig()
+    cfg = cmon.CMoNConfig(rho0=2.0, gamma0=1.5)
     kappa = np.array([0.02, 0.4, 0.11, 0.27, 0.9, 0.005])
     kdual = np.array([0.3, 0.01, 0.22, 0.15, 0.08, 0.4])
     counts = []
     for e_bar in (0.0, 0.05, 0.2, 0.8, 3.0, 1e6):
-        ep, ed = cmon.thresholds(cfg, e_bar, rho0=2.0, gamma0=1.5,
-                                 v_pri_norm=0.7, v_dual_norm=1.3)
+        ep, ed = cmon.thresholds(cfg, e_bar, v_pri_norm=0.7,
+                                 v_dual_norm=1.3)
         counts.append(int(cmon.update_decision(kappa, kdual, ep, ed).sum()))
     assert counts == sorted(counts, reverse=True)
     assert counts[0] == 6     # zero tolerance refreshes every block

@@ -220,17 +220,19 @@ def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
 def test_lapack_failure_in_setup_ends_loop_as_recorded_failure():
     # a LAPACK routine that fails (dsbev in the Gram spectrum, say) raises
     # numpy's LinAlgError, not an NMPCError; the loop still records it when
-    # it fails in instant 0, which computes every sensitivity block and
-    # fixes the cmon conditioning constants
+    # it fails in instant 0, which computes every sensitivity block, or
+    # before it, while the cmon conditioning constants of a scenario that
+    # does not store them are computed
     def failing(*args):
         raise np.linalg.LinAlgError("LAPACK routine did not converge")
 
     for module, name in ((intg, "stage_jacobians"),
                          (schemes, "conditioning_constants")):
+        s = _short_pendulum(duration=0.5, scheme="cmon", init_mode="steady")
+        s.scheme = s.scheme.with_constants(np.nan, np.nan)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, name, failing)
-            log = closed_loop_simulate(_short_pendulum(
-                duration=0.5, scheme="cmon", init_mode="steady"))
+            log = closed_loop_simulate(s)
         assert log.failed
         assert log.failure_reason.startswith("LinAlgError")
         assert log.n_instants == 0
@@ -416,6 +418,8 @@ def test_manifest_echoes_config(tmp_path):
     assert doc["scheme"] == "cmon"
     assert doc["trials"] == 1
     assert doc["track_dto"] is False
+    assert (doc["rho0"], doc["gamma0"]) == (s.scheme.cmon.rho0,
+                                            s.scheme.cmon.gamma0)
     assert doc["note"] == 1
     # overrides leave the echo as it was; the manifest records them
     s = load_scenario(SCENARIO_DIR / "chain_n40.yaml")
@@ -456,6 +460,8 @@ def test_cli_single_run(tmp_path):
     assert manifest["scheme"] == "rti"
     assert manifest["track_dto"] is True
     assert manifest["trials"] == 1
+    # rti thresholds read no conditioning constants
+    assert manifest["rho0"] is None and manifest["gamma0"] is None
     parsed = parse_log_csv(logs[0])
     assert parsed.n_instants == 10
 
@@ -587,6 +593,10 @@ _PENDULUM_REF = {"times": [0.0, 5.0],
     ({}, {"model": {"kind": "chain", "params": {"n": 5.5}},
           "reference": {"times": [0.0], "free_end": [[1.0, 0.0, 0.0]]}},
      []),
+    ({"rho0": -1.0}, {}, []),
+    ({"rho0": float("nan")}, {}, []),
+    ({"gamma0": 0.5}, {}, []),
+    ({"rho0": 9000.0, "gamma0": None}, {}, []),
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
         "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
         "controls_width", "stabilize_cap", "stabilize_threshold",
@@ -594,12 +604,16 @@ _PENDULUM_REF = {"times": [0.0, 5.0],
         "duration_inf", "instant_count_overflow", "horizon_float",
         "substeps_float", "plant_substep_factor_float", "seed_float",
         "trials_bool", "ml_interval_float", "ml_interval_bool",
-        "track_dto_string", "track_dto_float", "chain_n_float"])
+        "track_dto_string", "track_dto_float", "chain_n_float",
+        "rho0_negative", "rho0_nan", "gamma0_below_one", "rho0_only"])
 def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
                                            args):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
     doc["duration"] = 0.5
     doc["scheme"]["cmon"].update(cmon)
+    # a None value drops the key from the file
+    doc["scheme"]["cmon"] = {k: v for k, v in doc["scheme"]["cmon"].items()
+                             if v is not None}
     doc.update(top)
     scen = tmp_path / "bad.yaml"
     scen.write_text(yaml.safe_dump(doc))
@@ -677,3 +691,72 @@ def test_cli_unwritable_log_exits_4(tmp_path, capsys):
     (out / "pendulum_n40_rti_log.csv").mkdir(parents=True)
     assert cli.main([str(scen), "--scheme", "rti", "--out", str(out)]) == 4
     assert "output error" in capsys.readouterr().err
+
+
+_SHIPPED = ["chain_n40", "chain_n80", "pendulum_n40", "pendulum_n120"]
+
+
+def _without_constants(s):
+    s.scheme = s.scheme.with_constants(np.nan, np.nan)
+    return s
+
+
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_stored_constants_match_nominal_subproblem(name):
+    # the pair a scenario file stores is the one its nominal subproblem
+    # gives; on a mismatch, paste the printed lines into the file
+    s = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    stored = (s.scheme.cmon.rho0, s.scheme.cmon.gamma0)
+    fresh = harness._nominal_constants(_without_constants(s))
+    assert fresh == pytest.approx(stored, rel=1e-6), (
+        f"{name}.yaml scheme.cmon:\n    rho0: {fresh[0]!r}\n"
+        f"    gamma0: {fresh[1]!r}")
+
+
+@pytest.mark.parametrize("name", _SHIPPED)
+def test_stored_constants_keep_the_spectrum_out_of_the_loop(name,
+                                                            monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conditioning constants computed")
+
+    monkeypatch.setattr(schemes, "build_m", forbidden)
+    monkeypatch.setattr(schemes, "conditioning_constants", forbidden)
+    s = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    assert s.scheme.scheme == "cmon"
+    s.duration = 2 * s.t_s
+    log = closed_loop_simulate(s)
+    assert not log.failed and log.n_instants == 2
+
+
+def test_trials_compute_missing_constants_once(monkeypatch):
+    # the first loop stores the nominal constants on the scenario, and
+    # every later trial reuses them
+    s = _without_constants(load_scenario(SCENARIO_DIR / "chain_n40.yaml"))
+    s.duration = 0.4
+    calls = []
+    constants = schemes.conditioning_constants
+    monkeypatch.setattr(schemes, "conditioning_constants",
+                        lambda M: calls.append(M) or constants(M))
+    summary = randomized_chain_trials(s, trials=3, keep_logs=True)
+    assert len(calls) == 1
+    assert not any(log.failed for log in summary.logs)
+    stored = load_scenario(SCENARIO_DIR / "chain_n40.yaml").scheme.cmon
+    assert (s.scheme.cmon.rho0, s.scheme.cmon.gamma0) == pytest.approx(
+        (stored.rho0, stored.gamma0), rel=1e-6)
+
+
+def test_cli_manifest_records_resolved_constants(tmp_path):
+    # a file without the pair runs, and its manifest carries the pair the
+    # run computed, ready to be copied into the file
+    doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
+    stored = doc["scheme"]["cmon"]
+    pair = (stored.pop("rho0"), stored.pop("gamma0"))
+    doc["scheme"]["kind"] = "rti"
+    doc["duration"] = 0.2
+    scen = tmp_path / "bare.yaml"
+    scen.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert cli.main([str(scen), "--scheme", "cmon", "--out", str(out)]) == 0
+    manifest = json.loads((out / "bare_cmon_manifest.json").read_text())
+    assert (manifest["rho0"], manifest["gamma0"]) == pytest.approx(
+        pair, rel=1e-6)

@@ -18,6 +18,9 @@ def test_tracer_layer_calls_resolve_and_record(monkeypatch):
 
     s = harness.load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
     s.duration = 0.15
+    # without stored constants the loop computes them, which reaches the
+    # spectrum layers
+    s.scheme = s.scheme.with_constants(np.nan, np.nan)
     originals = [getattr(m, a) for m, a, _, _ in tracing.LAYER_CALLS]
     with tracing.Tracer(full=True) as tracer:
         tracer.begin_loop()
@@ -25,7 +28,8 @@ def test_tracer_layer_calls_resolve_and_record(monkeypatch):
         log = harness.closed_loop_simulate(
             s, x0=np.array([0.05, 0.05, 0.0, 0.0]))
     assert not log.failed
-    # a three-instant cmon loop from a perfect start reaches every layer
+    # a three-instant cmon loop from a perfect start, with its constants
+    # computed first, reaches every layer
     recorded = {span.name for span in tracer.spans}
     for _, _, name, _ in tracing.LAYER_CALLS:
         assert name in recorded, name

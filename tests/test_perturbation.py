@@ -158,18 +158,17 @@ def test_conditioning_bound_on_solution_distance(pendulum, rng):
 
 
 def _first_subproblem(s, traj0, mult0, x_hat0):
-    """Subproblem and solution from which the first ``cmon`` instant of the
-    scenario ``s`` takes its conditioning constants, from the horizon
-    ``traj0``, ``mult0`` and the measurement ``x_hat0``."""
+    """Subproblem and solution from which ``schemes.subproblem_constants``
+    takes the conditioning constants of the scenario ``s``, from the
+    horizon ``traj0``, ``mult0`` and the measurement ``x_hat0``."""
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(schemes, "build_m",
                    lambda qp, sol: captured.append((qp, sol)))
         mp.setattr(schemes, "conditioning_constants", lambda M: (1.0, 1.0))
-        state = schemes.initialize_controller(
-            s.model, s.integrator(), s.scheme, traj0, mult0)
-        schemes.controller_step(state, x_hat0,
-                                s.schedule.window(0.0, s.horizon, s.t_s))
+        schemes.subproblem_constants(
+            s.model, s.integrator(), s.scheme, traj0, mult0, x_hat0,
+            s.schedule.window(0.0, s.horizon, s.t_s))
     (qp, sol), = captured
     return qp, sol
 
@@ -267,12 +266,14 @@ def test_gram_route_rejects_rank_deficient_chain_m(chain_first_subproblem):
 
 
 def test_gram_floor_falls_back_to_svdvals():
-    """A chain_n40 start whose first-instant M (sigma_min 1.1e-6, condition
+    """A chain_n40 start whose first-step M (sigma_min 1.1e-6, condition
     9.5e6) puts the Gram's smallest eigenvalue at its rounding floor: the
-    loop completes, with the constants of the dense SVD."""
+    constants there are those of the dense SVD, and the loop from that
+    start completes."""
     s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
     s.seed = 303
     s.duration = 2.0
+    x0 = harness.perturbed_chain_state(s, 3)
     captured = []
     with pytest.MonkeyPatch.context() as mp:
         build, constants = schemes.build_m, schemes.conditioning_constants
@@ -281,8 +282,11 @@ def test_gram_floor_falls_back_to_svdvals():
                    or captured[-1])
         mp.setattr(schemes, "conditioning_constants",
                    lambda M: captured.append(constants(M)) or captured[-1])
-        log = harness.closed_loop_simulate(
-            s, harness.perturbed_chain_state(s, 3))
+        schemes.subproblem_constants(
+            s.model, s.integrator(), s.scheme, harness.steady_horizon(s),
+            trc.Multipliers.zeros(s.horizon, s.model.n_x, s.model.n_r), x0,
+            s.schedule.window(0.0, s.horizon, s.t_s))
+    log = harness.closed_loop_simulate(s, x0)
     assert not log.failed and log.n_instants == s.n_instants
     M, (rho, gamma) = captured
     eigs = pert._gram_eigenvalues(M)

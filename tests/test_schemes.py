@@ -8,11 +8,12 @@ import pytest
 from conftest import SCENARIO_DIR
 from nmpckit import harness, integrator as intg, schemes
 from nmpckit.cmon import CMoNConfig
-from nmpckit.errors import DivergenceError
+from nmpckit.errors import ConfigError, DivergenceError
 from nmpckit.models import ChainParams, chain_steady_state, make_chain_model
 from nmpckit.perturbation import build_m, conditioning_constants
 from nmpckit.schemes import (OCProblem, SchemeConfig, controller_step,
-                             initialize_controller, sqp_solve)
+                             initialize_controller, sqp_solve,
+                             subproblem_constants)
 from nmpckit.transcription import Multipliers, References, Trajectory
 
 N = 10
@@ -29,6 +30,16 @@ def _steady_guess(pendulum, x_hat):
     xs = np.repeat(np.asarray(x_hat, dtype=float)[None], N + 1, axis=0)
     us = np.zeros((N, 1))
     return Trajectory(xs, us), Multipliers.zeros(N, 4, pendulum.n_r)
+
+
+def _resolved(cfg, model, traj0, mult0, x_hat, refs, integ=CFG):
+    """``cfg`` with the conditioning constants of the subproblem a first
+    step solves at this point, where its thresholds need them; this is
+    what ``sqp_solve`` does from its start point."""
+    if not cfg.lacks_constants:
+        return cfg
+    return cfg.with_constants(*subproblem_constants(
+        model, integ, cfg, traj0, mult0, x_hat, refs))
 
 
 def test_exact_sqp_converges(pendulum):
@@ -93,15 +104,18 @@ def test_initialize_controller_auto_constants(pendulum):
     x_hat = np.array([0.0, 0.3, 0.0, 0.0])
     traj0, mult0 = _steady_guess(pendulum, x_hat)
     refs0 = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
+    # automatic thresholds cannot start without the constants, and no
+    # step computes them
+    with pytest.raises(ConfigError):
+        initialize_controller(pendulum, CFG, cfg, traj0, mult0)
+    cfg = _resolved(cfg, pendulum, traj0, mult0, x_hat, refs0)
+    assert np.isfinite(cfg.cmon.rho0) and cfg.cmon.rho0 > 0
+    assert cfg.cmon.gamma0 >= 1.0
     state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     n_w = N * 5 + 4
     assert state.n_dim == n_w + 4 * N + (N + 1) * 4
     assert state.e_bar >= 0.1 * np.sqrt(state.n_dim)
-    # the constants come from the first subproblem solved
-    assert np.isnan(state.rho0) and np.isnan(state.gamma0)
     controller_step(state, x_hat, refs0)
-    assert np.isfinite(state.rho0) and state.rho0 > 0
-    assert state.gamma0 >= 1.0
 
 
 def _forbidden(*args, **kwargs):
@@ -116,21 +130,22 @@ def test_initialize_controller_evaluates_nothing(pendulum, kind,
     cfg = SchemeConfig(scheme=kind, ml_interval=2)
     x_hat = np.array([0.0, 0.3, 0.0, 0.0])
     traj0, mult0 = _steady_guess(pendulum, x_hat)
+    refs = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
+    cfg = _resolved(cfg, pendulum, traj0, mult0, x_hat, refs)
     with monkeypatch.context() as mp:
         for name in ("integrate_batch", "stage_jacobians",
                      "forward_sensitivity_batch"):
             mp.setattr(intg, name, _forbidden)
         state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
-    d = controller_step(state, x_hat, References(np.zeros((N + 1, 4)),
-                                                 np.zeros((N, 1))))
+    d = controller_step(state, x_hat, refs)
     assert (d.sens_blocks, d.refreshed, d.refresh_fraction) == (N, 0, 0.0)
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "chain"])
 def test_preparation_constants_match_first_subproblem(pendulum, plant,
                                                       monkeypatch):
-    # set-up and the first instant solve one subproblem between them, and
-    # the constants are that subproblem's
+    # the constants computed at a point are those of the one subproblem
+    # that the first instant from that point solves
     if plant == "pendulum":
         model, ref = pendulum, np.zeros(4)
         x_hat = np.array([0.05, 0.3, 0.0, 0.0])
@@ -151,13 +166,14 @@ def test_preparation_constants_match_first_subproblem(pendulum, plant,
         solved.append((qp, sol))
         return sol
 
+    cfg = _resolved(SchemeConfig(scheme="cmon"), model, traj0, mult0, x_hat,
+                    refs)
     monkeypatch.setattr(schemes, "solve", recording)
-    state = initialize_controller(model, CFG, SchemeConfig(scheme="cmon"),
-                                  traj0, mult0)
+    state = initialize_controller(model, CFG, cfg, traj0, mult0)
     controller_step(state, x_hat, refs)
     assert len(solved) == 1
     qp, sol = solved[0]
-    assert (state.rho0, state.gamma0) == \
+    assert (cfg.cmon.rho0, cfg.cmon.gamma0) == \
         conditioning_constants(build_m(qp, sol))
 
 
@@ -221,10 +237,11 @@ def test_kept_blocks_are_swept_at_rest(kind, interval):
 def test_step_recomputes_only_masked_blocks(pendulum, monkeypatch):
     # a step writes the blocks of the nodes its decision masks, from the
     # trajectory it linearizes at, and leaves every other block as it was
-    cfg = SchemeConfig(scheme="cmon")
     x_hat = np.array([0.0, 0.3, 0.0, 0.0])
     refs = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
     traj0, mult0 = _steady_guess(pendulum, x_hat)
+    cfg = _resolved(SchemeConfig(scheme="cmon"), pendulum, traj0, mult0,
+                    x_hat, refs)
     state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     controller_step(state, x_hat, refs)
     mask = np.arange(N) % 3 == 1
@@ -273,10 +290,11 @@ def test_ml_interval_one_matches_rti_stepwise(pendulum):
 def test_cmon_step_quiets_down(pendulum):
     # constant measurement and reference: the partial scheme stops
     # refreshing once the iterate settles
-    cfg = SchemeConfig(scheme="cmon")
     x_hat = np.array([0.0, 0.3, 0.0, 0.0])
     traj0, mult0 = _steady_guess(pendulum, x_hat)
     refs0 = References(np.zeros((N + 1, 4)), np.zeros((N, 1)))
+    cfg = _resolved(SchemeConfig(scheme="cmon"), pendulum, traj0, mult0,
+                    x_hat, refs0)
     state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     fracs = [controller_step(state, x_hat, refs0).refresh_fraction
              for _ in range(12)]
@@ -312,11 +330,13 @@ def test_linear_plant_schemes_coincide(rng):
     x0 = np.array([0.8, -0.5, 0.3])
     logs = {}
     for kind, m in (("rti", 1), ("ml", 2), ("adj", 1), ("cmon", 1)):
-        cfg = SchemeConfig(scheme=kind, ml_interval=m, qp_tol=1e-10)
         traj0 = Trajectory(np.tile(x0, (horizon + 1, 1)),
                            np.zeros((horizon, 2)))
-        state = initialize_controller(model, integ, cfg, traj0,
-                                      Multipliers.zeros(horizon, 3, 0))
+        mult0 = Multipliers.zeros(horizon, 3, 0)
+        cfg = _resolved(SchemeConfig(scheme=kind, ml_interval=m,
+                                     qp_tol=1e-10),
+                        model, traj0, mult0, x0, refs, integ=integ)
+        state = initialize_controller(model, integ, cfg, traj0, mult0)
         x = x0.copy()
         xs_log = [x.copy()]
         for _ in range(10):
@@ -338,6 +358,8 @@ def test_offline_iteration_matches_controller_step(pendulum, kind):
     cfg = SchemeConfig(scheme=kind)
     res = sqp_solve(ocp, traj0, mult0, cfg, tol=0.0, max_iter=1)
     assert res.iterations == 1
+    # sqp_solve takes the constants from its own start point
+    cfg = _resolved(cfg, pendulum, traj0, mult0, ocp.x_hat, ocp.refs)
     state = initialize_controller(pendulum, CFG, cfg, traj0, mult0)
     controller_step(state, ocp.x_hat, ocp.refs)
     npt.assert_array_equal(res.traj.xs, state.traj.xs)
@@ -438,7 +460,7 @@ def test_fixed_thresholds_skip_conditioning_constants(monkeypatch):
     s.duration = 0.2
     s.scheme = dataclasses.replace(s.scheme, cmon=dataclasses.replace(
         s.scheme.cmon, threshold_mode="fixed", fixed_eta_pri=0.5,
-        fixed_eta_dual=0.5))
+        fixed_eta_dual=0.5, rho0=np.nan, gamma0=np.nan))
     log = harness.closed_loop_simulate(
         s, s.schedule.states[0] + np.array([0.05, 0.05, 0.0, 0.0]))
     assert not log.failed and log.n_instants == s.n_instants

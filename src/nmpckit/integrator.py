@@ -13,7 +13,9 @@ evaluating the model. All kernels are batched over leading node dimensions.
 The reverse sweep carries only the state adjoint; the control rows are
 linear in its stage weights, so one contraction gives them after the loop.
 Each seed is a batch item of its own, so its rows round alike whichever
-seeds or nodes share the sweep.
+seeds or nodes share the sweep. The recurrence and the forward sweep write
+into arrays allocated once per call, with every operation of the textbook
+RK4 in its order, so they round exactly as an allocating implementation.
 """
 
 from dataclasses import dataclass
@@ -44,28 +46,48 @@ def integrate_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):
     substep that ends non-finite :class:`IntegrationBlowupError`. Returns
     the end states ``(..., n_x)`` and the stage states ``(..., 4 *
     substeps, n_x)``, the states the right-hand side was evaluated at.
+
+    The stage record is allocated once, stage-major so that each stage
+    the right-hand side reads is contiguous; the recurrence writes every
+    stage state and substep start straight into it, and the record is
+    returned as a node-major view. Neither input is written to.
     """
-    x = np.array(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(u).all()):
         raise ModelEvaluationError("non-finite integrator input")
     h = cfg.dt / cfg.substeps
-    stages = []
-    for _ in range(cfg.substeps):
-        s1 = x
+    record = np.empty((4 * cfg.substeps,) + x.shape)
+    end, acc = np.empty(x.shape), np.empty(x.shape)
+    record[0] = x
+    rows = list(record) + [end]     # each substep's start follows its s4
+    half, full, two, sixth = _coefficients(h)
+    add, mul = np.add, np.multiply
+    for i in range(0, len(record), 4):
+        s1, s2, s3, s4, nxt = rows[i:i + 5]
         k1 = model.rhs(s1, u)
-        s2 = s1 + 0.5 * h * k1
+        add(s1, mul(k1, half, s2), s2)
         k2 = model.rhs(s2, u)
-        s3 = s1 + 0.5 * h * k2
+        add(s1, mul(k2, half, s3), s3)
         k3 = model.rhs(s3, u)
-        s4 = s1 + h * k3
+        add(s1, mul(k3, full, s4), s4)
         k4 = model.rhs(s4, u)
-        x = s1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(x).all():
+        # nxt = s1 + (h / 6) * (k1 + 2 k2 + 2 k3 + k4), one pass at a time
+        add(k1, mul(k2, two, acc), acc)
+        add(acc, mul(k3, two, nxt), acc)
+        add(acc, k4, acc)
+        add(s1, mul(acc, sixth, acc), nxt)
+        if not np.isfinite(nxt).all():
             raise IntegrationBlowupError(
                 "state became non-finite during integration")
-        stages += (s1, s2, s3, s4)
-    return x, np.stack(stages, axis=-2)
+    return end, np.moveaxis(record, 0, -2)
+
+
+def _coefficients(h):
+    """The RK4 coefficients ``h/2, h, 2, h/6`` as 0-d arrays, which keep
+    the in-place ufunc calls on small batches cheaper than Python floats
+    do; the products are the same."""
+    return tuple(np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
 
 
 def stage_jacobians(model: ModelSpec, stages, u):
@@ -86,23 +108,33 @@ def forward_sensitivity_batch(model: ModelSpec, jac_x, jac_u,
                               cfg: IntegratorConfig):
     """Exact Jacobian ``(..., n_x, n_x + n_u)`` of the discrete shooting
     map w.r.t. ``(x0, u)``, from the record of :func:`stage_jacobians`.
+
+    The sweep allocates its stage products and stage input once per call
+    and updates the result in place; every product and sum is the one of
+    the textbook variational RK4, in the same order.
     """
     n_x, n_u = model.n_x, model.n_u
     S = np.zeros(jac_x.shape[:-3] + (n_x, n_x + n_u))
     S[..., :, :n_x] = np.eye(n_x)
     h = cfg.dt / cfg.substeps
+    half, full, two, sixth = _coefficients(h)
+    add, mul = np.add, np.multiply
+    K1, K2, K3, K4, T = np.empty((5,) + S.shape)
 
-    def stage(j, S_in):
-        K = jac_x[..., j, :, :] @ S_in
+    def stage(j, S_in, K):
+        np.matmul(jac_x[..., j, :, :], S_in, K)
         K[..., :, n_x:] += jac_u[..., j, :, :]
-        return K
 
     for j in range(0, jac_x.shape[-3], 4):
-        K1 = stage(j, S)
-        K2 = stage(j + 1, S + 0.5 * h * K1)
-        K3 = stage(j + 2, S + 0.5 * h * K2)
-        K4 = stage(j + 3, S + h * K3)
-        S = S + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+        stage(j, S, K1)
+        stage(j + 1, add(S, mul(K1, half, T), T), K2)
+        stage(j + 2, add(S, mul(K2, half, T), T), K3)
+        stage(j + 3, add(S, mul(K3, full, T), T), K4)
+        # S = S + (h / 6) * (K1 + 2 K2 + 2 K3 + K4)
+        add(K1, mul(K2, two, K2), K1)
+        add(K1, mul(K3, two, K3), K1)
+        add(K1, K4, K1)
+        add(S, mul(K1, sixth, K1), S)
     return S
 
 

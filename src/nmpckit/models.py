@@ -213,8 +213,9 @@ def _elongations(x, u, params: ChainParams):
 
 
 def _spring_terms(d, params: ChainParams):
-    # psi(r) scales the elongation direction of each spring force
-    r = np.linalg.norm(d, axis=-1)
+    # psi(r) scales the elongation direction of each spring force; r is
+    # what np.linalg.norm(d, axis=-1) computes, without its Python wrapper
+    r = np.sqrt(np.add.reduce(d * d, axis=-1))
     if (r < 1e-12).any():
         raise SingularGeometryError("adjacent chain points coincide")
     D, D1, L = params.D, params.D1, params.L
@@ -224,15 +225,17 @@ def _spring_terms(d, params: ChainParams):
 @lru_cache(maxsize=None)
 def _jacobian_pattern(n: int):
     """Flat ``f_x`` indices of the velocity ones and of the 3x3 spring
-    blocks: all masses at their own point, then the next, then the previous."""
+    blocks, in three groups: every mass at its own point, at the next, and
+    at the previous."""
     n_x, k = 6 * (n - 1) + 3, 3 * np.arange(n - 1)
     rows = (3 * n + k) * n_x     # flat start of each mass's acceleration rows
     corner = np.concatenate([rows + k, rows + k + 3, rows[1:] + k[1:] - 3])
-    blocks = corner[:, None, None] + np.arange(3)[:, None] * n_x \
-        + np.arange(3)
+    blocks = (corner[:, None, None] + np.arange(3)[:, None] * n_x
+              + np.arange(3)).ravel()
     ones = np.arange(3 * (n - 1)) * (n_x + 1) + 3 * n
     ones.flags.writeable = blocks.flags.writeable = False
-    return ones, blocks.ravel()
+    own, nxt = 9 * (n - 1), 18 * (n - 1)
+    return ones, (blocks[:own], blocks[own:nxt], blocks[nxt:])
 
 
 def chain_rhs(x, u, params: ChainParams):
@@ -261,25 +264,28 @@ def chain_jacobians(x, u, params: ChainParams):
     r, psi = _spring_terms(d, params)
     D, D1, L = params.D, params.D1, params.L
     psip = D * L / r ** 2 + D1 * (r - L) ** 2 * (2.0 * r + L) / r ** 2
-    eye3 = np.eye(3)
-    # dF/dd = psi*I + (psip/r) d d^T for each spring
-    G = psi[..., None, None] * eye3 + (psip / r)[..., None, None] * (
-        d[..., :, None] * d[..., None, :])
+    # dF/dd = psi*I + (psip/r) d d^T for each spring; psi goes onto the
+    # diagonal through a strided view
+    G = d[..., :, None] * d[..., None, :]
+    np.multiply((psip / r)[..., None, None], G, out=G)
+    diag = np.einsum("...ii->...i", G)
+    np.add(psi[..., None], diag, out=diag)
 
     fx = np.zeros(batch + (n_x, n_x))
     fu = np.zeros(batch + (n_x, 3))
-    ones, blocks = _jacobian_pattern(n)
+    ones, (own, nxt, prev) = _jacobian_pattern(n)
     flat = fx.reshape(batch + (n_x * n_x,))
     # position derivatives: pdot_i = v_i, end point driven by u
     flat[..., ones] = 1.0
-    fu[..., 3 * (n - 1):3 * n, :] = eye3
+    fu[..., 3 * (n - 1):3 * n, :] = np.eye(3)
     # acceleration rows: mass i couples to point i+1 through G_i, to
     # point i-1 through G_{i-1}, and to itself through both
     inv_m = 1.0 / params.m
     Gm = G[..., 1:, :, :] * inv_m
-    flat[..., blocks] = np.concatenate(
-        [-(G[..., 1:, :, :] + G[..., :-1, :, :]) * inv_m, Gm,
-         Gm[..., :-1, :, :]], axis=-3).reshape(batch + (-1,))
+    flat[..., own] = (-(G[..., 1:, :, :] + G[..., :-1, :, :])
+                      * inv_m).reshape(batch + (-1,))
+    flat[..., nxt] = Gm.reshape(batch + (-1,))
+    flat[..., prev] = Gm[..., :-1, :, :].reshape(batch + (-1,))
     return fx, fu
 
 

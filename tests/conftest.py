@@ -45,6 +45,50 @@ def adjoint(model, x, u, cfg, seeds):
     return intg.adjoint_batch(model, *jacs, cfg, seeds)
 
 
+def reference_integrate(model, x, u, cfg):
+    """Textbook RK4 recurrence with a fresh array per operation: the end
+    states and the stacked stage states, as ``integrate_batch`` returns
+    them."""
+    x = np.array(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    h = cfg.dt / cfg.substeps
+    stages = []
+    for _ in range(cfg.substeps):
+        s1 = x
+        k1 = model.rhs(s1, u)
+        s2 = s1 + 0.5 * h * k1
+        k2 = model.rhs(s2, u)
+        s3 = s1 + 0.5 * h * k2
+        k3 = model.rhs(s3, u)
+        s4 = s1 + h * k3
+        k4 = model.rhs(s4, u)
+        x = s1 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stages += (s1, s2, s3, s4)
+    return x, np.stack(stages, axis=-2)
+
+
+def reference_forward_sensitivity(model, jac_x, jac_u, cfg):
+    """Textbook variational RK4 over a stage Jacobian record, with a fresh
+    array per operation."""
+    n_x, n_u = model.n_x, model.n_u
+    S = np.zeros(jac_x.shape[:-3] + (n_x, n_x + n_u))
+    S[..., :, :n_x] = np.eye(n_x)
+    h = cfg.dt / cfg.substeps
+
+    def stage(j, S_in):
+        K = jac_x[..., j, :, :] @ S_in
+        K[..., :, n_x:] += jac_u[..., j, :, :]
+        return K
+
+    for j in range(0, jac_x.shape[-3], 4):
+        K1 = stage(j, S)
+        K2 = stage(j + 1, S + 0.5 * h * K1)
+        K3 = stage(j + 2, S + 0.5 * h * K2)
+        K4 = stage(j + 3, S + h * K3)
+        S = S + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    return S
+
+
 def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     """Subproblem at ``traj`` with exact blocks in the equality rows.
 

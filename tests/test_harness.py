@@ -28,6 +28,28 @@ def test_shipped_scenarios_load(name):
     assert s.raw_text    # byte-exact echo retained for the manifest
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", ALL_SCENARIOS)
+def test_libyaml_parses_shipped_scenarios_alike(name):
+    raw = (SCENARIO_DIR / name).read_text()
+    assert yaml.load(raw, Loader=yaml.CSafeLoader) \
+        == yaml.load(raw, Loader=yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_malformed_scenario_yaml_is_config_error(tmp_path, monkeypatch,
+                                                 loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(harness, "_YAML_LOADER", getattr(yaml, loader))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("model: {kind: pendulum\nhorizon: [40\n")
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        load_scenario(bad)
+    assert cli.main([str(bad)]) == 2
+
+
 def test_unknown_scenario_keys_rejected(tmp_path):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
     doc["surprise"] = 1

@@ -1,9 +1,12 @@
 """Integrator tests: order of accuracy, sensitivity propagation, guards."""
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import adjoint, sensitivities, stage_record
+from conftest import (adjoint, reference_forward_sensitivity,
+                      reference_integrate, sensitivities, stage_record)
 from nmpckit import integrator as intg
 from nmpckit import models
 from nmpckit.errors import (IntegrationBlowupError, ModelEvaluationError,
@@ -319,3 +322,75 @@ def test_sweeps_over_record_subset_equal_subset_record(plant, request, rng):
     npt.assert_array_equal(
         intg.adjoint_batch(model, *part, cfg, seeds[mask]),
         intg.adjoint_batch(model, *alone, cfg, seeds[mask]))
+
+
+def _plant_batch(model, rng, k):
+    """``k`` nodes around the plant's working point, and its integrator."""
+    if model.n_x == 4:
+        return (rng.uniform(-0.6, 0.6, (k, 4)), rng.uniform(-8.0, 8.0, (k, 1)),
+                intg.IntegratorConfig(dt=0.05, substeps=4))
+    x_ss = models.chain_steady_state(model.meta["params"], [1.0, 0.0, 0.0])
+    return (x_ss + rng.uniform(-0.2, 0.2, (k, model.n_x)),
+            rng.uniform(-1.0, 1.0, (k, 3)),
+            intg.IntegratorConfig(dt=0.2, substeps=4))
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "chain"])
+def test_integrate_batch_matches_textbook_rk4_bit_for_bit(plant, request,
+                                                          rng):
+    # the recurrence writes into its record in place; every stage state is
+    # the one the right-hand side saw, and both outputs equal the allocating
+    # recurrence byte for byte, batched and for one unbatched node
+    model = request.getfixturevalue(plant)
+    xs, us, cfg = _plant_batch(model, rng, 40)
+    seen = []
+
+    def rhs(x, u):
+        seen.append(np.array(x))
+        return model.rhs(x, u)
+
+    spy = dataclasses.replace(model, rhs=rhs)
+    for x, u in ((xs, us), (xs[7], us[7])):
+        seen.clear()
+        end, stages = intg.integrate_batch(spy, x, u, cfg)
+        assert stages.shape == x.shape[:-1] + (4 * cfg.substeps, model.n_x)
+        assert len(seen) == 4 * cfg.substeps
+        for j, s in enumerate(seen):
+            assert stages[..., j, :].tobytes() == s.tobytes()
+        want_end, want_stages = reference_integrate(model, x, u, cfg)
+        assert end.tobytes() == want_end.tobytes()
+        assert stages.tobytes() == want_stages.tobytes()
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "chain"])
+def test_forward_sweep_matches_textbook_rk4_bit_for_bit(plant, request, rng):
+    # the sweep updates its work arrays in place; its blocks equal the
+    # allocating variational RK4 byte for byte over every node, over a
+    # node subset of the record, and for one unbatched node
+    model = request.getfixturevalue(plant)
+    xs, us, cfg = _plant_batch(model, rng, 40)
+    jacs = stage_record(model, xs, us, cfg)[1]
+    mask = np.arange(40) % 3 != 1
+    single = stage_record(model, xs[5], us[5], cfg)[1]
+    for rec in (jacs, intg.node_subset(jacs, mask), single):
+        got = intg.forward_sensitivity_batch(model, *rec, cfg)
+        want = reference_forward_sensitivity(model, *rec, cfg)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "chain"])
+def test_in_place_kernels_leave_their_inputs_alone(plant, request, rng):
+    model = request.getfixturevalue(plant)
+    xs, us, cfg = _plant_batch(model, rng, 6)
+    x_before, u_before = xs.copy(), us.copy()
+    end, stages = intg.integrate_batch(model, xs, us, cfg)
+    assert not np.shares_memory(stages, xs)
+    assert not np.shares_memory(end, stages)
+    npt.assert_array_equal(xs, x_before)
+    npt.assert_array_equal(us, u_before)
+    jacs = intg.stage_jacobians(model, stages, us)
+    jacs_before = tuple(a.copy() for a in jacs)
+    intg.forward_sensitivity_batch(model, *jacs, cfg)
+    for a, b in zip(jacs, jacs_before):
+        assert a.tobytes() == b.tobytes()

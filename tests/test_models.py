@@ -158,6 +158,66 @@ def test_chain_rhs_matches_reference(chain, rng):
                             rtol=1e-12, atol=1e-12)
 
 
+def _chain_first_formulas(x, u, par):
+    """``chain_rhs`` and ``chain_jacobians`` as first written, and the
+    spring factors psi: the norm through ``np.linalg.norm``, ``G = psi*I +
+    (psip/r) d d^T`` by broadcasting, and the blocks placed per mass."""
+    n, n_x = par.n, par.n_x
+    batch = np.broadcast(x[..., 0], u[..., 0]).shape
+    pts = np.empty(batch + (n + 1, 3))
+    pts[..., 0, :] = par.anchor
+    pts[..., 1:, :] = x[..., :3 * n].reshape(x.shape[:-1] + (n, 3))
+    d = pts[..., 1:, :] - pts[..., :-1, :]
+    r = np.linalg.norm(d, axis=-1)
+    D, D1, L = par.D, par.D1, par.L
+    psi = D * (1.0 - L / r) + D1 * (r - L) ** 3 / r
+    force = psi[..., None] * d
+    f = np.empty(batch + (n_x,))
+    f[..., :3 * (n - 1)] = x[..., 3 * n:]
+    f[..., 3 * (n - 1):3 * n] = u
+    f[..., 3 * n:] = ((force[..., 1:, :] - force[..., :-1, :]) / par.m
+                      - par.g).reshape(batch + (-1,))
+    psip = D * L / r ** 2 + D1 * (r - L) ** 2 * (2.0 * r + L) / r ** 2
+    G = psi[..., None, None] * np.eye(3) + (psip / r)[..., None, None] * (
+        d[..., :, None] * d[..., None, :])
+    fx = np.zeros(batch + (n_x, n_x))
+    fu = np.zeros(batch + (n_x, 3))
+    for i in range(3 * (n - 1)):
+        fx[..., i, 3 * n + i] = 1.0
+    fu[..., 3 * (n - 1):3 * n, :] = np.eye(3)
+    inv_m = 1.0 / par.m
+    for i in range(n - 1):
+        rows = slice(3 * n + 3 * i, 3 * n + 3 * i + 3)
+        fx[..., rows, 3 * i:3 * i + 3] = \
+            -(G[..., i + 1, :, :] + G[..., i, :, :]) * inv_m
+        fx[..., rows, 3 * i + 3:3 * i + 6] = G[..., i + 1, :, :] * inv_m
+        if i:
+            fx[..., rows, 3 * i - 3:3 * i] = G[..., i, :, :] * inv_m
+    return f, fx, fu, psi
+
+
+def test_chain_model_matches_first_formulas(chain, rng):
+    # a (40, 16) stage batch, as stage_jacobians evaluates it, with
+    # stretched and compressed springs (psi < 0) and planar nodes whose
+    # y-elongations are exact zeros. chain_rhs equals the first formulas
+    # byte for byte. chain_jacobians equals them as numbers; the sign of an
+    # exact zero off the diagonal of G may differ, because G no longer adds
+    # psi*0 there: where d_i d_j is -0, G_ij is now -0 and was +0
+    par = chain.meta["params"]
+    x_ss = models.chain_steady_state(par, [1.0, 0.0, 0.0])
+    xs = x_ss + rng.uniform(-0.2, 0.2, (40, 16, par.n_x))
+    xs[::5, :, 1::3] = 0.0
+    us = rng.uniform(-1.0, 1.0, (40, 1, 3))
+    f, fx, fu, psi = _chain_first_formulas(xs, us, par)
+    assert (psi < 0).any() and (psi > 0).any()
+    assert chain.rhs(xs, us).tobytes() == f.tobytes()
+    got_fx, got_fu = chain.rhs_jacobians(xs, us)
+    assert got_fu.tobytes() == fu.tobytes()
+    npt.assert_array_equal(got_fx, fx)
+    moved = got_fx.view(np.int64) != fx.view(np.int64)
+    assert (fx[moved] == 0).all()
+
+
 def test_chain_jacobians_match_fd(chain, rng):
     par = chain.meta["params"]
     x_ss = models.chain_steady_state(par, [1.0, 0.0, 0.0])

@@ -102,12 +102,15 @@ def dual_cmon(adj_rows_now: np.ndarray,
     return _safe_ratio(num, den)
 
 
-def adjoint_rows(model: ModelSpec, jacs, cfg: intg.IntegratorConfig,
+def adjoint_rows(model: ModelSpec, record, cfg: intg.IntegratorConfig,
                  *seeds: np.ndarray):
     """Exact rows ``seed_k^T dphi_k`` at every interval, one array per
-    seed array, from one reverse sweep over the stage Jacobians ``jacs``:
-    the step's only reverse sweep, under every scheme."""
-    rows = intg.adjoint_batch(model, *jacs, cfg, np.stack(seeds, axis=1))
+    seed array, from one reverse sweep over the stage-Jacobian ``record``
+    of :func:`integrator.stage_jacobians`: the step's only reverse sweep,
+    under every scheme."""
+    n_x = model.n_x
+    rows = intg.adjoint_batch(model, record[..., :n_x], record[..., n_x:],
+                              cfg, np.stack(seeds, axis=1))
     return tuple(rows[:, i] for i in range(len(seeds)))
 
 

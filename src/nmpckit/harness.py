@@ -23,7 +23,7 @@ from .models import (ChainParams, PendulumParams, chain_steady_state,
                      make_chain_model, make_pendulum_model, ModelSpec)
 from .schemes import (OCProblem, SchemeConfig, StepDiagnostics,
                       controller_step, initialize_controller, sqp_solve,
-                      subproblem_constants)
+                      subproblem_constants, subproblem_dim)
 from .transcription import Multipliers, References, Trajectory
 
 __all__ = [
@@ -205,9 +205,22 @@ def _build_schedule(ref: dict, kind: str, model: ModelSpec
     return ReferenceSchedule(times, states, controls)
 
 
-def _build_scheme(spec: dict) -> SchemeConfig:
+def _build_scheme(spec: dict, n_dim: int) -> SchemeConfig:
+    """The scheme block of a scenario whose subproblem has dimension
+    ``n_dim``."""
     spec = dict(spec or {})
     ckw = dict(spec.pop("cmon", None) or {})
+    # a stored pair names the dimension of the subproblem it was computed
+    # for, so a copy that changes the model or horizon cannot keep it
+    stored_dim = ckw.pop("n_dim", None)
+    if ("rho0" in ckw or "gamma0" in ckw) != (stored_dim is not None):
+        raise ConfigError("rho0 and gamma0 go with the n_dim of their "
+                          "subproblem: give all three or none")
+    if stored_dim is not None \
+            and _exact("scheme.cmon.n_dim", stored_dim, int) != n_dim:
+        raise ConfigError(f"rho0 and gamma0 belong to a subproblem of "
+                          f"dimension {stored_dim}, this scenario's has "
+                          f"{n_dim}: drop the three keys")
     for key in list(ckw):
         if key not in ("threshold_mode",):
             ckw[key] = float(ckw[key])
@@ -255,13 +268,15 @@ def scenario_from_dict(doc: dict, raw_text: str = "",
         stab = dict(doc.get("stabilize") or {})
         _check_keys("stabilize", stab, ("threshold", "cap"))
         x0 = doc.get("x0")
+        horizon = _exact("horizon", doc["horizon"], int)
         return ScenarioConfig(
             model_kind=kind,
-            horizon=_exact("horizon", doc["horizon"], int),
+            horizon=horizon,
             t_s=float(doc["t_s"]),
             duration=float(doc["duration"]),
             schedule=schedule,
-            scheme=_build_scheme(doc.get("scheme")),
+            scheme=_build_scheme(doc.get("scheme"),
+                                 subproblem_dim(model, horizon)),
             model=model,
             substeps=_exact("substeps", doc.get("substeps", 4), int),
             plant_substep_factor=_exact("plant_substep_factor",
@@ -589,7 +604,8 @@ def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
     """JSON run manifest: byte-exact config echo (``null`` for a config
     built in code, which has no file text), code version, and the seed,
     scheme, trial count, oracle flag and conditioning constants the run
-    used (``null`` where the thresholds read none)."""
+    used with their subproblem dimension (``null`` where the thresholds
+    read none)."""
     from . import __version__
     path = Path(path)
     sch = scenario.scheme
@@ -605,6 +621,8 @@ def write_manifest(scenario: ScenarioConfig, path, extra: dict = None
         "track_dto": scenario.scheme.track_dto,
         "rho0": sch.cmon.rho0 if used else None,
         "gamma0": sch.cmon.gamma0 if used else None,
+        "n_dim": subproblem_dim(scenario.model, scenario.horizon)
+        if used else None,
     }
     if extra:
         doc.update(extra)

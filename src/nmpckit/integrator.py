@@ -6,16 +6,24 @@ discrete scheme itself (variational RK4), so forward and adjoint products
 agree with each other to rounding and with the integrator map exactly.
 
 One stage record is shared by all kernels: :func:`integrate_batch`
-returns the states the right-hand side was evaluated at, one
-:func:`stage_jacobians` call adds the model Jacobians at all of them, and
-both sensitivity sweeps read those, or a node subset of them, instead of
-evaluating the model. All kernels are batched over leading node dimensions.
-The reverse sweep carries only the state adjoint; the control rows are
-linear in its stage weights, so one contraction gives them after the loop.
-Each seed is a batch item of its own, so its rows round alike whichever
-seeds or nodes share the sweep. The recurrence and the forward sweep write
-into arrays allocated once per call, with every operation of the textbook
-RK4 in its order, so they round exactly as an allocating implementation.
+returns the states the right-hand side was evaluated at, and one
+:func:`stage_jacobians` call writes the model Jacobians at all of them
+into a record ``(..., 4 * substeps, n_x, n_x + n_u)`` that its caller
+owns, each stage's ``[f_x | f_u]`` side by side. Both sensitivity sweeps
+read that record, or a node subset of it, instead of evaluating the
+model. All kernels are batched over leading node dimensions.
+
+The forward sweep carries the augmented sensitivity ``[[S_x, S_u], [0,
+I]]``, so one product with a stage's ``[f_x | f_u]`` gives its stage
+derivative ``[f_x S_x, f_x S_u + f_u]``; the control rows of every work
+array stay ``[0 | I]`` or zero, and each RK4 pass runs over contiguous
+memory. The reverse sweep carries only the state adjoint and reads
+``f_x`` and ``f_u`` as views of the record; the control rows are linear
+in its stage weights, so one contraction gives them after the loop. Each
+seed is a batch item of its own, so its rows round alike whichever seeds
+or nodes share the sweep. Every kernel writes into arrays allocated once
+per call, with every operation of the textbook RK4 in its order, so they
+round exactly as an allocating implementation.
 """
 
 from dataclasses import dataclass
@@ -90,42 +98,42 @@ def _coefficients(h):
     return tuple(np.array(c) for c in (0.5 * h, h, 2.0, h / 6.0))
 
 
-def stage_jacobians(model: ModelSpec, stages, u):
-    """Model Jacobians at every stage state of :func:`integrate_batch`, in
-    one call: ``(..., 4 * substeps, n_x, n_x)`` and ``(..., 4 * substeps,
-    n_x, n_u)``, the record both sensitivity sweeps read."""
+def stage_jacobians(model: ModelSpec, stages, u, out):
+    """Write the model Jacobians at every stage state of
+    :func:`integrate_batch` into ``out``, ``(..., 4 * substeps, n_x, n_x +
+    n_u)``, in one call, and return it: the record both sensitivity sweeps
+    read. ``out`` must hold zeros wherever the model has a structural zero,
+    as an array zeroed once when allocated does."""
     u = np.asarray(u, dtype=float)
-    return model.rhs_jacobians(stages, u[..., None, :])
+    model.rhs_jacobians(stages, u[..., None, :], out)
+    return out
 
 
-def node_subset(jacs, mask):
-    """The stage Jacobians ``jacs`` at the masked nodes, without a copy
-    when every node is masked."""
-    return jacs if np.all(mask) else tuple(a[mask] for a in jacs)
-
-
-def forward_sensitivity_batch(model: ModelSpec, jac_x, jac_u,
+def forward_sensitivity_batch(model: ModelSpec, record,
                               cfg: IntegratorConfig):
     """Exact Jacobian ``(..., n_x, n_x + n_u)`` of the discrete shooting
-    map w.r.t. ``(x0, u)``, from the record of :func:`stage_jacobians`.
+    map w.r.t. ``(x0, u)``, from a record of :func:`stage_jacobians`.
 
-    The sweep allocates its stage products and stage input once per call
-    and updates the result in place; every product and sum is the one of
-    the textbook variational RK4, in the same order.
+    The sweep allocates the augmented sensitivity, its stage products and
+    stage input once per call, ``(n_x + n_u)``-square, and updates them in
+    place; every product and sum is the one of the textbook variational
+    RK4, in the same order. Returns a view of the sensitivity's state rows.
     """
-    n_x, n_u = model.n_x, model.n_u
-    S = np.zeros(jac_x.shape[:-3] + (n_x, n_x + n_u))
-    S[..., :, :n_x] = np.eye(n_x)
+    n_x = model.n_x
+    n = n_x + model.n_u
+    S = np.empty(record.shape[:-3] + (n, n))
+    S[...] = np.eye(n)
     h = cfg.dt / cfg.substeps
     half, full, two, sixth = _coefficients(h)
     add, mul = np.add, np.multiply
-    K1, K2, K3, K4, T = np.empty((5,) + S.shape)
+    work = np.empty((5,) + S.shape)
+    work[:4, ..., n_x:, :] = 0.0     # the control rows of K1..K4
+    K1, K2, K3, K4, T = work
 
     def stage(j, S_in, K):
-        np.matmul(jac_x[..., j, :, :], S_in, K)
-        K[..., :, n_x:] += jac_u[..., j, :, :]
+        np.matmul(record[..., j, :, :], S_in, K[..., :n_x, :])
 
-    for j in range(0, jac_x.shape[-3], 4):
+    for j in range(0, record.shape[-3], 4):
         stage(j, S, K1)
         stage(j + 1, add(S, mul(K1, half, T), T), K2)
         stage(j + 2, add(S, mul(K2, half, T), T), K3)
@@ -135,13 +143,14 @@ def forward_sensitivity_batch(model: ModelSpec, jac_x, jac_u,
         add(K1, mul(K3, two, K3), K1)
         add(K1, K4, K1)
         add(S, mul(K1, sixth, K1), S)
-    return S
+    return S[..., :n_x, :]
 
 
 def adjoint_batch(model: ModelSpec, jac_x, jac_u, cfg: IntegratorConfig,
                   seeds):
     """Adjoint directional sensitivities ``seed^T d(end state)/d(x0, u)``
-    from the record of :func:`stage_jacobians`.
+    from ``f_x`` and ``f_u``, ``jac_x`` and ``jac_u``, of a record of
+    :func:`stage_jacobians`; views of the record serve.
 
     The loop carries the state adjoint and records the stage weights
     ``W``; the control rows are ``W`` contracted with ``jac_u``.
@@ -171,6 +180,12 @@ def adjoint_batch(model: ModelSpec, jac_x, jac_u, cfg: IntegratorConfig,
         W[..., j:j + 1, :] = w1 = c_end * lam + 0.5 * h * t2
         t1 = w1 @ jac_x[..., None, j, :, :]
         lam = lam + t1 + t2 + t3 + t4
+    if model.n_u == 1:
+        # each control row is then a BLAS dot product, whose kernel for a
+        # strided column rounds unlike the unit-stride one; one column is
+        # cheap to gather, a wider f_u costs more to gather than to read
+        # strided
+        jac_u = np.ascontiguousarray(jac_u)
     lu = W.reshape(lam.shape[:-1] + (-1,)) @ jac_u.reshape(
         jac_u.shape[:-3] + (1, -1, model.n_u))
     return np.concatenate([lam, lu], axis=-1)[..., 0, :]

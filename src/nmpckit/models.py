@@ -31,8 +31,14 @@ class ModelSpec:
         with no leading dimension, ``x`` of shape ``(n_x,)`` and ``u`` of
         shape ``(n_u,)``: the simulated plant steps the unbatched state.
     rhs_jacobians : callable
-        ``rhs_jacobians(x, u) -> (f_x, f_u)`` analytic Jacobians, batched
-        the same way.
+        ``rhs_jacobians(x, u, out)`` writes the analytic Jacobians into a
+        C-contiguous ``out`` of shape ``batch + (n_x, n_x + n_u)``,
+        ``f_x`` and ``f_u`` side by side, for the broadcast batch shape of
+        ``x`` and ``u``. It writes every structurally nonzero entry,
+        constant ones included, on every call, and no other: the caller
+        allocates ``out`` zeroed once and reuses it, so the structural
+        zeros stay zero and entries from earlier states are all
+        overwritten.
 
         Neither callable needs to check its inputs for finiteness: the
         integrator rejects non-finite ``x`` and ``u`` on entry and checks
@@ -121,8 +127,9 @@ def pendulum_rhs(x, u, params: PendulumParams):
     return out
 
 
-def pendulum_jacobians(x, u, params: PendulumParams):
-    """Analytic Jacobians ``(f_x, f_u)`` of :func:`pendulum_rhs`."""
+def pendulum_jacobians(x, u, params: PendulumParams, out):
+    """Write the analytic Jacobians ``[f_x | f_u]`` of
+    :func:`pendulum_rhs` into ``out`` (see :class:`ModelSpec`)."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     th, td, F = x[..., 1], x[..., 3], u[..., 0]
     m1, m2, l, g = params.m1, params.m2, params.l, params.g
@@ -136,18 +143,14 @@ def pendulum_jacobians(x, u, params: PendulumParams):
     num_t = F * c - m1 * l * c * s * td ** 2 + (m2 + m1) * g * s
     dnum_t_dth = -F * s - m1 * l * c2 * td ** 2 + (m2 + m1) * g * c
 
-    batch = np.shape(num_t)
-    fx = np.zeros(batch + (4, 4))
-    fu = np.zeros(batch + (4, 1))
-    fx[..., 0, 2] = 1.0
-    fx[..., 1, 3] = 1.0
-    fx[..., 2, 1] = (dnum_p_dth * den - num_p * dden) / den ** 2
-    fx[..., 2, 3] = -2.0 * m1 * l * s * td / den
-    fx[..., 3, 1] = (dnum_t_dth * den - num_t * dden) / (l * den ** 2)
-    fx[..., 3, 3] = -2.0 * m1 * l * c * s * td / (l * den)
-    fu[..., 2, 0] = 1.0 / den
-    fu[..., 3, 0] = c / (l * den)
-    return fx, fu
+    out[..., 0, 2] = 1.0
+    out[..., 1, 3] = 1.0
+    out[..., 2, 1] = (dnum_p_dth * den - num_p * dden) / den ** 2
+    out[..., 2, 3] = -2.0 * m1 * l * s * td / den
+    out[..., 3, 1] = (dnum_t_dth * den - num_t * dden) / (l * den ** 2)
+    out[..., 3, 3] = -2.0 * m1 * l * c * s * td / (l * den)
+    out[..., 2, 4] = 1.0 / den
+    out[..., 3, 4] = c / (l * den)
 
 
 def make_pendulum_model(params: Optional[PendulumParams] = None,
@@ -166,7 +169,7 @@ def make_pendulum_model(params: Optional[PendulumParams] = None,
     return ModelSpec(
         n_x=4, n_u=1,
         rhs=lambda x, u: pendulum_rhs(x, u, params),
-        rhs_jacobians=lambda x, u: pendulum_jacobians(x, u, params),
+        rhs_jacobians=lambda x, u, out: pendulum_jacobians(x, u, params, out),
         stage_weights=stage_weights,
         terminal_weights=terminal_weights,
         bound_index=[0, 4], bound_limit=[position_limit, force_limit],
@@ -224,15 +227,19 @@ def _spring_terms(d, params: ChainParams):
 
 @lru_cache(maxsize=None)
 def _jacobian_pattern(n: int):
-    """Flat ``f_x`` indices of the velocity ones and of the 3x3 spring
-    blocks, in three groups: every mass at its own point, at the next, and
-    at the previous."""
+    """Flat ``[f_x | f_u]`` indices of the ones (the velocity rows of
+    ``f_x`` and the driven end point's rows of ``f_u``) and of the 3x3
+    spring blocks, in three groups: every mass at its own point, at the
+    next, and at the previous."""
     n_x, k = 6 * (n - 1) + 3, 3 * np.arange(n - 1)
-    rows = (3 * n + k) * n_x     # flat start of each mass's acceleration rows
+    w = n_x + 3                  # row length of the joint layout
+    rows = (3 * n + k) * w       # flat start of each mass's acceleration rows
     corner = np.concatenate([rows + k, rows + k + 3, rows[1:] + k[1:] - 3])
-    blocks = (corner[:, None, None] + np.arange(3)[:, None] * n_x
+    blocks = (corner[:, None, None] + np.arange(3)[:, None] * w
               + np.arange(3)).ravel()
-    ones = np.arange(3 * (n - 1)) * (n_x + 1) + 3 * n
+    end = 3 * (n - 1) + np.arange(3)
+    ones = np.concatenate([np.arange(3 * (n - 1)) * (w + 1) + 3 * n,
+                           end * w + n_x + np.arange(3)])
     ones.flags.writeable = blocks.flags.writeable = False
     own, nxt = 9 * (n - 1), 18 * (n - 1)
     return ones, (blocks[:own], blocks[own:nxt], blocks[nxt:])
@@ -256,10 +263,10 @@ def chain_rhs(x, u, params: ChainParams):
     return out
 
 
-def chain_jacobians(x, u, params: ChainParams):
-    """Analytic Jacobians ``(f_x, f_u)`` of :func:`chain_rhs`."""
+def chain_jacobians(x, u, params: ChainParams, out):
+    """Write the analytic Jacobians ``[f_x | f_u]`` of :func:`chain_rhs`
+    into ``out`` (see :class:`ModelSpec`)."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    n, n_x = params.n, params.n_x
     batch, d = _elongations(x, u, params)
     r, psi = _spring_terms(d, params)
     D, D1, L = params.D, params.D1, params.L
@@ -271,13 +278,10 @@ def chain_jacobians(x, u, params: ChainParams):
     diag = np.einsum("...ii->...i", G)
     np.add(psi[..., None], diag, out=diag)
 
-    fx = np.zeros(batch + (n_x, n_x))
-    fu = np.zeros(batch + (n_x, 3))
-    ones, (own, nxt, prev) = _jacobian_pattern(n)
-    flat = fx.reshape(batch + (n_x * n_x,))
+    ones, (own, nxt, prev) = _jacobian_pattern(params.n)
+    flat = out.reshape(batch + (-1,), copy=False)   # raises unless a view
     # position derivatives: pdot_i = v_i, end point driven by u
     flat[..., ones] = 1.0
-    fu[..., 3 * (n - 1):3 * n, :] = np.eye(3)
     # acceleration rows: mass i couples to point i+1 through G_i, to
     # point i-1 through G_{i-1}, and to itself through both
     inv_m = 1.0 / params.m
@@ -286,37 +290,44 @@ def chain_jacobians(x, u, params: ChainParams):
                       * inv_m).reshape(batch + (-1,))
     flat[..., nxt] = Gm.reshape(batch + (-1,))
     flat[..., prev] = Gm[..., :-1, :, :].reshape(batch + (-1,))
-    return fx, fu
 
 
 def chain_steady_state(params: ChainParams, free_end_pos) -> np.ndarray:
     """Static equilibrium state for a prescribed free-end position.
 
-    Solves the per-mass force balance by root finding; velocities are zero.
-    Raises :class:`ModelEvaluationError` if the root finder fails.
+    Solves the per-mass force balance, the acceleration rows of
+    :func:`chain_rhs`, by root finding with their analytic Jacobian in the
+    mass positions; velocities are zero. Raises
+    :class:`ModelEvaluationError` if the root finder ends with a residual
+    above 1e-9.
     """
-    n = params.n
-    free_end_pos = np.asarray(free_end_pos, dtype=float)
+    n, n_x = params.n, params.n_x
+    masses, accel = slice(0, 3 * (n - 1)), slice(3 * n, n_x)
+    state = np.zeros(n_x)
+    state[3 * (n - 1):3 * n] = free_end_pos
+    jac = np.zeros((n_x, n_x + 3))
+    still = np.zeros(3)
 
     def balance(z):
-        pos = z.reshape(n - 1, 3)
-        allp = np.vstack([params.anchor, pos, free_end_pos])
-        d = allp[1:] - allp[:-1]
-        _, psi = _spring_terms(d, params)
-        force = psi[:, None] * d
-        return ((force[1:] - force[:-1]) / params.m - params.g).ravel()
+        state[masses] = z
+        return chain_rhs(state, still, params)[accel]
+
+    def balance_jacobian(z):
+        state[masses] = z
+        chain_jacobians(state, still, params, jac)
+        return jac[accel, masses]
 
     frac = np.linspace(0.0, 1.0, n + 1)[1:n, None]
-    guess = params.anchor + frac * (free_end_pos - params.anchor)
+    guess = params.anchor + frac * (state[3 * (n - 1):3 * n] - params.anchor)
     guess = guess + np.array([0.0, 0.0, 0.1])
-    sol = root(balance, guess.ravel(), tol=1e-13)
+    sol = root(balance, guess.ravel(), jac=balance_jacobian, tol=1e-13)
+    # MINPACK can report failure at a root that rounding keeps it from
+    # refining (n = 3 reaches residual 1.8e-15 so); the residual decides
     res = np.abs(balance(sol.x)).max()
-    if not sol.success or res > 1e-9:
+    if not res <= 1e-9:
         raise ModelEvaluationError(
             f"chain equilibrium root finding failed (residual {res:.2e})")
-    state = np.zeros(params.n_x)
-    state[:3 * (n - 1)] = sol.x
-    state[3 * (n - 1):3 * n] = free_end_pos
+    state[masses] = sol.x
     return state
 
 
@@ -345,7 +356,7 @@ def make_chain_model(params: Optional[ChainParams] = None,
     return ModelSpec(
         n_x=n_x, n_u=3,
         rhs=lambda x, u: chain_rhs(x, u, params),
-        rhs_jacobians=lambda x, u: chain_jacobians(x, u, params),
+        rhs_jacobians=lambda x, u, out: chain_jacobians(x, u, params, out),
         stage_weights=stage_weights,
         terminal_weights=terminal_weights,
         bound_index=n_x + np.arange(3), bound_limit=np.full(3, control_limit),

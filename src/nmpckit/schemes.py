@@ -114,6 +114,8 @@ class ControllerState:
     The caches hold, from the previous instant, what the ``cmon``
     measures read: integration values, directional sensitivity rows
     along the primal and dual steps, and the dual step's adjoint seeds.
+    The stage-Jacobian record and the buffer that gathers its refreshed
+    nodes are allocated once, with the state; every step overwrites them.
     """
 
     model: ModelSpec
@@ -122,6 +124,8 @@ class ControllerState:
     traj: Trajectory
     mult: Multipliers
     blocks: np.ndarray          # (N, n_x, n_x+n_u) sensitivity blocks
+    record: np.ndarray          # (N, 4*substeps, n_x, n_x+n_u) [f_x | f_u]
+    gathered: np.ndarray        # room for the record at a node subset
     prev_phi: Optional[np.ndarray] = None       # (N, n_x)
     prev_dir_pri: Optional[np.ndarray] = None   # (N, n_x)
     prev_dir_dual: Optional[np.ndarray] = None  # (N, n_x+n_u)
@@ -131,7 +135,8 @@ class ControllerState:
     e_bar: float = np.nan       # tolerance the next step's thresholds use
 
 
-def _triple_dim(model: ModelSpec, N: int) -> int:
+def subproblem_dim(model: ModelSpec, N: int) -> int:
+    """Primal plus dual dimension of the horizon-``N`` subproblem."""
     n_w = N * (model.n_x + model.n_u) + model.n_x
     n_eq = (N + 1) * model.n_x
     n_in = N * model.n_r
@@ -154,19 +159,29 @@ def initialize_controller(model: ModelSpec, integ: intg.IntegratorConfig,
         raise ConfigError("automatic cmon thresholds need the conditioning "
                           "constants rho0 and gamma0")
     N = traj0.horizon
+    # zeroed once: the model writes only the structural nonzeros
+    record = np.zeros((N, 4 * integ.substeps, model.n_x,
+                       model.n_x + model.n_u))
     state = ControllerState(
         model=model, integ=integ, cfg=cfg, traj=traj0.copy(),
         mult=mult0.copy(),
         blocks=np.zeros((N, model.n_x, model.n_x + model.n_u)),
-        n_dim=_triple_dim(model, N))
+        record=record, gathered=np.empty_like(record),
+        n_dim=subproblem_dim(model, N))
     if cfg.scheme == "cmon":
         state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, 0.0)
-    # glibc maps each block above its mmap threshold afresh, faulting in
-    # every page, and raises the threshold to the size of such a block when
-    # it is freed; freeing one twice the size of an instant's stage
-    # Jacobians keeps them and their sweeps on reused heap pages
-    np.empty(2 * N * 4 * integ.substeps * model.n_x * (model.n_x + model.n_u))
     return state
+
+
+def _masked_nodes(state: ControllerState, mask):
+    """The record at the masked nodes: the record itself when every node
+    is masked, else a copy in the state's gather buffer."""
+    if mask.all():
+        return state.record
+    nodes = np.flatnonzero(mask)
+    # take writes straight into out unless mode="raise" buffers it
+    return np.take(state.record, nodes, axis=0, mode="clip",
+                   out=state.gathered[:nodes.size])
 
 
 def _linearize(state: ControllerState, x_hat, refs: References):
@@ -176,10 +191,11 @@ def _linearize(state: ControllerState, x_hat, refs: References):
     every node: seeded with the dual step and ``lam`` under ``cmon``,
     with ``lam`` alone where another scheme keeps its blocks (all or none).
 
-    Returns ``(qp, phis, jacs, mask, diag)``: the subproblem, the
-    integration values at the nodes, the Jacobians at their RK4 stage
-    states, which every sweep reads, the mask of the blocks computed at
-    this step, and the instant's diagnostics without the solve's entries.
+    Every sweep reads the model Jacobians at the RK4 stage states, which
+    this writes into ``state.record``. Returns ``(qp, phis, mask, diag)``:
+    the subproblem, the integration values at the nodes, the mask of the
+    blocks computed at this step, and the instant's diagnostics without
+    the solve's entries.
     """
     model, integ, cfg, traj = state.model, state.integ, state.cfg, state.traj
     N = traj.horizon
@@ -187,7 +203,7 @@ def _linearize(state: ControllerState, x_hat, refs: References):
     lam_seeds = state.mult.lam[1:]
     phis, stages = intg.integrate_batch(model, traj.xs[:-1], traj.us, integ)
     # every node is either recomputed or swept, so every step reads these
-    jacs = intg.stage_jacobians(model, stages, traj.us)
+    record = intg.stage_jacobians(model, stages, traj.us, state.record)
     kappa = kappa_dual = np.zeros(N)
     eta_pri = eta_dual = np.inf
     swept = ()                  # rows of the sweep, one array per seed
@@ -198,7 +214,7 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         if not first:
             kappa = primal_cmon(phis, state.prev_phi, state.prev_dir_pri)
             # one sweep serves the dual measure and the stale gradient rows
-            swept = adjoint_rows(model, jacs, integ, state.prev_dlam,
+            swept = adjoint_rows(model, record, integ, state.prev_dlam,
                                  lam_seeds)
             kappa_dual = dual_cmon(swept[0], state.prev_dir_dual)
             v_pri = float(np.linalg.norm(state.prev_dir_pri))
@@ -212,11 +228,11 @@ def _linearize(state: ControllerState, x_hat, refs: References):
             cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0))
         if not mask[0]:
             # kept blocks count as stale, so every gradient row is swept
-            swept = adjoint_rows(model, jacs, integ, lam_seeds)
+            swept = adjoint_rows(model, record, integ, lam_seeds)
     sens_blocks = int(mask.sum())
     if sens_blocks:
         state.blocks[mask] = intg.forward_sensitivity_batch(
-            model, *intg.node_subset(jacs, mask), integ)
+            model, _masked_nodes(state, mask), integ)
 
     seeds = N * len(swept)
     lam_dphi = exact_gradient_rows(lam_seeds, mask, state.blocks,
@@ -233,11 +249,11 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         kappa_max=float(kappa.max(initial=0.0)),
         kappa_dual_max=float(kappa_dual.max(initial=0.0)),
         eta_pri=eta_pri, eta_dual=eta_dual, e_bar=state.e_bar)
-    return qp, phis, jacs, mask, diag
+    return qp, phis, mask, diag
 
 
-def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
-                     mask, diag: StepDiagnostics) -> StepDiagnostics:
+def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, mask,
+                     diag: StepDiagnostics) -> StepDiagnostics:
     """The rest of stage 3: solve, update the measure caches, apply."""
     cfg, model = state.cfg, state.model
     N = state.traj.horizon
@@ -248,7 +264,7 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, jacs,
         exact = state.blocks.copy()
         if not mask.all():
             exact[~mask] = intg.forward_sensitivity_batch(
-                model, *intg.node_subset(jacs, ~mask), state.integ)
+                model, _masked_nodes(state, ~mask), state.integ)
         diag.dto_e, match = measure_dto(qp, sol, exact, tol=cfg.qp_tol)
         diag.dto_ebar, diag.dto_active_match = state.e_bar, float(match)
     diag.dy_norm = float(np.linalg.norm(sol.stacked()))
@@ -345,7 +361,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
     blocks_total = adjoint_total = grows = 0
     converged = False
     while True:
-        qp, phis, jacs, mask, diag = _linearize(state, ocp.x_hat, ocp.refs)
+        qp, phis, mask, diag = _linearize(state, ocp.x_hat, ocp.refs)
         blocks_total += diag.sens_blocks
         adjoint_total += diag.adjoint_seeds
         res = _sqp_residual(qp)
@@ -359,7 +375,7 @@ def sqp_solve(ocp: OCProblem, traj0: Trajectory, mult0: Multipliers,
             break
         if len(counts) >= max_iter:
             break
-        _solve_and_apply(state, qp, phis, jacs, mask, diag)
+        _solve_and_apply(state, qp, phis, mask, diag)
         counts.append(diag.refreshed)
     return SQPResult(traj=state.traj, mult=state.mult,
                      iterations=len(counts), converged=converged,

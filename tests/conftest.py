@@ -27,22 +27,38 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def jacobians(model, x, u):
+    """``(f_x, f_u)`` at ``(x, u)``: views of a zeroed array that one
+    ``rhs_jacobians`` call filled."""
+    batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(u)[:-1])
+    out = np.zeros(batch + (model.n_x, model.n_x + model.n_u))
+    model.rhs_jacobians(x, u, out)
+    return split(model, out)
+
+
+def split(model, record):
+    """The ``f_x`` and ``f_u`` views of a stage-Jacobian record."""
+    return record[..., :model.n_x], record[..., model.n_x:]
+
+
 def stage_record(model, x, u, cfg):
-    """End states and stage Jacobians from one RK4 pass."""
+    """End states and the stage-Jacobian record, zeroed before
+    ``stage_jacobians`` filled it, from one RK4 pass."""
     phi, stages = intg.integrate_batch(model, x, u, cfg)
-    return phi, intg.stage_jacobians(model, stages, u)
+    out = np.zeros(stages.shape[:-1] + (model.n_x, model.n_x + model.n_u))
+    return phi, intg.stage_jacobians(model, stages, u, out)
 
 
 def sensitivities(model, x, u, cfg):
     """End states and forward sensitivity blocks from one RK4 pass."""
-    phi, jacs = stage_record(model, x, u, cfg)
-    return phi, intg.forward_sensitivity_batch(model, *jacs, cfg)
+    phi, record = stage_record(model, x, u, cfg)
+    return phi, intg.forward_sensitivity_batch(model, record, cfg)
 
 
 def adjoint(model, x, u, cfg, seeds):
     """Adjoint rows ``seed^T dphi`` from one RK4 pass."""
-    jacs = stage_record(model, x, u, cfg)[1]
-    return intg.adjoint_batch(model, *jacs, cfg, seeds)
+    record = stage_record(model, x, u, cfg)[1]
+    return intg.adjoint_batch(model, *split(model, record), cfg, seeds)
 
 
 def reference_integrate(model, x, u, cfg):
@@ -89,6 +105,30 @@ def reference_forward_sensitivity(model, jac_x, jac_u, cfg):
     return S
 
 
+def reference_adjoint(model, jac_x, jac_u, cfg, seeds):
+    """The reverse sweep over separate ``f_x`` and ``f_u`` records that
+    ``integrator.adjoint_batch`` ran before the joint record, with a fresh
+    array per operation; every seed a batch item of its own."""
+    h = cfg.dt / cfg.substeps
+    n_st = jac_x.shape[-3]
+    lam = np.array(seeds, dtype=float)[..., None, :]
+    W = np.empty(lam.shape[:-2] + (n_st, model.n_x))
+    c_end, c_mid = h / 6.0, h / 3.0
+    for j in reversed(range(0, n_st, 4)):
+        W[..., j + 3:j + 4, :] = w4 = c_end * lam
+        t4 = w4 @ jac_x[..., None, j + 3, :, :]
+        W[..., j + 2:j + 3, :] = w3 = c_mid * lam + h * t4
+        t3 = w3 @ jac_x[..., None, j + 2, :, :]
+        W[..., j + 1:j + 2, :] = w2 = c_mid * lam + 0.5 * h * t3
+        t2 = w2 @ jac_x[..., None, j + 1, :, :]
+        W[..., j:j + 1, :] = w1 = c_end * lam + 0.5 * h * t2
+        t1 = w1 @ jac_x[..., None, j, :, :]
+        lam = lam + t1 + t2 + t3 + t4
+    lu = W.reshape(lam.shape[:-1] + (-1,)) @ jac_u.reshape(
+        jac_u.shape[:-3] + (1, -1, model.n_u))
+    return np.concatenate([lam, lu], axis=-1)[..., 0, :]
+
+
 def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     """Subproblem at ``traj`` with exact blocks in the equality rows.
 
@@ -96,10 +136,10 @@ def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     with ``fresh=False`` from an adjoint sweep at every node.
     """
     N = traj.horizon
-    phis, jacs = stage_record(model, traj.xs[:-1], traj.us, cfg)
-    blocks = intg.forward_sensitivity_batch(model, *jacs, cfg)
-    swept = None if fresh else \
-        intg.adjoint_batch(model, *jacs, cfg, mult.lam[1:, None])[:, 0]
+    phis, record = stage_record(model, traj.xs[:-1], traj.us, cfg)
+    blocks = intg.forward_sensitivity_batch(model, record, cfg)
+    swept = None if fresh else intg.adjoint_batch(
+        model, *split(model, record), cfg, mult.lam[1:, None])[:, 0]
     lam_dphi = trc.exact_gradient_rows(mult.lam[1:], np.full(N, fresh),
                                        blocks, swept)
     return trc.build_qp(traj, mult, x_hat, blocks, model, refs, phis,

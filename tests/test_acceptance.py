@@ -459,11 +459,9 @@ def test_10_numerical_kernels():
     def lin_rhs(x, u):
         return np.asarray(x, float) @ A_lin.T + np.asarray(u, float) @ B_lin.T
 
-    def lin_jacs(x, u):
-        x, u = np.asarray(x, float), np.asarray(u, float)
-        batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        return (np.broadcast_to(A_lin, batch + (3, 3)).copy(),
-                np.broadcast_to(B_lin, batch + (3, 2)).copy())
+    def lin_jacs(x, u, out):
+        out[..., :3] = A_lin
+        out[..., 3:] = B_lin
 
     lin = models.ModelSpec(n_x=3, n_u=2, rhs=lin_rhs,
                            rhs_jacobians=lin_jacs,

@@ -21,12 +21,9 @@ def _linear_model(rng):
         u = np.asarray(u, dtype=float)
         return x @ A.T + u @ B.T
 
-    def jacs(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        return (np.broadcast_to(A, batch + A.shape).copy(),
-                np.broadcast_to(B, batch + B.shape).copy())
+    def jacs(x, u, out):
+        out[..., :3] = A
+        out[..., 3:] = B
 
     return models.ModelSpec(n_x=3, n_u=2, rhs=rhs, rhs_jacobians=jacs,
                             stage_weights=np.ones(5),

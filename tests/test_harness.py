@@ -171,9 +171,9 @@ def test_dto_oracle_reuses_the_step_blocks(monkeypatch, kind):
     nodes, per_instant = [], []
     forward, step = intg.forward_sensitivity_batch, harness.controller_step
 
-    def counted(model, jac_x, jac_u, cfg):
-        nodes.append(jac_x.shape[0])
-        return forward(model, jac_x, jac_u, cfg)
+    def counted(model, record, cfg):
+        nodes.append(record.shape[0])
+        return forward(model, record, cfg)
 
     def stepping(*args):
         nodes.clear()
@@ -285,14 +285,23 @@ def test_coincident_chain_masses_end_loop_as_recorded_failure():
     assert log.failure_reason.startswith("SingularGeometryError")
 
 
+# a copy that changes the horizon drops the stored pair and its dimension
+_NO_CONSTANTS = {"scheme.cmon.rho0": None, "scheme.cmon.gamma0": None,
+                 "scheme.cmon.n_dim": None}
+
+
 def _write_yaml(tmp_path, name, base, **changes):
+    # a None value drops the key from the file
     doc = yaml.safe_load((SCENARIO_DIR / base).read_text())
     for key, value in changes.items():
         *path, leaf = key.split(".")
         node = doc
         for part in path:
             node = node[part]
-        node[leaf] = value
+        if value is None:
+            del node[leaf]
+        else:
+            node[leaf] = value
     scen = tmp_path / f"{name}.yaml"
     scen.write_text(yaml.safe_dump(doc))
     return scen
@@ -302,7 +311,7 @@ def _inconsistent_bounds(tmp_path):
     # |p| <= -0.5 has no solution: every subproblem is infeasible
     return _write_yaml(tmp_path, "bounds", "pendulum_n40.yaml",
                        **{"model.position_limit": -0.5, "horizon": 10,
-                          "duration": 0.2})
+                          "duration": 0.2}, **_NO_CONSTANTS)
 
 
 @pytest.mark.parametrize("scheme", ["rti", "cmon"])
@@ -516,7 +525,7 @@ def test_cli_inconsistent_bounds_writes_failed_run(tmp_path):
 def test_cli_multi_trial_controller_failure(tmp_path):
     scen = _write_yaml(tmp_path, "huge", "chain_n40.yaml",
                        **{"noise.position_amplitude": 1e300, "trials": 2,
-                          "horizon": 10, "duration": 0.4})
+                          "horizon": 10, "duration": 0.4}, **_NO_CONSTANTS)
     out = tmp_path / "out"
     assert cli.main([str(scen), "--out", str(out)]) == 3
     for i in range(2):
@@ -541,7 +550,8 @@ def test_overflowing_qp_data_ends_loop_without_warnings(tmp_path, capfd,
 
     scen = _write_yaml(tmp_path, "huge", "chain_n40.yaml",
                        **{"noise.position_amplitude": 1e300, "horizon": 10,
-                          "duration": 0.4, "scheme.kind": scheme})
+                          "duration": 0.4, "scheme.kind": scheme},
+                       **_NO_CONSTANTS)
     s = load_scenario(scen)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -556,7 +566,8 @@ def test_cli_multi_trial_unsettled_trials_are_not_failures(tmp_path):
     # two 0.4 s trials end before the control settles: both count in
     # n_failures, but no controller failed
     scen = _write_yaml(tmp_path, "short", "chain_n40.yaml",
-                       **{"trials": 2, "horizon": 10, "duration": 0.4})
+                       **{"trials": 2, "horizon": 10, "duration": 0.4},
+                       **_NO_CONSTANTS)
     out = tmp_path / "out"
     assert cli.main([str(scen), "--out", str(out)]) == 0
     manifest = json.loads((out / "short_cmon_manifest.json").read_text())
@@ -773,6 +784,7 @@ def test_cli_manifest_records_resolved_constants(tmp_path):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
     stored = doc["scheme"]["cmon"]
     pair = (stored.pop("rho0"), stored.pop("gamma0"))
+    n_dim = stored.pop("n_dim")
     doc["scheme"]["kind"] = "rti"
     doc["duration"] = 0.2
     scen = tmp_path / "bare.yaml"
@@ -782,3 +794,22 @@ def test_cli_manifest_records_resolved_constants(tmp_path):
     manifest = json.loads((out / "bare_cmon_manifest.json").read_text())
     assert (manifest["rho0"], manifest["gamma0"]) == pytest.approx(
         pair, rel=1e-6)
+    assert manifest["n_dim"] == n_dim
+
+
+@pytest.mark.parametrize("change", [
+    {"horizon": 30},
+    {"scheme.cmon.n_dim": 528.0},
+    {"scheme.cmon.n_dim": None},
+    {"scheme.cmon.rho0": None, "scheme.cmon.gamma0": None},
+], ids=["horizon_changed", "n_dim_float", "n_dim_missing", "pair_missing"])
+def test_stored_constants_must_fit_the_scenario(tmp_path, change):
+    # a pair stored for another subproblem, or without its dimension, is
+    # a config error; dropping all three keys is fine
+    scen = _write_yaml(tmp_path, "copy", "pendulum_n40.yaml", **change)
+    with pytest.raises(ConfigError):
+        load_scenario(scen)
+    assert cli.main([str(scen)]) == 2
+    bare = _write_yaml(tmp_path, "bare", "pendulum_n40.yaml",
+                       **dict(change, **_NO_CONSTANTS))
+    assert load_scenario(bare).scheme.lacks_constants

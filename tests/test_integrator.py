@@ -5,8 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import (adjoint, reference_forward_sensitivity,
-                      reference_integrate, sensitivities, stage_record)
+from conftest import (adjoint, reference_adjoint,
+                      reference_forward_sensitivity, reference_integrate,
+                      sensitivities, split, stage_record)
 from nmpckit import integrator as intg
 from nmpckit import models
 from nmpckit.errors import (IntegrationBlowupError, ModelEvaluationError,
@@ -19,13 +20,9 @@ def _scalar_linear_model(a=-0.7, b=1.3):
         u = np.asarray(u, dtype=float)
         return a * x + b * u
 
-    def jacs(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        fx = np.broadcast_to(np.array([[a]]), batch + (1, 1)).copy()
-        fu = np.broadcast_to(np.array([[b]]), batch + (1, 1)).copy()
-        return fx, fu
+    def jacs(x, u, out):
+        out[..., 0, 0] = a
+        out[..., 0, 1] = b
 
     return models.ModelSpec(n_x=1, n_u=1, rhs=rhs, rhs_jacobians=jacs,
                             stage_weights=np.array([1.0, 0.1]),
@@ -37,13 +34,8 @@ def _square_model():
     def rhs(x, u):
         return np.asarray(x, dtype=float) ** 2
 
-    def jacs(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        fx = (2.0 * x)[..., :, None] * np.eye(1)
-        fu = np.zeros(batch + (1, 1))
-        return np.broadcast_to(fx, batch + (1, 1)), fu
+    def jacs(x, u, out):
+        out[..., 0, 0] = 2.0 * np.asarray(x, dtype=float)[..., 0]
 
     return models.ModelSpec(n_x=1, n_u=1, rhs=rhs, rhs_jacobians=jacs,
                             stage_weights=np.array([1.0, 0.0]),
@@ -168,7 +160,7 @@ def test_blowup_raises(entry):
 def test_nonfinite_entry_rejected(pendulum, entry, bad):
     # the model callables check nothing; the integrator rejects the input
     # before the first model call
-    def never(x, u):
+    def never(*args):
         raise AssertionError("model evaluated on a rejected input")
 
     model = models.ModelSpec(n_x=4, n_u=1, rhs=never, rhs_jacobians=never,
@@ -234,14 +226,15 @@ def test_adjoint_rows_independent_of_seed_company(pendulum, chain, rng):
          rng.uniform(-1.0, 1.0, (40, 3))),
     )
     for model, cfg, xs, us in cases:
-        jacs = stage_record(model, xs, us, cfg)[1]
+        record = stage_record(model, xs, us, cfg)[1]
+        jacs = split(model, record)
         a, b = rng.standard_normal((2, 40, model.n_x))
         both = intg.adjoint_batch(model, *jacs, cfg, np.stack([a, b], 1))
         for i, seed in enumerate((a, b)):
             alone = intg.adjoint_batch(model, *jacs, cfg, seed[:, None])
             npt.assert_array_equal(both[:, i], alone[:, 0])
         sub = np.arange(40) % 3 == 1
-        part = intg.adjoint_batch(model, *intg.node_subset(jacs, sub), cfg,
+        part = intg.adjoint_batch(model, *split(model, record[sub]), cfg,
                                   b[sub][:, None])
         npt.assert_array_equal(both[sub, 1], part[:, 0])
 
@@ -259,14 +252,13 @@ def test_stage_record_selects_nodes(pendulum, rng):
     mask = np.array([True, False, True, True, False, False, True])
     _, sub = intg.integrate_batch(pendulum, xs[mask], us[mask], cfg)
     npt.assert_array_equal(stages[mask], sub)
-    jacs = intg.stage_jacobians(pendulum, stages, us)
-    assert jacs[0].shape == (7, 12, 4, 4) and jacs[1].shape == (7, 12, 4, 1)
-    S = intg.forward_sensitivity_batch(pendulum, *jacs, cfg)
+    out = np.zeros((7, 12, 4, 5))
+    record = intg.stage_jacobians(pendulum, stages, us, out)
+    assert record is out
+    S = intg.forward_sensitivity_batch(pendulum, record, cfg)
     npt.assert_array_equal(
-        intg.forward_sensitivity_batch(
-            pendulum, *intg.node_subset(jacs, mask), cfg),
+        intg.forward_sensitivity_batch(pendulum, record[mask], cfg),
         S[mask])
-    assert intg.node_subset(jacs, np.ones(7, dtype=bool)) is jacs
 
 
 def test_forward_sweeps_over_node_subsets_equal_full_sweep(pendulum, chain,
@@ -284,15 +276,15 @@ def test_forward_sweeps_over_node_subsets_equal_full_sweep(pendulum, chain,
          rng.uniform(-1.0, 1.0, (40, 3))),
     )
     for model, cfg, xs, us in cases:
-        jacs = stage_record(model, xs, us, cfg)[1]
-        full = intg.forward_sensitivity_batch(model, *jacs, cfg)
+        record = stage_record(model, xs, us, cfg)[1]
+        full = intg.forward_sensitivity_batch(model, record, cfg)
         parts = np.zeros_like(full)
         # three disjoint subsets: one node, a scattered third, the rest
         one = np.arange(40) == 17
         third = (np.arange(40) % 3 == 1) & ~one
         for mask in (one, third, ~(one | third)):
             parts[mask] = intg.forward_sensitivity_batch(
-                model, *intg.node_subset(jacs, mask), cfg)
+                model, record[mask], cfg)
         npt.assert_array_equal(parts, full)
 
 
@@ -313,15 +305,14 @@ def test_sweeps_over_record_subset_equal_subset_record(plant, request, rng):
                      False])
     whole = stage_record(model, xs, us, cfg)[1]
     alone = stage_record(model, xs[mask], us[mask], cfg)[1]
-    part = intg.node_subset(whole, mask)
-    for a, b in zip(part, alone):
-        npt.assert_array_equal(a, b)
+    part = whole[mask]
+    npt.assert_array_equal(part, alone)
     npt.assert_array_equal(
-        intg.forward_sensitivity_batch(model, *part, cfg),
-        intg.forward_sensitivity_batch(model, *alone, cfg))
+        intg.forward_sensitivity_batch(model, part, cfg),
+        intg.forward_sensitivity_batch(model, alone, cfg))
     npt.assert_array_equal(
-        intg.adjoint_batch(model, *part, cfg, seeds[mask]),
-        intg.adjoint_batch(model, *alone, cfg, seeds[mask]))
+        intg.adjoint_batch(model, *split(model, part), cfg, seeds[mask]),
+        intg.adjoint_batch(model, *split(model, alone), cfg, seeds[mask]))
 
 
 def _plant_batch(model, rng, k):
@@ -369,12 +360,12 @@ def test_forward_sweep_matches_textbook_rk4_bit_for_bit(plant, request, rng):
     # node subset of the record, and for one unbatched node
     model = request.getfixturevalue(plant)
     xs, us, cfg = _plant_batch(model, rng, 40)
-    jacs = stage_record(model, xs, us, cfg)[1]
+    record = stage_record(model, xs, us, cfg)[1]
     mask = np.arange(40) % 3 != 1
     single = stage_record(model, xs[5], us[5], cfg)[1]
-    for rec in (jacs, intg.node_subset(jacs, mask), single):
-        got = intg.forward_sensitivity_batch(model, *rec, cfg)
-        want = reference_forward_sensitivity(model, *rec, cfg)
+    for rec in (record, record[mask], single):
+        got = intg.forward_sensitivity_batch(model, rec, cfg)
+        want = reference_forward_sensitivity(model, *split(model, rec), cfg)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -389,8 +380,29 @@ def test_in_place_kernels_leave_their_inputs_alone(plant, request, rng):
     assert not np.shares_memory(end, stages)
     npt.assert_array_equal(xs, x_before)
     npt.assert_array_equal(us, u_before)
-    jacs = intg.stage_jacobians(model, stages, us)
-    jacs_before = tuple(a.copy() for a in jacs)
-    intg.forward_sensitivity_batch(model, *jacs, cfg)
-    for a, b in zip(jacs, jacs_before):
-        assert a.tobytes() == b.tobytes()
+    record = intg.stage_jacobians(model, stages, us, np.zeros(
+        stages.shape[:-1] + (model.n_x, model.n_x + model.n_u)))
+    record_before = record.copy()
+    intg.forward_sensitivity_batch(model, record, cfg)
+    assert record.tobytes() == record_before.tobytes()
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "chain"])
+def test_reverse_sweep_over_record_views_matches_separate_records(
+        plant, request, rng):
+    # the reverse sweep reads f_x and f_u as views of the joint record;
+    # its rows equal those of the sweep over separate contiguous f_x and
+    # f_u records byte for byte, over every node and a node subset, for
+    # one seed and for two
+    model = request.getfixturevalue(plant)
+    xs, us, cfg = _plant_batch(model, rng, 40)
+    record = stage_record(model, xs, us, cfg)[1]
+    mask = np.arange(40) % 3 != 1
+    for rec in (record, record[mask]):
+        fx, fu = (np.ascontiguousarray(a) for a in split(model, rec))
+        for k in (1, 2):
+            seeds = rng.standard_normal((rec.shape[0], k, model.n_x))
+            got = intg.adjoint_batch(model, *split(model, rec), cfg, seeds)
+            want = reference_adjoint(model, fx, fu, cfg, seeds)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

@@ -3,7 +3,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import adjoint, assemble_qp, sensitivities
+from conftest import adjoint, assemble_qp, jacobians, sensitivities
 from nmpckit import integrator as intg
 from nmpckit import models, transcription as trc
 from nmpckit.errors import ModelEvaluationError, SingularGeometryError
@@ -54,7 +54,7 @@ def test_pendulum_jacobians_match_fd(pendulum, rng):
     for _ in range(5):
         x = rng.uniform(-1.0, 1.0, 4)
         u = rng.uniform(-5.0, 5.0, 1)
-        fx, fu = pendulum.rhs_jacobians(x, u)
+        fx, fu = jacobians(pendulum, x, u)
         fx_fd, fu_fd = _fd_jacobians(pendulum.rhs, x, u)
         npt.assert_allclose(fx, fx_fd, rtol=1e-6, atol=1e-6)
         npt.assert_allclose(fu, fu_fd, rtol=1e-6, atol=1e-6)
@@ -66,11 +66,48 @@ def test_pendulum_rhs_broadcasts(pendulum, rng):
     batch = pendulum.rhs(xs, us)
     rows = np.stack([pendulum.rhs(xs[i], us[i]) for i in range(7)])
     npt.assert_array_equal(batch, rows)
-    fx, fu = pendulum.rhs_jacobians(xs, us)
+    fx, fu = jacobians(pendulum, xs, us)
     assert fx.shape == (7, 4, 4) and fu.shape == (7, 4, 1)
-    fx0, fu0 = pendulum.rhs_jacobians(xs[0], us[0])
+    fx0, fu0 = jacobians(pendulum, xs[0], us[0])
     npt.assert_array_equal(fx[0], fx0)
     npt.assert_array_equal(fu[0], fu0)
+
+
+def _pendulum_allocating_jacobians(x, u, par):
+    """``pendulum_jacobians`` as it was before it wrote into a given
+    array: fresh zeroed ``f_x`` and ``f_u`` on every call."""
+    th, td, F = x[..., 1], x[..., 3], u[..., 0]
+    m1, m2, l, g = par.m1, par.m2, par.l, par.g
+    s, c = np.sin(th), np.cos(th)
+    s2, c2 = np.sin(2 * th), np.cos(2 * th)
+    den = m2 + m1 - m1 * c * c
+    dden = m1 * s2
+    num_p = -m1 * l * s * td ** 2 + m1 * g * c * s + F
+    dnum_p_dth = -m1 * l * c * td ** 2 + m1 * g * c2
+    num_t = F * c - m1 * l * c * s * td ** 2 + (m2 + m1) * g * s
+    dnum_t_dth = -F * s - m1 * l * c2 * td ** 2 + (m2 + m1) * g * c
+    batch = np.shape(num_t)
+    fx = np.zeros(batch + (4, 4))
+    fu = np.zeros(batch + (4, 1))
+    fx[..., 0, 2] = 1.0
+    fx[..., 1, 3] = 1.0
+    fx[..., 2, 1] = (dnum_p_dth * den - num_p * dden) / den ** 2
+    fx[..., 2, 3] = -2.0 * m1 * l * s * td / den
+    fx[..., 3, 1] = (dnum_t_dth * den - num_t * dden) / (l * den ** 2)
+    fx[..., 3, 3] = -2.0 * m1 * l * c * s * td / (l * den)
+    fu[..., 2, 0] = 1.0 / den
+    fu[..., 3, 0] = c / (l * den)
+    return fx, fu
+
+
+def test_pendulum_jacobians_match_allocating_formulas(pendulum, rng):
+    # a (40, 16) stage batch: the Jacobians written into the record equal
+    # the allocating formulas byte for byte
+    xs = rng.uniform(-1.0, 1.0, (40, 16, 4))
+    us = rng.uniform(-5.0, 5.0, (40, 1, 1))
+    want = _pendulum_allocating_jacobians(xs, us, pendulum.meta["params"])
+    for got, ref in zip(jacobians(pendulum, xs, us), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def _qp_bound_rows(model, x, u):
@@ -211,11 +248,42 @@ def test_chain_model_matches_first_formulas(chain, rng):
     f, fx, fu, psi = _chain_first_formulas(xs, us, par)
     assert (psi < 0).any() and (psi > 0).any()
     assert chain.rhs(xs, us).tobytes() == f.tobytes()
-    got_fx, got_fu = chain.rhs_jacobians(xs, us)
+    got_fx, got_fu = jacobians(chain, xs, us)
     assert got_fu.tobytes() == fu.tobytes()
     npt.assert_array_equal(got_fx, fx)
     moved = got_fx.view(np.int64) != fx.view(np.int64)
     assert (fx[moved] == 0).all()
+
+
+@pytest.mark.parametrize("plant", ["pendulum", "chain"])
+def test_jacobians_into_a_reused_buffer_equal_a_fresh_one(plant, request,
+                                                          rng):
+    # the controller's record keeps the Jacobians of earlier states; a call
+    # into it equals one into a zeroed array byte for byte, and what the
+    # model leaves unwritten is a structural zero
+    model = request.getfixturevalue(plant)
+    if plant == "chain":
+        x_ss = models.chain_steady_state(model.meta["params"], [1, 0, 0])
+        states = x_ss + rng.uniform(-0.2, 0.2, (3, 8, model.n_x))
+    else:
+        states = rng.uniform(-1.0, 1.0, (3, 8, model.n_x))
+    us = rng.uniform(-1.0, 1.0, (3, 8, model.n_u))
+    shape = (8, model.n_x, model.n_x + model.n_u)
+    reused = np.zeros(shape)
+    for x, u in zip(states[:2], us[:2]):
+        model.rhs_jacobians(x, u, reused)
+    model.rhs_jacobians(states[2], us[2], reused)
+    fresh = np.zeros(shape)
+    model.rhs_jacobians(states[2], us[2], fresh)
+    assert reused.tobytes() == fresh.tobytes()
+    unwritten = np.full(shape, np.nan)
+    model.rhs_jacobians(states[2], us[2], unwritten)
+    unwritten = np.isnan(unwritten)
+    assert unwritten.any()
+    for x, u in zip(states, us):
+        out = np.zeros(shape)
+        model.rhs_jacobians(x, u, out)
+        assert (out[unwritten] == 0.0).all()
 
 
 def test_chain_jacobians_match_fd(chain, rng):
@@ -223,7 +291,7 @@ def test_chain_jacobians_match_fd(chain, rng):
     x_ss = models.chain_steady_state(par, [1.0, 0.0, 0.0])
     x = x_ss + rng.uniform(-0.1, 0.1, par.n_x)
     u = rng.uniform(-1.0, 1.0, 3)
-    fx, fu = chain.rhs_jacobians(x, u)
+    fx, fu = jacobians(chain, x, u)
     fx_fd, fu_fd = _fd_jacobians(chain.rhs, x, u)
     npt.assert_allclose(fx, fx_fd, rtol=2e-5, atol=2e-6)
     npt.assert_allclose(fu, fu_fd, rtol=1e-8, atol=1e-9)
@@ -237,7 +305,7 @@ def test_chain_jacobians_match_fd_short_chains(n, rng):
     x = models.chain_steady_state(par, [0.3 * n, 0.0, 0.0])
     x = x + rng.uniform(-0.05, 0.05, par.n_x)
     u = rng.uniform(-1.0, 1.0, 3)
-    fx, fu = chain.rhs_jacobians(x, u)
+    fx, fu = jacobians(chain, x, u)
     fx_fd, fu_fd = _fd_jacobians(chain.rhs, x, u)
     npt.assert_allclose(fx, fx_fd, rtol=2e-5, atol=2e-6)
     npt.assert_allclose(fu, fu_fd, rtol=1e-8, atol=1e-9)
@@ -252,11 +320,11 @@ def test_chain_rhs_broadcasts(chain, rng):
         + rng.uniform(-0.2, 0.2, (k, m, par.n_x))
     us = rng.uniform(-1.0, 1.0, (k, 1, 3))
     rows = [(chain.rhs(xs[i, j], us[i, 0]),)
-            + chain.rhs_jacobians(xs[i, j], us[i, 0])
+            + jacobians(chain, xs[i, j], us[i, 0])
             for i in range(k) for j in range(m)]
     xf, uf = xs.reshape(k * m, par.n_x), np.repeat(us[:, 0], m, axis=0)
-    flat = (chain.rhs(xf, uf),) + chain.rhs_jacobians(xf, uf)
-    staged = (chain.rhs(xs, us),) + chain.rhs_jacobians(xs, us)
+    flat = (chain.rhs(xf, uf),) + jacobians(chain, xf, uf)
+    staged = (chain.rhs(xs, us),) + jacobians(chain, xs, us)
     for out, want in zip(zip(flat, staged), zip(*rows)):
         want = np.stack(want)
         for got, batch in zip(out, [(k * m,), (k, m)]):
@@ -304,6 +372,29 @@ def test_chain_steady_state_balance(chain):
     npt.assert_array_equal(x_ss[3 * (par.n - 1):3 * par.n], [1.0, 0.0, 0.0])
     out = chain.rhs(x_ss, np.zeros(3))
     assert np.abs(out).max() < 1e-8
+
+
+def test_chain_steady_state_matches_finite_difference_root():
+    # the solve passes MINPACK the analytic Jacobian of the force balance;
+    # it finds the root that finite differences found, and a chain length
+    # whose solve fails from the straight-line guess still fails
+    from scipy.optimize import root
+
+    par = models.ChainParams(n=5)
+    end = np.array([1.0, 0.0, 0.0])
+    x_ss = models.chain_steady_state(par, end)
+
+    def balance(z):
+        x = np.concatenate([z, end, np.zeros(3 * (par.n - 1))])
+        return models.chain_rhs(x, np.zeros(3), par)[3 * par.n:]
+
+    frac = np.linspace(0.0, 1.0, par.n + 1)[1:par.n, None]
+    guess = (frac * end + [0.0, 0.0, 0.1]).ravel()
+    fd = root(balance, guess, tol=1e-13)
+    assert fd.success
+    npt.assert_allclose(x_ss[:3 * (par.n - 1)], fd.x, rtol=0, atol=1e-12)
+    with pytest.raises(ModelEvaluationError):
+        models.chain_steady_state(models.ChainParams(n=7), end)
 
 
 def test_chain_coincident_points_raise():

@@ -252,7 +252,8 @@ def test_step_recomputes_only_masked_blocks(pendulum, monkeypatch):
     assert (d.sens_blocks, d.refreshed) == (mask.sum(), mask.sum())
     _, stages = intg.integrate_batch(pendulum, traj.xs[:-1], traj.us, CFG)
     exact = intg.forward_sensitivity_batch(
-        pendulum, *intg.stage_jacobians(pendulum, stages, traj.us), CFG)
+        pendulum, intg.stage_jacobians(pendulum, stages, traj.us,
+                                       np.zeros((N, 16, 4, 5))), CFG)
     npt.assert_array_equal(state.blocks[mask], exact[mask])
     npt.assert_array_equal(state.blocks[~mask], before[~mask])
     assert not np.array_equal(before[mask], exact[mask])
@@ -315,12 +316,9 @@ def test_linear_plant_schemes_coincide(rng):
         u = np.asarray(u, dtype=float)
         return x @ A.T + u @ B.T
 
-    def jac(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        batch = np.broadcast_shapes(x[..., 0].shape, u[..., 0].shape)
-        return (np.broadcast_to(A, batch + A.shape).copy(),
-                np.broadcast_to(B, batch + B.shape).copy())
+    def jac(x, u, out):
+        out[..., :3] = A
+        out[..., 3:] = B
 
     model = ModelSpec(n_x=3, n_u=2, rhs=rhs, rhs_jacobians=jac,
                       stage_weights=np.ones(5), terminal_weights=np.ones(3))
@@ -398,9 +396,9 @@ def test_closed_loop_work_counts(kind, interval, monkeypatch):
     model.rhs = counted(model.rhs, "rhs")
     jacobians = counted(model.rhs_jacobians, "jac")
 
-    def recorded(x, u):
+    def recorded(x, u, out):
         jac_batches.append(np.shape(x)[:-1])
-        return jacobians(x, u)
+        return jacobians(x, u, out)
 
     model.rhs_jacobians = recorded
     for attr, name, work in (
@@ -472,3 +470,54 @@ def test_fixed_thresholds_skip_conditioning_constants(monkeypatch):
     mult0 = Multipliers.zeros(s.horizon, 4, s.model.n_r)
     res = sqp_solve(ocp, traj0, mult0, s.scheme, tol=0.0, max_iter=3)
     assert res.iterations == 3
+
+
+def _chain_controller():
+    """A chain_n40 ``cmon`` controller at a noisy start, its measurement
+    and its reference window."""
+    s = harness.load_scenario(SCENARIO_DIR / "chain_n40.yaml")
+    mult = Multipliers.zeros(s.horizon, s.model.n_x, s.model.n_r)
+    state = initialize_controller(s.model, s.integrator(), s.scheme,
+                                  harness.steady_horizon(s), mult)
+    return (state, harness.perturbed_chain_state(s, 0),
+            s.schedule.window(0.0, s.horizon, s.t_s))
+
+
+def test_controller_reuses_its_stage_record(monkeypatch):
+    # every step writes the same record, and every forward sweep reads it
+    # or the state's gather buffer
+    state, x, refs = _chain_controller()
+    record, gathered = state.record, state.gathered
+    assert record.shape == (40, 16, 27, 30) and not record.any()
+    swept = []
+    forward = intg.forward_sensitivity_batch
+
+    def recorded(model, rec, cfg):
+        swept.append(rec is record or (np.shares_memory(rec, gathered)
+                                       and rec.shape[0] < 40))
+        return forward(model, rec, cfg)
+
+    monkeypatch.setattr(intg, "forward_sensitivity_batch", recorded)
+    blocks = 0
+    for _ in range(4):
+        blocks += controller_step(state, x, refs).sens_blocks
+        assert state.record is record and state.gathered is gathered
+    assert all(swept) and 0 < len(swept) and blocks < 4 * 40
+
+
+def test_controller_step_allocates_less_than_its_record():
+    # after two warm-up steps no step allocates an array the size of the
+    # stage record: the model writes into it and refreshed nodes are
+    # gathered into a buffer the state owns
+    import tracemalloc
+
+    state, x, refs = _chain_controller()
+    for _ in range(2):
+        controller_step(state, x, refs)
+    tracemalloc.start()
+    try:
+        controller_step(state, x, refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.record.nbytes

@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from conftest import assemble_qp, dense_equality_jacobian, \
-    dense_inequality_jacobian, sensitivities, stage_record
+    dense_inequality_jacobian, sensitivities, split, stage_record
 from nmpckit import integrator as intg
 from nmpckit import transcription as trc
 from nmpckit.errors import AssemblyError, ContractViolationError
@@ -99,12 +99,13 @@ def test_gradient_includes_multiplier_rows(setup, rng):
 def test_exact_gradient_rows_fresh_equals_product(setup, rng):
     model, traj, mult, refs, blocks = setup
     seeds = rng.standard_normal((N, 4))
-    jacs = stage_record(model, traj.xs[:-1], traj.us, CFG)[1]
+    record = stage_record(model, traj.xs[:-1], traj.us, CFG)[1]
     expect = np.einsum('kx,kxw->kw', seeds, blocks)
     rows_fresh = trc.exact_gradient_rows(seeds, np.ones(N, dtype=bool),
                                          blocks, None)
     npt.assert_array_equal(rows_fresh, expect)
-    swept = intg.adjoint_batch(model, *jacs, CFG, seeds[:, None])[:, 0]
+    swept = intg.adjoint_batch(model, *split(model, record), CFG,
+                               seeds[:, None])[:, 0]
     npt.assert_allclose(swept, expect, atol=1e-10)
     # fresh nodes take the product, the others the swept rows
     mask = np.arange(N) % 2 == 0

@@ -108,9 +108,9 @@ def adjoint_rows(model: ModelSpec, record, cfg: intg.IntegratorConfig,
     seed array, from one reverse sweep over the stage-Jacobian ``record``
     of :func:`integrator.stage_jacobians`: the step's only reverse sweep,
     under every scheme."""
-    n_x = model.n_x
-    rows = intg.adjoint_batch(model, record[..., :n_x], record[..., n_x:],
-                              cfg, np.stack(seeds, axis=1))
+    stacked = np.stack(seeds, axis=1)
+    out = np.empty(stacked.shape[:-1] + (model.n_x + model.n_u,))
+    rows = intg.adjoint_batch(model, record, cfg, out, stacked)
     return tuple(rows[:, i] for i in range(len(seeds)))
 
 

@@ -53,6 +53,10 @@ class ReferenceSchedule:
         self.controls = np.asarray(self.controls, dtype=float)
         if self.times.ndim != 1 or self.times.size == 0:
             raise ConfigError("reference schedule needs at least one segment")
+        if not all(np.isfinite(a).all()
+                   for a in (self.times, self.states, self.controls)):
+            raise ConfigError("reference times, states and controls must "
+                              "be finite")
         if np.any(np.diff(self.times) <= 0):
             raise ConfigError("reference switch times must be increasing")
         if abs(self.times[0]) > 1e-12:
@@ -159,6 +163,13 @@ def _exact(key: str, value, kind: type):
     return value
 
 
+def _finite(key: str, value):
+    """``value``, a float or a float array, if every entry is finite."""
+    if not np.isfinite(value).all():
+        raise ConfigError(f"{key} must be finite")
+    return value
+
+
 # the bound keys each model kind takes
 _LIMIT_KEYS = {"pendulum": ("position_limit", "force_limit"),
                "chain": ("control_limit",)}
@@ -169,12 +180,15 @@ def _build_model(kind: str, spec: dict):
         raise ConfigError(f"unknown model kind {kind!r}")
     _check_keys("model", spec, ("params", "stage_weights",
                                 "terminal_weights") + _LIMIT_KEYS[kind])
-    kwargs = {key: float(spec[key]) for key in _LIMIT_KEYS[kind]
-              if key in spec}
+    # a negative limit loads: the subproblems it makes are infeasible
+    kwargs = {key: _finite(f"model.{key}", float(spec[key]))
+              for key in _LIMIT_KEYS[kind] if key in spec}
     for key in ("stage_weights", "terminal_weights"):
         if key in spec:
-            kwargs[key] = np.asarray(spec[key], dtype=float)
-    pk = {k: _exact("model.params.n", v, int) if k == "n" else float(v)
+            kwargs[key] = _finite(f"model.{key}",
+                                  np.asarray(spec[key], dtype=float))
+    pk = {k: _exact("model.params.n", v, int) if k == "n"
+          else _finite(f"model.params.{k}", float(v))
           for k, v in (spec.get("params") or {}).items()}
     if kind == "pendulum":
         return make_pendulum_model(PendulumParams(**pk), **kwargs)
@@ -190,8 +204,9 @@ def _build_schedule(ref: dict, kind: str, model: ModelSpec
         states = np.asarray(ref["states"], dtype=float)
     elif "free_end" in ref:
         params = model.meta["params"]
-        states = np.stack([chain_steady_state(params, p)
-                           for p in np.asarray(ref["free_end"], dtype=float)])
+        free_end = _finite("reference.free_end",
+                           np.asarray(ref["free_end"], dtype=float))
+        states = np.stack([chain_steady_state(params, p) for p in free_end])
     else:
         raise ConfigError("reference block needs 'states' or 'free_end'")
     if states.shape != (times.size, model.n_x):
@@ -297,6 +312,12 @@ def scenario_from_dict(doc: dict, raw_text: str = "",
         raise ConfigError(f"scenario is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario value: {exc}") from None
+    except ConfigError:
+        raise
+    except NMPCError as exc:
+        # e.g. the chain equilibrium of a reference that has none
+        raise ConfigError(f"scenario cannot be set up: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def load_scenario(path) -> ScenarioConfig:

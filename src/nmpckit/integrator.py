@@ -17,13 +17,13 @@ The forward sweep carries the augmented sensitivity ``[[S_x, S_u], [0,
 I]]``, so one product with a stage's ``[f_x | f_u]`` gives its stage
 derivative ``[f_x S_x, f_x S_u + f_u]``; the control rows of every work
 array stay ``[0 | I]`` or zero, and each RK4 pass runs over contiguous
-memory. The reverse sweep carries only the state adjoint and reads
-``f_x`` and ``f_u`` as views of the record; the control rows are linear
-in its stage weights, so one contraction gives them after the loop. Each
-seed is a batch item of its own, so its rows round alike whichever seeds
-or nodes share the sweep. Every kernel writes into arrays allocated once
-per call, with every operation of the textbook RK4 in its order, so they
-round exactly as an allocating implementation.
+memory. The reverse sweep is its transpose: it carries the augmented
+adjoint ``[lam_x | lam_u]``, and one product of a stage weight with the
+same rows gives ``[w f_x | w f_u]``, whose state part feeds the next
+stage weight. Each seed is a batch item of its own, so its rows round
+alike whichever seeds or nodes share the sweep. Every kernel takes each
+operation of the textbook RK4 in its order, so it rounds exactly as an
+allocating implementation.
 """
 
 from dataclasses import dataclass
@@ -146,46 +146,46 @@ def forward_sensitivity_batch(model: ModelSpec, record,
     return S[..., :n_x, :]
 
 
-def adjoint_batch(model: ModelSpec, jac_x, jac_u, cfg: IntegratorConfig,
+def adjoint_batch(model: ModelSpec, record, cfg: IntegratorConfig, out,
                   seeds):
     """Adjoint directional sensitivities ``seed^T d(end state)/d(x0, u)``
-    from ``f_x`` and ``f_u``, ``jac_x`` and ``jac_u``, of a record of
-    :func:`stage_jacobians`; views of the record serve.
+    from a record of :func:`stage_jacobians`, accumulated in ``out``.
 
-    The loop carries the state adjoint and records the stage weights
-    ``W``; the control rows are ``W`` contracted with ``jac_u``.
+    The transpose of :func:`forward_sensitivity_batch`: the sweep carries
+    the augmented adjoint ``[lam_x | lam_u]`` and forms each stage as one
+    product of its weight, a combination of ``lam_x`` and the later
+    stages, with the stage's ``[f_x | f_u]`` rows. The state part of that
+    product feeds the next weight; the whole of it accumulates in ``out``.
 
     Parameters
     ----------
+    out : ndarray, shape (..., k, n_x + n_u)
+        Written with the seeds and the zero control adjoint, then updated
+        in place; returned.
     seeds : ndarray, shape (..., k, n_x)
         Any number of seed covectors per node; the reverse sweep is shared.
-
-    Returns
-    -------
-    rows : ndarray, shape (..., k, n_x + n_u)
     """
+    n_x = model.n_x
     h = cfg.dt / cfg.substeps
-    n_st = jac_x.shape[-3]
-    # every seed a batch item: (..., k, 1, n_x) @ (..., 1, n_x, n_x)
-    lam = np.array(seeds, dtype=float)[..., None, :]
-    W = np.empty(lam.shape[:-2] + (n_st, model.n_x))
-    c_end, c_mid = h / 6.0, h / 3.0
-    for j in reversed(range(0, n_st, 4)):
-        W[..., j + 3:j + 4, :] = w4 = c_end * lam
-        t4 = w4 @ jac_x[..., None, j + 3, :, :]
-        W[..., j + 2:j + 3, :] = w3 = c_mid * lam + h * t4
-        t3 = w3 @ jac_x[..., None, j + 2, :, :]
-        W[..., j + 1:j + 2, :] = w2 = c_mid * lam + 0.5 * h * t3
-        t2 = w2 @ jac_x[..., None, j + 1, :, :]
-        W[..., j:j + 1, :] = w1 = c_end * lam + 0.5 * h * t2
-        t1 = w1 @ jac_x[..., None, j, :, :]
-        lam = lam + t1 + t2 + t3 + t4
-    if model.n_u == 1:
-        # each control row is then a BLAS dot product, whose kernel for a
-        # strided column rounds unlike the unit-stride one; one column is
-        # cheap to gather, a wider f_u costs more to gather than to read
-        # strided
-        jac_u = np.ascontiguousarray(jac_u)
-    lu = W.reshape(lam.shape[:-1] + (-1,)) @ jac_u.reshape(
-        jac_u.shape[:-3] + (1, -1, model.n_u))
-    return np.concatenate([lam, lu], axis=-1)[..., 0, :]
+    half, full, _, sixth = _coefficients(h)
+    third = np.array(h / 3.0)
+    add, mul = np.add, np.multiply
+    out[..., :n_x] = seeds
+    out[..., n_x:] = 0.0
+    # every seed a batch item: (..., k, 1, n_x) @ (..., 1, n_x, n_x + n_u)
+    lam = out[..., None, :]
+    lam_x = lam[..., :n_x]
+
+    def stage(j, w):
+        return w @ record[..., None, j, :, :]
+
+    for j in reversed(range(0, record.shape[-3], 4)):
+        w_end, w_mid = mul(lam_x, sixth), mul(lam_x, third)
+        t4 = stage(j + 3, w_end)
+        t3 = stage(j + 2, add(w_mid, mul(t4[..., :n_x], full)))
+        t2 = stage(j + 1, add(w_mid, mul(t3[..., :n_x], half)))
+        t1 = stage(j, add(w_end, mul(t2[..., :n_x], half)))
+        # lam = lam + t1 + t2 + t3 + t4
+        for t in (t1, t2, t3, t4):
+            add(lam, t, lam)
+    return out

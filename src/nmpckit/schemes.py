@@ -46,7 +46,7 @@ from .models import ModelSpec
 from .perturbation import build_m, conditioning_constants, measure_dto
 from .qp_solver import solve
 from .transcription import (Multipliers, References, Trajectory, apply_step,
-                            build_qp, exact_gradient_rows, split_primal)
+                            build_qp, exact_gradient_rows)
 
 _SCHEMES = ("rti", "ml", "adj", "cmon")
 
@@ -272,8 +272,7 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, mask,
     diag.dlam_norm = float(np.linalg.norm(sol.dlam))
     diag.qp_iterations = sol.iterations
     if cfg.scheme == "cmon":
-        dxs, dus = split_primal(sol.dw, N, model.n_x, model.n_u)
-        dw_nodes = np.concatenate([dxs[:N], dus], axis=1)
+        dw_nodes = sol.dw[:N * (model.n_x + model.n_u)].reshape(N, -1)
         state.prev_dlam = sol.dlam.reshape(N + 1, model.n_x)[1:].copy()
         state.prev_dir_pri, state.prev_dir_dual = direction_vectors(
             state.blocks, dw_nodes, state.prev_dlam)

@@ -45,9 +45,6 @@ class Trajectory:
         """Per-node stacked ``(x_k, u_k)`` array of shape (N, n_x + n_u)."""
         return np.concatenate([self.xs[:-1], self.us], axis=1)
 
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.nodes().ravel(), self.xs[-1]])
-
     def copy(self) -> "Trajectory":
         return Trajectory(self.xs.copy(), self.us.copy())
 
@@ -81,9 +78,6 @@ class References:
     def __post_init__(self):
         self.xs = np.asarray(self.xs, dtype=float)
         self.us = np.asarray(self.us, dtype=float)
-
-    def copy(self) -> "References":
-        return References(self.xs.copy(), self.us.copy())
 
 
 @dataclass

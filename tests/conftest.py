@@ -58,7 +58,14 @@ def sensitivities(model, x, u, cfg):
 def adjoint(model, x, u, cfg, seeds):
     """Adjoint rows ``seed^T dphi`` from one RK4 pass."""
     record = stage_record(model, x, u, cfg)[1]
-    return intg.adjoint_batch(model, *split(model, record), cfg, seeds)
+    return sweep(model, record, cfg, seeds)
+
+
+def sweep(model, record, cfg, seeds):
+    """``integrator.adjoint_batch`` over ``record`` into a fresh array."""
+    seeds = np.asarray(seeds, dtype=float)
+    out = np.empty(seeds.shape[:-1] + (model.n_x + model.n_u,))
+    return intg.adjoint_batch(model, record, cfg, out, seeds)
 
 
 def reference_integrate(model, x, u, cfg):
@@ -129,6 +136,30 @@ def reference_adjoint(model, jac_x, jac_u, cfg, seeds):
     return np.concatenate([lam, lu], axis=-1)[..., 0, :]
 
 
+def reference_augmented_adjoint(model, record, cfg, seeds):
+    """Textbook reverse RK4 of the augmented state ``(x, u)`` with ``u' =
+    0``, with a fresh array per operation; every seed a batch item of its
+    own. The augmented stage Jacobian's control rows are zero, so each
+    stage weight enters only through its state part, times the stage's
+    ``[f_x | f_u]`` rows of the record."""
+    n_x, h = model.n_x, cfg.dt / cfg.substeps
+    seeds = np.asarray(seeds, dtype=float)[..., None, :]
+    lam = np.concatenate(
+        [seeds, np.zeros(seeds.shape[:-1] + (model.n_u,))], axis=-1)
+
+    def stage(j, w):
+        return w @ record[..., None, j, :, :]
+
+    for j in reversed(range(0, record.shape[-3], 4)):
+        lam_x = lam[..., :n_x]
+        t4 = stage(j + 3, (h / 6.0) * lam_x)
+        t3 = stage(j + 2, (h / 3.0) * lam_x + h * t4[..., :n_x])
+        t2 = stage(j + 1, (h / 3.0) * lam_x + 0.5 * h * t3[..., :n_x])
+        t1 = stage(j, (h / 6.0) * lam_x + 0.5 * h * t2[..., :n_x])
+        lam = lam + t1 + t2 + t3 + t4
+    return lam[..., 0, :]
+
+
 def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     """Subproblem at ``traj`` with exact blocks in the equality rows.
 
@@ -138,8 +169,8 @@ def assemble_qp(model, traj, mult, x_hat, refs, cfg, fresh=True):
     N = traj.horizon
     phis, record = stage_record(model, traj.xs[:-1], traj.us, cfg)
     blocks = intg.forward_sensitivity_batch(model, record, cfg)
-    swept = None if fresh else intg.adjoint_batch(
-        model, *split(model, record), cfg, mult.lam[1:, None])[:, 0]
+    swept = None if fresh else sweep(model, record, cfg,
+                                     mult.lam[1:, None])[:, 0]
     lam_dphi = trc.exact_gradient_rows(mult.lam[1:], np.full(N, fresh),
                                        blocks, swept)
     return trc.build_qp(traj, mult, x_hat, blocks, model, refs, phis,

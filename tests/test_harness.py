@@ -591,6 +591,30 @@ def test_cli_rejects_bad_trial_count(tmp_path):
 # two pendulum segments; the cases below give them bad reference controls
 _PENDULUM_REF = {"times": [0.0, 5.0],
                  "states": [[0.0, 0.0, 0.0, 0.0], [0.6, 1.2, 0.0, 0.0]]}
+_PENDULUM = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _pendulum_model(**changes):
+    return dict(_PENDULUM["model"], **changes)
+
+
+def _pendulum_ref(key, row, value):
+    """The pendulum file's five-segment reference, zero controls given,
+    with ``key[row][0]`` set to ``value``."""
+    ref = dict(_PENDULUM["reference"], controls=[[0.0]] * 5)
+    ref[key] = [list(r) for r in ref[key]]
+    ref[key][row][0] = value
+    return ref
+
+
+# the pendulum's stored pair does not fit a chain
+_DROP_CONSTANTS = {"rho0": None, "gamma0": None, "n_dim": None}
+
+
+def _chain(**ref):
+    return {"model": {"kind": "chain", "params": {"n": 5}},
+            "reference": dict({"times": [0.0]}, **ref)}
 
 
 @pytest.mark.parametrize("cmon, top, args", [
@@ -630,6 +654,23 @@ _PENDULUM_REF = {"times": [0.0, 5.0],
     ({"rho0": float("nan")}, {}, []),
     ({"gamma0": 0.5}, {}, []),
     ({"rho0": 9000.0, "gamma0": None}, {}, []),
+    ({}, {"reference": dict(_PENDULUM["reference"],
+                            times=[0.0, _NAN, 10.0, 15.0, 20.0])}, []),
+    ({}, {"reference": _pendulum_ref("states", 1, _NAN)}, []),
+    ({}, {"reference": _pendulum_ref("states", 0, _INF)}, []),
+    ({}, {"reference": _pendulum_ref("controls", 2, -_INF)}, []),
+    ({}, {"model": _pendulum_model(stage_weights=[_INF, 20, .2, .2, .1])},
+     []),
+    ({}, {"model": _pendulum_model(terminal_weights=[20, 20, _NAN, .2])},
+     []),
+    ({}, {"model": _pendulum_model(force_limit=_NAN)}, []),
+    ({}, {"model": _pendulum_model(position_limit=_INF)}, []),
+    ({}, {"model": _pendulum_model(params=dict(
+        _PENDULUM["model"]["params"], l=_NAN))}, []),
+    (_DROP_CONSTANTS, _chain(free_end=[[_NAN, 0.0, 0.0]]), []),
+    (_DROP_CONSTANTS, dict(_chain(free_end=[[1.0, 0.0, 0.0]]),
+                           model={"kind": "chain", "control_limit": _INF}),
+     []),
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
         "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
         "controls_width", "stabilize_cap", "stabilize_threshold",
@@ -638,7 +679,11 @@ _PENDULUM_REF = {"times": [0.0, 5.0],
         "substeps_float", "plant_substep_factor_float", "seed_float",
         "trials_bool", "ml_interval_float", "ml_interval_bool",
         "track_dto_string", "track_dto_float", "chain_n_float",
-        "rho0_negative", "rho0_nan", "gamma0_below_one", "rho0_only"])
+        "rho0_negative", "rho0_nan", "gamma0_below_one", "rho0_only",
+        "ref_times_nan", "ref_states_nan", "ref_states_inf",
+        "ref_controls_inf", "stage_weights_inf", "terminal_weights_nan",
+        "force_limit_nan", "position_limit_inf", "param_l_nan",
+        "free_end_nan", "control_limit_inf"])
 def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
                                            args):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
@@ -652,6 +697,20 @@ def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
     scen.write_text(yaml.safe_dump(doc))
     assert cli.main([str(scen), "--out", str(tmp_path / "out")] + args) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_failed_chain_equilibrium_is_config_error(tmp_path, capsys,
+                                                      monkeypatch):
+    # a reference whose chain equilibrium the root finder cannot find is a
+    # bad scenario: exit 2, not a traceback
+    def no_root(params, free_end_pos):
+        raise errors.ModelEvaluationError("root finder did not converge")
+
+    monkeypatch.setattr(harness, "chain_steady_state", no_root)
+    scen = _write_yaml(tmp_path, "noroot", "chain_n40.yaml", **_NO_CONSTANTS)
+    assert cli.main([str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "ModelEvaluationError" in err
 
 
 def test_plant_matches_model_without_mismatch():

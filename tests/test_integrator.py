@@ -6,8 +6,9 @@ import numpy.testing as npt
 import pytest
 
 from conftest import (adjoint, reference_adjoint,
+                      reference_augmented_adjoint,
                       reference_forward_sensitivity, reference_integrate,
-                      sensitivities, split, stage_record)
+                      sensitivities, split, stage_record, sweep)
 from nmpckit import integrator as intg
 from nmpckit import models
 from nmpckit.errors import (IntegrationBlowupError, ModelEvaluationError,
@@ -227,15 +228,13 @@ def test_adjoint_rows_independent_of_seed_company(pendulum, chain, rng):
     )
     for model, cfg, xs, us in cases:
         record = stage_record(model, xs, us, cfg)[1]
-        jacs = split(model, record)
         a, b = rng.standard_normal((2, 40, model.n_x))
-        both = intg.adjoint_batch(model, *jacs, cfg, np.stack([a, b], 1))
+        both = sweep(model, record, cfg, np.stack([a, b], 1))
         for i, seed in enumerate((a, b)):
-            alone = intg.adjoint_batch(model, *jacs, cfg, seed[:, None])
+            alone = sweep(model, record, cfg, seed[:, None])
             npt.assert_array_equal(both[:, i], alone[:, 0])
         sub = np.arange(40) % 3 == 1
-        part = intg.adjoint_batch(model, *split(model, record[sub]), cfg,
-                                  b[sub][:, None])
+        part = sweep(model, record[sub], cfg, b[sub][:, None])
         npt.assert_array_equal(both[sub, 1], part[:, 0])
 
 
@@ -311,8 +310,8 @@ def test_sweeps_over_record_subset_equal_subset_record(plant, request, rng):
         intg.forward_sensitivity_batch(model, part, cfg),
         intg.forward_sensitivity_batch(model, alone, cfg))
     npt.assert_array_equal(
-        intg.adjoint_batch(model, *split(model, part), cfg, seeds[mask]),
-        intg.adjoint_batch(model, *split(model, alone), cfg, seeds[mask]))
+        sweep(model, part, cfg, seeds[mask]),
+        sweep(model, alone, cfg, seeds[mask]))
 
 
 def _plant_batch(model, rng, k):
@@ -388,21 +387,26 @@ def test_in_place_kernels_leave_their_inputs_alone(plant, request, rng):
 
 
 @pytest.mark.parametrize("plant", ["pendulum", "chain"])
-def test_reverse_sweep_over_record_views_matches_separate_records(
-        plant, request, rng):
-    # the reverse sweep reads f_x and f_u as views of the joint record;
-    # its rows equal those of the sweep over separate contiguous f_x and
-    # f_u records byte for byte, over every node and a node subset, for
-    # one seed and for two
+def test_reverse_sweep_matches_textbook_augmented_adjoint(plant, request,
+                                                          rng):
+    # the sweep accumulates the augmented adjoint in place; its rows equal
+    # the allocating reverse RK4 of (x, u) byte for byte, and the sweep
+    # over separate f_x and f_u records to rounding, over every node, a
+    # node subset of the record and one unbatched node, for one seed and
+    # for two
     model = request.getfixturevalue(plant)
     xs, us, cfg = _plant_batch(model, rng, 40)
     record = stage_record(model, xs, us, cfg)[1]
     mask = np.arange(40) % 3 != 1
-    for rec in (record, record[mask]):
+    single = stage_record(model, xs[5], us[5], cfg)[1]
+    for rec in (record, record[mask], single):
         fx, fu = (np.ascontiguousarray(a) for a in split(model, rec))
         for k in (1, 2):
-            seeds = rng.standard_normal((rec.shape[0], k, model.n_x))
-            got = intg.adjoint_batch(model, *split(model, rec), cfg, seeds)
-            want = reference_adjoint(model, fx, fu, cfg, seeds)
+            seeds = rng.standard_normal(rec.shape[:-3] + (k, model.n_x))
+            got = sweep(model, rec, cfg, seeds)
+            want = reference_augmented_adjoint(model, rec, cfg, seeds)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            old = reference_adjoint(model, fx, fu, cfg, seeds)
+            npt.assert_allclose(got, old, rtol=0,
+                                atol=1e-14 * np.abs(old).max())

@@ -57,8 +57,12 @@ class CMoNConfig:
                 f"unknown threshold mode {self.threshold_mode!r}")
         if not 0.0 <= self.min_update_fraction <= 1.0:
             raise ConfigError("min_update_fraction outside [0, 1]")
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ConfigError("alpha and beta must be positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ConfigError("alpha and beta must be positive and finite")
+        if not (0.0 <= self.fixed_eta_pri <= math.inf
+                and 0.0 <= self.fixed_eta_dual <= math.inf):
+            raise ConfigError("fixed_eta_pri and fixed_eta_dual must be "
+                              "nonnegative (+inf allowed)")
         if not (0.0 <= self.eps_abs < math.inf
                 and 0.0 <= self.eps_rel < math.inf):
             raise ConfigError(

@@ -180,13 +180,12 @@ def _build_model(kind: str, spec: dict):
         raise ConfigError(f"unknown model kind {kind!r}")
     _check_keys("model", spec, ("params", "stage_weights",
                                 "terminal_weights") + _LIMIT_KEYS[kind])
-    # a negative limit loads: the subproblems it makes are infeasible
-    kwargs = {key: _finite(f"model.{key}", float(spec[key]))
+    # ModelSpec checks the weights and limits
+    kwargs = {key: float(spec[key])
               for key in _LIMIT_KEYS[kind] if key in spec}
     for key in ("stage_weights", "terminal_weights"):
         if key in spec:
-            kwargs[key] = _finite(f"model.{key}",
-                                  np.asarray(spec[key], dtype=float))
+            kwargs[key] = np.asarray(spec[key], dtype=float)
     pk = {k: _exact("model.params.n", v, int) if k == "n"
           else _finite(f"model.params.{k}", float(v))
           for k, v in (spec.get("params") or {}).items()}

@@ -44,15 +44,18 @@ class ModelSpec:
         integrator rejects non-finite ``x`` and ``u`` on entry and checks
         the state after every RK4 substep.
     stage_weights : ndarray
-        Diagonal nonnegative weights on the stacked ``(x, u)`` residual.
+        Diagonal finite nonnegative weights on the stacked ``(x, u)``
+        residual.
     terminal_weights : ndarray
-        Diagonal nonnegative weights on the terminal state residual.
+        Diagonal finite nonnegative weights on the terminal state residual.
     bound_index, bound_limit : array_like
         The only inequalities: ``|z_i| <= l_i`` on each stage's
         ``z = (x_k, u_k)``, one pair ``(bound_index[b], bound_limit[b])``
         per bounded component. Bound ``b`` gives the rows ``2b`` and
         ``2b + 1``, ``z_i - l_i`` and ``-z_i - l_i``, with ``<= 0``
         feasible; ``n_r`` counts them. The terminal node is unbounded.
+        A limit must be finite; a negative one makes every subproblem
+        infeasible.
     """
 
     n_x: int
@@ -72,15 +75,18 @@ class ModelSpec:
             raise ValueError("stage_weights must have length n_x + n_u")
         if self.terminal_weights.shape != (self.n_x,):
             raise ValueError("terminal_weights must have length n_x")
-        if np.any(self.stage_weights < 0) or np.any(self.terminal_weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if not (np.any(self.stage_weights > 0) or np.any(self.terminal_weights > 0)):
+        weights = np.concatenate([self.stage_weights, self.terminal_weights])
+        if not np.all((weights >= 0) & (weights < np.inf)):
+            raise ValueError("weights must be finite and nonnegative")
+        if not np.any(weights > 0):
             raise ValueError("at least one weight must be positive")
         self.bound_index = np.asarray(self.bound_index, dtype=int)
         self.bound_limit = np.asarray(self.bound_limit, dtype=float)
         if self.bound_index.ndim != 1 \
                 or self.bound_limit.shape != self.bound_index.shape:
             raise ValueError("bound_index and bound_limit must pair up")
+        if not np.isfinite(self.bound_limit).all():
+            raise ValueError("bound limits must be finite")
         if np.unique(self.bound_index).size != self.bound_index.size \
                 or np.any(self.bound_index < 0) \
                 or np.any(self.bound_index >= self.n_x + self.n_u):

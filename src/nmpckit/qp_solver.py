@@ -65,7 +65,7 @@ class QPSolution:
 
 # an overflow surfaces as a non-finite residual, which ends the solve
 @np.errstate(over="ignore", invalid="ignore")
-def _mehrotra(backend, tol, start_scale=1.0):
+def _mehrotra(backend, tol):
     """Empty-set polish, else Mehrotra; returns (x, y, z, res, iters)."""
     g, b, d = backend.g, backend.b, backend.d
     m_in = d.shape[0]
@@ -81,8 +81,8 @@ def _mehrotra(backend, tol, start_scale=1.0):
 
     s_raw = d - backend.cmv(x)
     shift = max(1e-1, -1.5 * float(s_raw.min(initial=0.0)))
-    s = (s_raw + shift) * start_scale
-    z = np.full(m_in, max(1.0, shift) * start_scale)
+    s = s_raw + shift
+    z = np.full(m_in, max(1.0, shift))
 
     best = np.inf
     best_iter = 0
@@ -267,7 +267,11 @@ class _StageBackend:
             term_h += _HESS_REG_FLOOR
         self.h = np.concatenate([stage_h.ravel(), term_h])
 
-        self.g = _modified_gradient(qp)
+        # objective gradient of the equivalent total-multiplier QP: the
+        # Lagrangian gradient less A'lam and C'mu (negation is exact)
+        self.g = qp.gradient.copy()
+        self._add_atmv(self.g, -qp.lam.ravel())
+        self._add_ctmv(self.g, -qp.mu.ravel())
         self.b = -qp.continuity_residuals.ravel()
         self.d = -qp.ineq_values.ravel()
 
@@ -286,16 +290,19 @@ class _StageBackend:
         return out
 
     def atmv(self, y):
-        qp = self.qp
+        out = np.zeros(self.qp.n_w)
+        self._add_atmv(out, y)
+        return out
+
+    def _add_atmv(self, out, y):
+        """``out += A' y``."""
         N, n_x, nwk = self.N, self.n_x, self.nwk
         lam = y.reshape(N + 1, n_x)
-        out = np.zeros(qp.n_w)
         body = out[:N * nwk].reshape(N, nwk)
-        body += np.einsum('kxw,kx->kw', qp.jacobian_blocks, lam[1:])
+        body += np.einsum('kxw,kx->kw', self.qp.jacobian_blocks, lam[1:])
         body[0, :n_x] += lam[0]
         body[1:, :n_x] -= lam[1:N]
         out[N * nwk:] -= lam[N]
-        return out
 
     def cmv(self, x):
         N, nwk = self.N, self.nwk
@@ -303,11 +310,15 @@ class _StageBackend:
                           x[:N * nwk].reshape(N, nwk)).ravel()
 
     def ctmv(self, z):
-        N, nwk = self.N, self.nwk
         out = np.zeros(self.qp.n_w)
+        self._add_ctmv(out, z)
+        return out
+
+    def _add_ctmv(self, out, z):
+        """``out += C' z``."""
+        N, nwk = self.N, self.nwk
         out[:N * nwk].reshape(N, nwk)[:, self.qp.bound_index] += \
             bound_rows_t(z.reshape(N, -1))
-        return out
 
     def factor(self, w):
         """Factor of ``Y`` with the weights ``w`` (None for none) in Hbar.
@@ -355,23 +366,6 @@ class _StageBackend:
         p, chol = handle
         dy, _ = _pbtrs(chol, self.amv(p * r1) - r2, lower=1)
         return p * (r1 - self.atmv(dy)), dy
-
-
-def _modified_gradient(qp: QPData) -> np.ndarray:
-    """Objective gradient of the equivalent total-multiplier QP.
-
-    Subtracts the stale-Jacobian and inequality multiplier terms from the
-    Lagrangian gradient, leaving the adjoint-corrected objective gradient.
-    """
-    N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
-    g = qp.gradient.copy()
-    body = g[:N * nwk].reshape(N, nwk)
-    body -= np.einsum('kxw,kx->kw', qp.jacobian_blocks, qp.lam[1:])
-    body[0, :n_x] -= qp.lam[0]
-    body[1:, :n_x] += qp.lam[1:N]
-    g[N * nwk:] += qp.lam[N]
-    body[:, qp.bound_index] -= bound_rows_t(qp.mu)
-    return g
 
 
 def solve(qp: QPData, tol: float = 1e-8) -> QPSolution:

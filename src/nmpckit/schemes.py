@@ -66,8 +66,8 @@ class SchemeConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.ml_interval < 1:
             raise ConfigError("ml_interval must be a positive integer")
-        if not self.qp_tol > 0:
-            raise ConfigError("qp_tol must be positive")
+        if not 0.0 < self.qp_tol < math.inf:
+            raise ConfigError("qp_tol must be positive and finite")
 
     @property
     def lacks_constants(self) -> bool:

@@ -116,9 +116,9 @@ class QPData:
                 or self.lam.shape != (N + 1, n_x) \
                 or self.ineq_values.shape != (N, 2 * self.bound_index.size):
             raise AssemblyError("inconsistent QP block shapes")
-        for arr in (self.stage_hessians, self.term_hessian, self.gradient,
-                    self.continuity_residuals, self.jacobian_blocks,
-                    self.ineq_values):
+        # the Hessians are the model's weights, which ModelSpec checks
+        for arr in (self.gradient, self.continuity_residuals,
+                    self.jacobian_blocks, self.ineq_values):
             if not np.all(np.isfinite(arr)):
                 raise AssemblyError("non-finite entry in QP data")
 
@@ -135,10 +135,6 @@ class QPData:
         return self.jacobian_blocks.shape[2]
 
     @property
-    def n_u(self) -> int:
-        return self.n_wk - self.n_x
-
-    @property
     def n_r(self) -> int:
         return self.ineq_values.shape[1]
 
@@ -149,10 +145,6 @@ class QPData:
     @property
     def n_eq(self) -> int:
         return (self.N + 1) * self.n_x
-
-    @property
-    def n_in(self) -> int:
-        return self.N * self.n_r
 
 
 def split_primal(dw: np.ndarray, N: int, n_x: int, n_u: int):

@@ -194,7 +194,7 @@ def dense_inequality_jacobian(qp):
     """Dense ``(n_in, n_w)`` inequality Jacobian: bound ``b`` of stage k
     gives the rows ``+e_i`` and ``-e_i`` on component ``bound_index[b]``."""
     N, n_r, nwk = qp.N, qp.n_r, qp.n_wk
-    C = np.zeros((qp.n_in, qp.n_w))
+    C = np.zeros((qp.ineq_values.size, qp.n_w))
     for k in range(N):
         for b, i in enumerate(qp.bound_index):
             C[k * n_r + 2 * b, k * nwk + i] = 1.0
@@ -204,7 +204,7 @@ def dense_inequality_jacobian(qp):
 
 def dense_kkt_matrix(qp, sol):
     """Dense oracle of ``perturbation.build_m`` in (w, mu, lam) ordering."""
-    n_w, n_in, n_eq = qp.n_w, qp.n_in, qp.n_eq
+    n_w, n_in, n_eq = qp.n_w, qp.ineq_values.size, qp.n_eq
     n = n_w + n_in + n_eq
     H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
     A = dense_equality_jacobian(qp)
@@ -309,7 +309,7 @@ def stage_permutation(qp):
     ``(lam_N, x_N)``.
     """
     N, n_x, nwk, n_r = qp.N, qp.n_x, qp.n_wk, qp.n_r
-    lam0 = qp.n_w + qp.n_in
+    lam0 = qp.n_w + qp.ineq_values.size
     parts = []
     for k in range(N + 1):
         n_wk, n_mu = (nwk, n_r) if k < N else (n_x, 0)
@@ -358,7 +358,7 @@ def build_n(qp, sol):
     corresponding block matrix ``P``.
     """
     N, n_x, nwk = qp.N, qp.n_x, qp.n_wk
-    n_w, n_in, n_eq = qp.n_w, qp.n_in, qp.n_eq
+    n_w, n_in, n_eq = qp.n_w, qp.ineq_values.size, qp.n_eq
     n_p = N * n_x * nwk
     out = np.zeros((n_w + n_in + n_eq, n_p))
     body = sol.dw[:N * nwk].reshape(N, nwk)

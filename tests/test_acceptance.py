@@ -445,10 +445,10 @@ def test_10_numerical_kernels():
     p = stack_perturbation(P)
     dw_nodes = sol.dw[:qp.N * qp.n_wk].reshape(qp.N, qp.n_wk)
     dlam = sol.dlam.reshape(qp.N + 1, qp.n_x)
-    expect = np.zeros(qp.n_w + qp.n_in + qp.n_eq)
+    expect = np.zeros(qp.n_w + qp.ineq_values.size + qp.n_eq)
     for k in range(qp.N):
         expect[k * qp.n_wk:(k + 1) * qp.n_wk] = -P[k].T @ dlam[k + 1]
-        lo = qp.n_w + qp.n_in + (k + 1) * qp.n_x
+        lo = qp.n_w + qp.ineq_values.size + (k + 1) * qp.n_x
         expect[lo:lo + qp.n_x] = -P[k] @ dw_nodes[k]
     checks["action"] = np.abs(Nmat @ p - expect).max() <= 1e-12
 

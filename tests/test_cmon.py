@@ -158,11 +158,17 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         CMoNConfig(threshold_mode="sometimes")
     for bad in ({"alpha": 0.0}, {"beta": 0.0}, {"eps_abs": -0.1},
-                {"eps_rel": math.inf}, {"eps_abs": math.nan}):
+                {"eps_rel": math.inf}, {"eps_abs": math.nan},
+                {"alpha": math.inf}, {"beta": math.inf},
+                {"threshold_mode": "fixed", "fixed_eta_pri": math.nan},
+                {"threshold_mode": "fixed", "fixed_eta_dual": -1.0}):
         with pytest.raises(ConfigError):
             CMoNConfig(**bad)
     # a zero tolerance is legal: it forces full updates
     CMoNConfig(eps_abs=0.0, eps_rel=0.0)
+    # so are fixed thresholds anywhere in [0, inf]
+    CMoNConfig(threshold_mode="fixed", fixed_eta_pri=0.0,
+               fixed_eta_dual=math.inf)
 
 
 def test_direction_vectors_shapes(rng):

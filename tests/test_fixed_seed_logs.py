@@ -35,10 +35,15 @@ def test_fixed_seed_logs_repeat_and_report_a_change(tmp_path, capsys):
     with np.load(b) as f:
         arrays = dict(f)
     key = "chain_n40.cmon.t1.states"
+    before = arrays[key].copy()
     arrays[key][-1, 3] += 2.5e-9
     np.savez(b, **arrays)
     assert tool.main(["compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == f"1 of {len(out) - 1} arrays differ"
+    # the relative figure divides by the largest entry of the array in A
+    rel = (arrays[key][-1, 3] - before[-1, 3]) / np.abs(before).max()
+    assert 1e-10 < rel < 1e-8
     assert [line for line in out if not line.endswith(": identical")] \
-        == [f"{key}: max |d| = 2.500e-09", out[-1]]
+        == [f"{key}: max |d| = 2.500e-09, max |d| / max |a| = {rel:.3e}",
+            out[-1]]

@@ -671,6 +671,11 @@ def _chain(**ref):
     (_DROP_CONSTANTS, dict(_chain(free_end=[[1.0, 0.0, 0.0]]),
                            model={"kind": "chain", "control_limit": _INF}),
      []),
+    ({}, {"scheme": {"kind": "rti", "qp_tol": _INF}}, []),
+    ({"threshold_mode": "fixed", "fixed_eta_pri": _NAN}, {}, []),
+    ({"threshold_mode": "fixed", "fixed_eta_dual": -1.0}, {}, []),
+    ({"alpha": _INF}, {}, []),
+    ({"beta": _INF}, {}, []),
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
         "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
         "controls_width", "stabilize_cap", "stabilize_threshold",
@@ -683,7 +688,9 @@ def _chain(**ref):
         "ref_times_nan", "ref_states_nan", "ref_states_inf",
         "ref_controls_inf", "stage_weights_inf", "terminal_weights_nan",
         "force_limit_nan", "position_limit_inf", "param_l_nan",
-        "free_end_nan", "control_limit_inf"])
+        "free_end_nan", "control_limit_inf", "qp_tol_inf",
+        "fixed_eta_pri_nan", "fixed_eta_dual_negative", "alpha_inf",
+        "beta_inf"])
 def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
                                            args):
     doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())

@@ -425,12 +425,19 @@ def test_model_spec_validates_weights():
     with pytest.raises(ValueError):
         models.make_pendulum_model(
             stage_weights=[-1.0, 1.0, 1.0, 1.0, 1.0])
+    # a model built in code gets the checks a scenario file gets
+    with pytest.raises(ValueError):
+        models.make_pendulum_model(stage_weights=[20, 20, .2, .2, np.nan])
+    with pytest.raises(ValueError):
+        models.make_pendulum_model(terminal_weights=[20, np.inf, .2, .2])
 
 
 @pytest.mark.parametrize("index, limit", [
     ([0, 0], [1.0, 2.0]),      # one component bounded twice
     ([5], [1.0]),              # past the end of (x, u)
     ([0, 4], [1.0]),           # unpaired limit
+    ([0, 4], [1.0, np.inf]),   # infinite limit
+    ([0, 4], [np.nan, 20.0]),  # NaN limit
 ])
 def test_model_spec_validates_bounds(pendulum, index, limit):
     with pytest.raises(ValueError):

@@ -42,12 +42,12 @@ def test_perturbation_matrix_action_identity(pendulum, rng):
 
     dw_nodes = sol.dw[:qp.N * qp.n_wk].reshape(qp.N, qp.n_wk)
     dlam = sol.dlam.reshape(qp.N + 1, qp.n_x)
-    expect = np.zeros(qp.n_w + qp.n_in + qp.n_eq)
+    lam0 = qp.n_w + qp.ineq_values.size
+    expect = np.zeros(lam0 + qp.n_eq)
     for k in range(qp.N):
         rows = slice(k * qp.n_wk, (k + 1) * qp.n_wk)
         expect[rows] = -P[k].T @ dlam[k + 1]
-        eqrows = slice(qp.n_w + qp.n_in + (k + 1) * qp.n_x,
-                       qp.n_w + qp.n_in + (k + 2) * qp.n_x)
+        eqrows = slice(lam0 + (k + 1) * qp.n_x, lam0 + (k + 2) * qp.n_x)
         expect[eqrows] = -P[k] @ dw_nodes[k]
     npt.assert_allclose(Nmat @ p, expect, atol=1e-12)
 
@@ -103,16 +103,17 @@ def test_singular_values_descending(rng):
 def test_kkt_matrix_blocks(pendulum, rng):
     qp, sol = _pendulum_qp_sol(pendulum, rng)
     M = pert.build_m(qp, sol)
-    n = qp.n_w + qp.n_in + qp.n_eq
+    lam0 = qp.n_w + qp.ineq_values.size
+    n = lam0 + qp.n_eq
     assert M.shape == (n, n)
     M = wml_order(qp, M)
     A = dense_equality_jacobian(qp)
-    npt.assert_array_equal(M[qp.n_w + qp.n_in:, :qp.n_w], A)
-    npt.assert_array_equal(M[:qp.n_w, qp.n_w + qp.n_in:], A.T)
+    npt.assert_array_equal(M[lam0:, :qp.n_w], A)
+    npt.assert_array_equal(M[:qp.n_w, lam0:], A.T)
     # no active inequality here: complementarity rows are diagonal in the
     # (negated) constraint values
     C = dense_inequality_jacobian(qp)
-    npt.assert_array_equal(M[:qp.n_w, qp.n_w:qp.n_w + qp.n_in], C.T)
+    npt.assert_array_equal(M[:qp.n_w, qp.n_w:lam0], C.T)
 
 
 def test_measure_dto_zero_for_exact_blocks(pendulum, rng):

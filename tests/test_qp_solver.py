@@ -155,7 +155,9 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
     x, y, z = _dense_oracle(qp)
 
     if case == "chain":
-        assert qp.n_x == 27 and sol.active_set.any()
+        # bounds bind, so the empty-set polish fails and the interior
+        # point runs
+        assert qp.n_x == 27 and sol.active_set.any() and sol.iterations > 1
     npt.assert_allclose(sol.dw, x, atol=1e-6)
     npt.assert_allclose(sol.dlam, y - qp.lam.ravel(), atol=1e-5)
     npt.assert_allclose(sol.dmu, z - qp.mu.ravel(), atol=1e-5)
@@ -200,27 +202,6 @@ def test_stage_solver_deterministic(pendulum):
     npt.assert_array_equal(s1.dlam, s2.dlam)
     npt.assert_array_equal(s1.dmu, s2.dmu)
     assert s1.iterations == s2.iterations
-
-
-def test_solution_invariant_to_start_point(rng):
-    # strictly convex subproblem: the interior-point start must not matter;
-    # bounds bind in the chain subproblem, so the interior point runs
-    qp = _chain_qp(rng)
-    backend = qp_solver._StageBackend(qp)
-
-    def run(start_scale):
-        x, y, z, _, iters = qp_solver._mehrotra(backend, 1e-10,
-                                                start_scale=start_scale)
-        assert iters > 1
-        slack = backend.d - backend.cmv(x)
-        active = (z > qp_solver._ACTIVE_MU) \
-            | (slack < qp_solver._ACTIVE_SLACK)
-        return active, np.concatenate([x, z, y])
-
-    a_active, a = run(1.0)
-    b_active, b = run(3.0)
-    assert np.array_equal(a_active, b_active)
-    npt.assert_allclose(b, a, rtol=0, atol=1e-8)
 
 
 def test_each_kkt_step_is_one_banded_solve(pendulum, rng, monkeypatch):
@@ -328,7 +309,7 @@ def _wrong_set(case, qp):
     if case == "pins-x0":
         # the upper bound of the cart position x_0[0]: the measurement
         # embedding fixes x_0, so Y is singular
-        act = np.zeros(qp.n_in, dtype=bool)
+        act = np.zeros(qp.ineq_values.size, dtype=bool)
         act[0] = True
         return act
     act = _dense_oracle(qp)[2] > qp_solver._ACTIVE_MU
@@ -370,7 +351,7 @@ def test_polish_on_a_wrong_set_returns_none(case, pendulum, rng,
 def test_unbounded_model_solves_in_one_iteration(pendulum, rng):
     model = dataclasses.replace(pendulum, bound_index=(), bound_limit=())
     qp = _pendulum_qp(model, rng)
-    assert qp.n_in == 0
+    assert qp.ineq_values.size == 0
     sol = qp_solver.solve(qp, tol=1e-10)
     assert sol.iterations == 1
     assert sol.kkt_residual <= 1e-10

@@ -161,7 +161,7 @@ def test_dense_jacobian_shapes(setup):
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
     assert A.shape == (qp.n_eq, qp.n_w)
-    assert C.shape == (qp.n_in, qp.n_w)
+    assert C.shape == (qp.ineq_values.size, qp.n_w)
     # embedding block is the identity on x_0
     npt.assert_array_equal(A[:4, :4], np.eye(4))
     npt.assert_array_equal(A[:4, 4:], np.zeros((4, qp.n_w - 4)))

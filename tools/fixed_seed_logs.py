@@ -16,8 +16,9 @@ sits in, so a copy of it in another checkout of the repository writes
 that tree's logs.
 
 ``compare`` prints, for each array of either file, ``identical`` or the
-largest absolute difference, and a count of the arrays that differ; it
-exits 1 when any does.
+largest absolute difference, both as it is and relative to the largest
+finite entry of the array in A, and a count of the arrays that differ;
+it exits 1 when any does.
 """
 
 import argparse
@@ -64,8 +65,9 @@ def fixed_seed_logs(duration=None):
 
 
 def compare(a, b):
-    """Lines ``key: identical`` or ``key: max |d| = ...``, one per key of
-    either mapping, and the number of keys that differ."""
+    """Lines ``key: identical`` or ``key: max |d| = ..., max |d| / max |a|
+    = ...``, one per key of either mapping, and the number of keys that
+    differ."""
     lines, differ = [], 0
     for key in sorted(set(a) | set(b)):
         if key not in a or key not in b:
@@ -82,7 +84,10 @@ def compare(a, b):
             # equal infinities and NaN on both sides are no difference;
             # NaN on one side is
             same = (x == y) | (np.isnan(x) & np.isnan(y))
-            verdict = f"max |d| = {np.where(same, 0.0, diff).max():.3e}"
+            d = np.where(same, 0.0, diff).max()
+            scale = np.abs(x[np.isfinite(x)]).max(initial=0.0)
+            rel = d / scale if scale > 0.0 else np.inf
+            verdict = f"max |d| = {d:.3e}, max |d| / max |a| = {rel:.3e}"
         lines.append(f"{key}: {verdict}")
         differ += 1
     return lines, differ

@@ -22,6 +22,7 @@ from .harness import (closed_loop_simulate, export_log_csv,
                       export_summary_csv, load_scenario,
                       randomized_chain_trials, stabilizing_time,
                       write_manifest)
+from .schemes import _SCHEMES
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -30,7 +31,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Closed-loop benchmark runner for the controller "
                     "schemes in this package.")
     p.add_argument("scenario", help="path to a scenario YAML file")
-    p.add_argument("--scheme", choices=["rti", "ml", "adj", "cmon"],
+    p.add_argument("--scheme", choices=_SCHEMES,
                    help="override the scheme selected in the scenario")
     p.add_argument("--seed", type=int, help="override the rng seed")
     p.add_argument("--trials", type=int, help="override the trial count")
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 3
         t_st = stabilizing_time(log, scenario.stabilize_threshold,
-                                scenario.settling_cap)
+                                scenario.duration)
         print(f"{log.n_instants} instants, t_st {t_st:.3f} s")
         return 0
     except ConfigError as exc:

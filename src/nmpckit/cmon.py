@@ -33,7 +33,7 @@ class CMoNConfig:
     ``e_bar = eps_abs*sqrt(n) + eps_rel*||dy_prev||`` over the stacked
     primal-dual triple. ``threshold_mode`` switches between the automatic
     rule and fixed thresholds. The automatic rule reads the conditioning
-    constants ``rho0``/``gamma0``; NaN, the default, means not given yet,
+    constants ``rho0``/``gamma0``; None, the default, means not given yet,
     and a controller under that rule cannot start without them.
     """
 
@@ -46,8 +46,8 @@ class CMoNConfig:
     threshold_mode: str = "auto"
     fixed_eta_pri: float = math.inf
     fixed_eta_dual: float = math.inf
-    rho0: float = math.nan
-    gamma0: float = math.nan
+    rho0: Optional[float] = None
+    gamma0: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.c1 < 1.0:
@@ -67,8 +67,9 @@ class CMoNConfig:
                 and 0.0 <= self.eps_rel < math.inf):
             raise ConfigError(
                 "eps_abs and eps_rel must be finite and nonnegative")
-        if not (math.isnan(self.rho0) and math.isnan(self.gamma0)
-                or 0.0 < self.rho0 < math.inf
+        pair = (self.rho0, self.gamma0)
+        if pair != (None, None) and not (
+                None not in pair and 0.0 < self.rho0 < math.inf
                 and 1.0 <= self.gamma0 < math.inf):
             raise ConfigError("rho0 and gamma0 go together: both finite, "
                               "rho0 > 0 and gamma0 >= 1, or neither given")

@@ -7,11 +7,12 @@ scenarios add randomized-initial-condition trials with stabilizing-time
 statistics. Logs and summaries export to CSV with a JSON run manifest.
 """
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, get_args
 
 import numpy as np
 import yaml
@@ -92,13 +93,12 @@ class ScenarioConfig:
     substeps: int = 4
     plant_substep_factor: int = 4
     init_mode: str = "steady"           # steady | perfect
-    x0: Optional[np.ndarray] = None     # plant start, default schedule state
     seed: int = 0
     trials: int = 1
     noise_pos: float = 0.0              # chain trial perturbation amplitudes
     noise_vel: float = 0.0
-    stabilize_threshold: float = 0.1
-    stabilize_cap: Optional[float] = None   # defaults to duration
+    stabilize_threshold: float = 0.1    # a loop that never settles gets
+                                        # settling time ``duration``
     raw_text: str = ""                  # byte-exact config echo for manifests
     name: str = "scenario"
 
@@ -123,21 +123,13 @@ class ScenarioConfig:
                 and 0.0 <= self.noise_vel < math.inf):
             raise ConfigError("noise amplitudes must be finite and "
                               "nonnegative")
-        if not self.stabilize_threshold > 0:
-            raise ConfigError("stabilize threshold must be positive")
-        if self.stabilize_cap is not None and not self.stabilize_cap > 0:
-            raise ConfigError("stabilize cap must be positive")
+        if not 0 < self.stabilize_threshold < math.inf:
+            raise ConfigError("stabilize threshold must be finite and "
+                              "positive")
 
     @property
     def n_instants(self) -> int:
         return int(round(self.duration / self.t_s))
-
-    @property
-    def settling_cap(self) -> float:
-        """Settling time of a loop that never settles: ``stabilize_cap``,
-        else ``duration``."""
-        return self.duration if self.stabilize_cap is None \
-            else self.stabilize_cap
 
     def integrator(self) -> intg.IntegratorConfig:
         return intg.IntegratorConfig(dt=self.t_s, substeps=self.substeps)
@@ -150,17 +142,68 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 # scenario loading
 
-def _check_keys(block: str, spec: dict, allowed) -> None:
-    extra = set(spec) - set(allowed)
-    if extra:
-        raise ConfigError(f"unknown {block} keys {sorted(extra)}")
+# what a scenario value must be, by the type of the parameter it sets
+_KINDS = {int: "an int", float: "a float", bool: "a boolean", str: "a string",
+          dict: "a mapping"}
 
 
-def _exact(key: str, value, kind: type):
-    """``value`` if its type is ``kind``: a bool is no ``int`` here."""
-    if type(value) is not kind:
-        raise ConfigError(f"{key} must be a {kind.__name__}, not {value!r}")
+def _typed(key: str, value, kind):
+    """``value`` if it is a ``kind``: a float key takes an int too (as a
+    float), only a bool key takes a bool, and an array key takes nested
+    lists of what a float key takes (as a float array)."""
+    if kind is np.ndarray:
+        array = np.asarray(value, dtype=float)
+        for entry in np.asarray(value, dtype=object).flat:
+            _typed(key, entry, float)
+        return array
+    if kind is float and type(value) is int:
+        return float(value)
+    if not isinstance(value, kind) \
+            or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(f"{key} must be {_KINDS[kind]}, not {value!r}")
     return value
+
+
+def _table(fn, **keys) -> dict:
+    """Keys of a block that sets the parameters of ``fn``: key ->
+    ``(parameter, type, required)`` for each parameter annotated with a
+    ``_KINDS`` type or an ``Optional`` one, a dotted key going into a
+    sub-block. ``keys`` gives a parameter's key where it has another
+    name, or None where no key sets it."""
+    table = {}
+    for p in inspect.signature(fn).parameters.values():
+        kind = next((t for t in (p.annotation, *get_args(p.annotation))
+                     if t in _KINDS), None)
+        key = keys.get(p.name, p.name)
+        if kind is not None and key is not None:
+            *block, leaf = key.split(".")
+            sub = table.setdefault(block[0], {}) if block else table
+            sub[leaf] = (p.name, kind, p.default is p.empty)
+    return table
+
+
+def _arrays(*keys) -> dict:
+    return {key: (key, np.ndarray, False) for key in keys}
+
+
+def _read(block: str, spec, table: dict) -> dict:
+    """``{parameter: value}`` of the mapping ``spec`` by ``table``, each
+    value of its key's type, a sub-block's parameters among the rest; a
+    key that ``table`` lacks is unknown."""
+    spec = _typed(block, spec, dict)
+    extra = set(spec) - set(table)
+    if extra:
+        raise ConfigError(f"unknown {block} keys {sorted(map(str, extra))}")
+    out = {}
+    for key, entry in table.items():
+        path = f"{block}.{key}".removeprefix("scenario.")
+        if isinstance(entry, dict):
+            out.update(_read(path, spec.get(key, {}), entry))
+        elif key in spec:
+            out[entry[0]] = _typed(path, spec[key], entry[1])
+        elif entry[2]:
+            raise ConfigError(f"{block} is missing key {key!r}")
+    return out
 
 
 def _finite(key: str, value):
@@ -170,143 +213,99 @@ def _finite(key: str, value):
     return value
 
 
-# the bound keys each model kind takes
-_LIMIT_KEYS = {"pendulum": ("position_limit", "force_limit"),
-               "chain": ("control_limit",)}
+# the blocks below the top level are read by their own tables
+_SCENARIO = dict(
+    _table(ScenarioConfig, init_mode="init",
+           noise_pos="noise.position_amplitude",
+           noise_vel="noise.velocity_amplitude",
+           stabilize_threshold="stabilize.threshold",
+           model_kind=None, raw_text=None, name=None),
+    model=("model", dict, True), reference=("reference", dict, True),
+    scheme=("scheme", dict, False))
+_SCHEME = dict(_table(SchemeConfig, scheme="kind"),
+               cmon=("cmon", dict, False))
+# n_dim is the dimension of the subproblem a stored rho0/gamma0 pair is of
+_CMON = dict(_table(CMoNConfig), n_dim=("n_dim", int, False))
+_MODELS = {"pendulum": (make_pendulum_model, PendulumParams),
+           "chain": (make_chain_model, ChainParams)}
+# per model kind: the keys of the model block, of model.params and of the
+# reference block
+_MODEL = {kind: dict(_table(make), kind=("kind", str, True),
+                     params=("params", dict, False),
+                     **_arrays("stage_weights", "terminal_weights"))
+          for kind, (make, _) in _MODELS.items()}
+# the chain's array parameters (anchor, g) take no key
+_PARAMS = {kind: _table(params) for kind, (_, params) in _MODELS.items()}
+_REFERENCE = {"pendulum": _arrays("times", "states", "controls"),
+              "chain": _arrays("times", "states", "controls", "free_end")}
 
 
-def _build_model(kind: str, spec: dict):
-    if kind not in _LIMIT_KEYS:
+def _build_model(spec) -> ModelSpec:
+    kind = spec["kind"]
+    if kind not in _MODELS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    _check_keys("model", spec, ("params", "stage_weights",
-                                "terminal_weights") + _LIMIT_KEYS[kind])
-    # ModelSpec checks the weights and limits
-    kwargs = {key: float(spec[key])
-              for key in _LIMIT_KEYS[kind] if key in spec}
-    for key in ("stage_weights", "terminal_weights"):
-        if key in spec:
-            kwargs[key] = np.asarray(spec[key], dtype=float)
-    pk = {k: _exact("model.params.n", v, int) if k == "n"
-          else _finite(f"model.params.{k}", float(v))
-          for k, v in (spec.get("params") or {}).items()}
-    if kind == "pendulum":
-        return make_pendulum_model(PendulumParams(**pk), **kwargs)
-    return make_chain_model(ChainParams(**pk), **kwargs)
+    make, params = _MODELS[kind]
+    kw = _read("model", spec, _MODEL[kind])
+    del kw["kind"]
+    pk = _read("model.params", kw.pop("params", {}), _PARAMS[kind])
+    _finite("model.params", list(pk.values()))
+    try:
+        # ModelSpec checks the weights and limits
+        return make(params(**pk), **kw)
+    except ValueError as exc:
+        raise ConfigError(f"bad model block: {exc}") from None
 
 
-def _build_schedule(ref: dict, kind: str, model: ModelSpec
-                    ) -> ReferenceSchedule:
-    _check_keys("reference", ref, ("times", "states", "controls")
-                + (("free_end",) if kind == "chain" else ()))
-    times = np.asarray(ref.get("times", [0.0]), dtype=float)
+def _build_schedule(spec, kind: str, model: ModelSpec) -> ReferenceSchedule:
+    ref = _read("reference", spec, _REFERENCE[kind])
+    times = ref.get("times", np.zeros(1))
     if "states" in ref:
-        states = np.asarray(ref["states"], dtype=float)
+        states = ref["states"]
     elif "free_end" in ref:
         params = model.meta["params"]
-        free_end = _finite("reference.free_end",
-                           np.asarray(ref["free_end"], dtype=float))
+        free_end = _finite("reference.free_end", ref["free_end"])
         states = np.stack([chain_steady_state(params, p) for p in free_end])
     else:
         raise ConfigError("reference block needs 'states' or 'free_end'")
     if states.shape != (times.size, model.n_x):
         raise ConfigError("reference states have the wrong shape")
-    if "controls" in ref:
-        controls = np.asarray(ref["controls"], dtype=float)
-    else:
-        controls = np.zeros((times.size, model.n_u))
+    controls = ref.get("controls", np.zeros((times.size, model.n_u)))
     if controls.shape != (times.size, model.n_u):
         raise ConfigError("reference controls have the wrong shape")
     return ReferenceSchedule(times, states, controls)
 
 
-def _build_scheme(spec: dict, n_dim: int) -> SchemeConfig:
+def _build_scheme(spec, n_dim: int) -> SchemeConfig:
     """The scheme block of a scenario whose subproblem has dimension
     ``n_dim``."""
-    spec = dict(spec or {})
-    ckw = dict(spec.pop("cmon", None) or {})
+    kw = _read("scheme", spec, _SCHEME)
+    ckw = _read("scheme.cmon", kw.pop("cmon", {}), _CMON)
     # a stored pair names the dimension of the subproblem it was computed
     # for, so a copy that changes the model or horizon cannot keep it
     stored_dim = ckw.pop("n_dim", None)
     if ("rho0" in ckw or "gamma0" in ckw) != (stored_dim is not None):
         raise ConfigError("rho0 and gamma0 go with the n_dim of their "
                           "subproblem: give all three or none")
-    if stored_dim is not None \
-            and _exact("scheme.cmon.n_dim", stored_dim, int) != n_dim:
+    if stored_dim not in (None, n_dim):
         raise ConfigError(f"rho0 and gamma0 belong to a subproblem of "
                           f"dimension {stored_dim}, this scenario's has "
                           f"{n_dim}: drop the three keys")
-    for key in list(ckw):
-        if key not in ("threshold_mode",):
-            ckw[key] = float(ckw[key])
-    # NaN stands for a constant not given, so a given one cannot be NaN
-    if any(math.isnan(ckw.get(key, 0.0)) for key in ("rho0", "gamma0")):
-        raise ConfigError("rho0 and gamma0 must be finite")
-    kwargs = {}
-    if "kind" in spec:
-        kwargs["scheme"] = str(spec.pop("kind"))
-    if "qp_tol" in spec:
-        kwargs["qp_tol"] = float(spec.pop("qp_tol"))
-    if "ml_interval" in spec:
-        kwargs["ml_interval"] = _exact("scheme.ml_interval",
-                                       spec.pop("ml_interval"), int)
-    if "track_dto" in spec:
-        kwargs["track_dto"] = _exact("scheme.track_dto",
-                                     spec.pop("track_dto"), bool)
-    _check_keys("scheme", spec, ())
     try:
-        return SchemeConfig(cmon=CMoNConfig(**ckw), **kwargs)
-    except (TypeError, ConfigError) as exc:
+        return SchemeConfig(cmon=CMoNConfig(**ckw), **kw)
+    except ConfigError as exc:
         raise ConfigError(f"bad scheme config: {exc}") from None
-
-
-_SCENARIO_KEYS = frozenset([
-    "model", "horizon", "t_s", "duration", "reference", "scheme",
-    "substeps", "plant_substep_factor", "init", "x0", "seed", "trials",
-    "noise", "stabilize",
-])
 
 
 def scenario_from_dict(doc: dict, raw_text: str = "",
                        name: str = "scenario") -> ScenarioConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("scenario document must be a mapping")
-    _check_keys("scenario", doc, _SCENARIO_KEYS)
     try:
-        mspec = dict(doc["model"])
-        kind = str(mspec.pop("kind"))
-        model = _build_model(kind, mspec)
-        schedule = _build_schedule(dict(doc["reference"]), kind, model)
-        noise = dict(doc.get("noise") or {})
-        _check_keys("noise", noise, ("position_amplitude",
-                                     "velocity_amplitude"))
-        stab = dict(doc.get("stabilize") or {})
-        _check_keys("stabilize", stab, ("threshold", "cap"))
-        x0 = doc.get("x0")
-        horizon = _exact("horizon", doc["horizon"], int)
-        return ScenarioConfig(
-            model_kind=kind,
-            horizon=horizon,
-            t_s=float(doc["t_s"]),
-            duration=float(doc["duration"]),
-            schedule=schedule,
-            scheme=_build_scheme(doc.get("scheme"),
-                                 subproblem_dim(model, horizon)),
-            model=model,
-            substeps=_exact("substeps", doc.get("substeps", 4), int),
-            plant_substep_factor=_exact("plant_substep_factor",
-                                        doc.get("plant_substep_factor", 4),
-                                        int),
-            init_mode=str(doc.get("init", "steady")),
-            x0=None if x0 is None else np.asarray(x0, dtype=float),
-            seed=_exact("seed", doc.get("seed", 0), int),
-            trials=_exact("trials", doc.get("trials", 1), int),
-            noise_pos=float(noise.get("position_amplitude", 0.0)),
-            noise_vel=float(noise.get("velocity_amplitude", 0.0)),
-            stabilize_threshold=float(stab.get("threshold", 0.1)),
-            stabilize_cap=(float(stab["cap"]) if "cap" in stab else None),
-            raw_text=raw_text,
-            name=name,
-        )
+        kw = _read("scenario", doc, _SCENARIO)
+        kw["model"] = model = _build_model(kw["model"])
+        kw["model_kind"] = kind = doc["model"]["kind"]
+        kw["schedule"] = _build_schedule(kw.pop("reference"), kind, model)
+        kw["scheme"] = _build_scheme(kw.get("scheme", {}),
+                                     subproblem_dim(model, kw["horizon"]))
+        return ScenarioConfig(raw_text=raw_text, name=name, **kw)
     except KeyError as exc:
         raise ConfigError(f"scenario is missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -452,10 +451,8 @@ def closed_loop_simulate(scenario: ScenarioConfig,
     plant_integ = scenario.plant_integrator()
     schedule = scenario.schedule
 
-    if x0 is None:
-        x0 = scenario.x0 if scenario.x0 is not None \
-            else schedule.states[0].copy()
-    x0 = np.asarray(x0, dtype=float)
+    x0 = schedule.states[0].copy() if x0 is None \
+        else np.asarray(x0, dtype=float)
     if x0.shape != (model.n_x,):
         raise ConfigError("initial state has the wrong dimension")
 
@@ -554,7 +551,7 @@ def randomized_chain_trials(scenario: ScenarioConfig,
     if scenario.model_kind != "chain":
         raise ConfigError("randomized trials are defined for chain scenarios")
     trials = scenario.trials if trials is None else int(trials)
-    cap = scenario.settling_cap
+    cap = scenario.duration
     t_st = np.empty(trials)
     failed = np.zeros(trials, dtype=bool)
     logs = [] if keep_logs else None

@@ -51,7 +51,6 @@ class QPSolution:
     dlam: np.ndarray
     dmu: np.ndarray
     active_set: np.ndarray
-    kkt_residual: float
     iterations: int
 
     def stacked(self) -> np.ndarray:
@@ -376,10 +375,10 @@ def solve(qp: QPData, tol: float = 1e-8) -> QPSolution:
     before the increment conversion.
     """
     backend = _StageBackend(qp)
-    x, y, z, res, iters = _mehrotra(backend, tol)
+    x, y, z, _, iters = _mehrotra(backend, tol)
     z = z.copy()
     z[z < _MU_TRUNCATE] = 0.0
     slack = backend.d - backend.cmv(x)
     active = (z > _ACTIVE_MU) | (slack < _ACTIVE_SLACK)
     return QPSolution(dw=x, dlam=y - qp.lam.ravel(), dmu=z - qp.mu.ravel(),
-                      active_set=active, kkt_residual=res, iterations=iters)
+                      active_set=active, iterations=iters)

@@ -74,9 +74,10 @@ class SchemeConfig:
         """Whether the thresholds need conditioning constants that the
         configuration does not carry yet."""
         return (self.scheme == "cmon" and self.cmon.threshold_mode == "auto"
-                and math.isnan(self.cmon.rho0))
+                and self.cmon.rho0 is None)
 
-    def with_constants(self, rho0: float, gamma0: float) -> "SchemeConfig":
+    def with_constants(self, rho0: Optional[float],
+                       gamma0: Optional[float]) -> "SchemeConfig":
         return replace(self, cmon=replace(self.cmon, rho0=rho0,
                                           gamma0=gamma0))
 

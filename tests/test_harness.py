@@ -1,6 +1,7 @@
 """Benchmark harness tests: config loading, logging, trials, CLI."""
 import dataclasses
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -75,6 +76,53 @@ def test_unknown_nested_keys_rejected(tmp_path, block, key):
         load_scenario(p)
 
 
+def _reader_keys():
+    """Every dotted key the scenario reader takes, over both model kinds;
+    a block key is no key of its own."""
+    def keys(prefix, table):
+        for key, entry in table.items():
+            if isinstance(entry, dict):
+                yield from keys(f"{prefix}{key}.", entry)
+            elif entry[1] is not dict:
+                yield prefix + key
+
+    found = {*keys("", harness._SCENARIO), *keys("scheme.", harness._SCHEME),
+             *keys("scheme.cmon.", harness._CMON)}
+    for kind in harness._MODELS:
+        found.update(keys("model.", harness._MODEL[kind]),
+                     keys("model.params.", harness._PARAMS[kind]),
+                     keys("reference.", harness._REFERENCE[kind]))
+    return found
+
+
+def _readme_keys():
+    """The keys README's "Scenario files" section documents: its table,
+    with the ``model.params`` names in their row, and the ``scheme.cmon``
+    bullets."""
+    text = (SCENARIO_DIR.parent / "README.md").read_text()
+    section = text.split("## Scenario files")[1].split("\n## ")[0]
+    found = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            names, meaning = line.split("|")[1:3]
+            for key in re.findall(r"`([^`]+)`", names):
+                if key == "model.params":
+                    found.update(f"{key}.{name}" for name
+                                 in re.findall(r"`([^`]+)`", meaning))
+                elif key != "scheme.cmon.*":
+                    found.add(key)
+        elif line.startswith("* `"):
+            found.update(f"scheme.cmon.{name}" for name
+                         in re.findall(r"`([^`]+)`", line.split(":")[0]))
+    return found
+
+
+def test_readme_documents_exactly_the_scenario_keys():
+    # the reader takes its keys from dataclass fields, so a new field is
+    # a new key; README's table has to follow
+    assert _readme_keys() == _reader_keys()
+
+
 def test_missing_file_raises_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_scenario(tmp_path / "nope.yaml")
@@ -106,7 +154,7 @@ def test_closed_loop_log_shapes():
     x0 = np.array([0.05, 0.1, 0.0, 0.0])
     for scheme, expect in (("rti", [1, 1, 1]), ("adj", [1, 2, 2])):
         log = closed_loop_simulate(_short_pendulum(duration=0.15,
-                                                   scheme=scheme, x0=x0))
+                                                   scheme=scheme), x0)
         npt.assert_array_equal(log.diag["integration_calls"], expect)
 
 
@@ -251,7 +299,7 @@ def test_lapack_failure_in_setup_ends_loop_as_recorded_failure():
     for module, name in ((intg, "stage_jacobians"),
                          (schemes, "conditioning_constants")):
         s = _short_pendulum(duration=0.5, scheme="cmon", init_mode="steady")
-        s.scheme = s.scheme.with_constants(np.nan, np.nan)
+        s.scheme = s.scheme.with_constants(None, None)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(module, name, failing)
             log = closed_loop_simulate(s)
@@ -427,7 +475,6 @@ def test_chain_trials_steady_start_stabilizes_immediately():
     s.noise_pos = 0.0
     s.noise_vel = 0.0
     s.duration = 2.0
-    s.stabilize_cap = 2.0
     summary = randomized_chain_trials(s, trials=1)
     assert summary.n_failures == 0
     assert summary.t_st[0] == 0.0
@@ -498,18 +545,14 @@ def test_cli_single_run(tmp_path):
 
 
 def test_cli_nan_measurement_writes_failed_run(tmp_path):
-    scen = tmp_path / "nan.yaml"
-    doc = yaml.safe_load((SCENARIO_DIR / "pendulum_n40.yaml").read_text())
-    doc["x0"] = [float("nan"), 0.0, 0.0, 0.0]
-    scen.write_text(yaml.safe_dump(doc))
-    assert ".nan" in scen.read_text()
-    out = tmp_path / "out"
-    assert cli.main([str(scen), "--out", str(out)]) == 3
-    parsed = parse_log_csv(out / "nan_cmon_log.csv")
-    assert parsed.n_instants == 0
-    manifest = json.loads((out / "nan_cmon_manifest.json").read_text())
-    assert manifest["failed"] is True
-    assert manifest["failure_reason"].startswith("AssemblyError")
+    # a NaN start state fails the first assembly: the failed log keeps
+    # no instant, and it exports like any other
+    s = load_scenario(SCENARIO_DIR / "pendulum_n40.yaml")
+    log = closed_loop_simulate(s, x0=[np.nan, 0.0, 0.0, 0.0])
+    assert log.failed
+    assert log.failure_reason.startswith("AssemblyError")
+    export_log_csv(log, tmp_path / "nan_log.csv")
+    assert parse_log_csv(tmp_path / "nan_log.csv").n_instants == 0
 
 
 def test_cli_inconsistent_bounds_writes_failed_run(tmp_path):
@@ -629,11 +672,14 @@ def _chain(**ref):
     ({}, {}, ["--seed", "-1"]),
     ({}, {"reference": dict(_PENDULUM_REF, controls=[0.0, 0.0])}, []),
     ({}, {"reference": dict(_PENDULUM_REF, controls=[[0.0, 0.0]] * 2)}, []),
-    ({}, {"stabilize": {"cap": -1.0}}, []),
+    ({}, {"stabilize": {"threshold": 0.1, "cap": 15.0}}, []),
     ({}, {"stabilize": {"threshold": 0.0}}, []),
+    ({}, {"stabilize": {"threshold": _INF}}, []),
     ({}, {"noise": {"position_amplitude": -0.1}}, []),
     ({}, {"noise": {"velocity_amplitude": -0.1}}, []),
     ({}, {"t_s": float("nan")}, []),
+    ({}, {"t_s": True}, []),
+    ({}, {"t_s": "0.05"}, []),
     ({}, {"t_s": float("inf")}, []),
     ({}, {"duration": float("nan")}, []),
     ({}, {"duration": float("inf")}, []),
@@ -672,6 +718,14 @@ def _chain(**ref):
                            model={"kind": "chain", "control_limit": _INF}),
      []),
     ({}, {"scheme": {"kind": "rti", "qp_tol": _INF}}, []),
+    ({}, {"scheme": {"kind": "rti", "qp_tol": True}}, []),
+    ({"eps_abs": True}, {}, []),
+    ({}, {"model": _pendulum_model(params=[1, 2])}, []),
+    ({}, {"model": _pendulum_model(stage_weights=[True, 20, .2, .2, .1])},
+     []),
+    ({}, {"reference": dict(_PENDULUM["reference"],
+                            times=[False, 5.0, 10.0, 15.0, 20.0])}, []),
+    ({}, {"x0": [0.0, 0.0, 0.0, 0.0]}, []),
     ({"threshold_mode": "fixed", "fixed_eta_pri": _NAN}, {}, []),
     ({"threshold_mode": "fixed", "fixed_eta_dual": -1.0}, {}, []),
     ({"alpha": _INF}, {}, []),
@@ -679,7 +733,8 @@ def _chain(**ref):
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
         "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
         "controls_width", "stabilize_cap", "stabilize_threshold",
-        "noise_pos", "noise_vel", "t_s_nan", "t_s_inf", "duration_nan",
+        "stabilize_threshold_inf", "noise_pos", "noise_vel", "t_s_nan",
+        "t_s_bool", "t_s_string", "t_s_inf", "duration_nan",
         "duration_inf", "instant_count_overflow", "horizon_float",
         "substeps_float", "plant_substep_factor_float", "seed_float",
         "trials_bool", "ml_interval_float", "ml_interval_bool",
@@ -688,7 +743,9 @@ def _chain(**ref):
         "ref_times_nan", "ref_states_nan", "ref_states_inf",
         "ref_controls_inf", "stage_weights_inf", "terminal_weights_nan",
         "force_limit_nan", "position_limit_inf", "param_l_nan",
-        "free_end_nan", "control_limit_inf", "qp_tol_inf",
+        "free_end_nan", "control_limit_inf", "qp_tol_inf", "qp_tol_bool",
+        "eps_abs_bool", "params_list", "stage_weights_bool",
+        "ref_times_bool", "x0",
         "fixed_eta_pri_nan", "fixed_eta_dual_negative", "alpha_inf",
         "beta_inf"])
 def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
@@ -704,6 +761,14 @@ def test_cli_out_of_range_values_exit_code(tmp_path, capsys, cmon, top,
     scen.write_text(yaml.safe_dump(doc))
     assert cli.main([str(scen), "--out", str(tmp_path / "out")] + args) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_bad_model_constant_names_the_model_block(tmp_path, capsys):
+    scen = _write_yaml(tmp_path, "bad", "pendulum_n40.yaml",
+                       **{"model.force_limit": _NAN})
+    assert cli.main([str(scen), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "model" in err
 
 
 def test_cli_failed_chain_equilibrium_is_config_error(tmp_path, capsys,
@@ -767,11 +832,10 @@ def test_plant_mismatch_is_refinement_only():
 
 
 def test_cli_zero_duration_trials_are_not_failures(tmp_path):
-    # with no stabilize.cap the cap is the duration, 0 here; a loop with no
+    # the settling-time cap is the duration, 0 here; a loop with no
     # instant has nothing to settle, so no trial fails
     doc = yaml.safe_load((SCENARIO_DIR / "chain_n40.yaml").read_text())
     doc.update(duration=0, trials=2)
-    del doc["stabilize"]["cap"]
     scen = tmp_path / "still.yaml"
     scen.write_text(yaml.safe_dump(doc))
     out = tmp_path / "out"
@@ -796,7 +860,7 @@ _SHIPPED = ["chain_n40", "chain_n80", "pendulum_n40", "pendulum_n120"]
 
 
 def _without_constants(s):
-    s.scheme = s.scheme.with_constants(np.nan, np.nan)
+    s.scheme = s.scheme.with_constants(None, None)
     return s
 
 

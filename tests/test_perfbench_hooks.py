@@ -20,7 +20,7 @@ def test_tracer_layer_calls_resolve_and_record(monkeypatch):
     s.duration = 0.15
     # without stored constants the loop computes them, which reaches the
     # spectrum layers
-    s.scheme = s.scheme.with_constants(np.nan, np.nan)
+    s.scheme = s.scheme.with_constants(None, None)
     originals = [getattr(m, a) for m, a, _, _ in tracing.LAYER_CALLS]
     with tracing.Tracer(full=True) as tracer:
         tracer.begin_loop()

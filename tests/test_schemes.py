@@ -458,7 +458,7 @@ def test_fixed_thresholds_skip_conditioning_constants(monkeypatch):
     s.duration = 0.2
     s.scheme = dataclasses.replace(s.scheme, cmon=dataclasses.replace(
         s.scheme.cmon, threshold_mode="fixed", fixed_eta_pri=0.5,
-        fixed_eta_dual=0.5, rho0=np.nan, gamma0=np.nan))
+        fixed_eta_dual=0.5, rho0=None, gamma0=None))
     log = harness.closed_loop_simulate(
         s, s.schedule.states[0] + np.array([0.05, 0.05, 0.0, 0.0]))
     assert not log.failed and log.n_instants == s.n_instants

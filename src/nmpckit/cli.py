@@ -1,11 +1,11 @@
 """Command-line entry point for benchmark runs.
 
 Usage: ``nmpc-bench scenario.yaml [--scheme rti] [--seed 3] [--out DIR]
-[--trials 10] [--dto]``. Single-trial scenarios run one closed loop and
-write ``<name>_log.csv``; multi-trial chain scenarios write one log per
-trial plus a summary. A JSON manifest echoing the exact config consumed
-is always written next to the outputs; it records whether the controller
-failed and why (per trial in multi-trial runs).
+[--trials 10] [--dto]``. A pendulum scenario runs one closed loop and
+writes ``<name>_log.csv``; a chain scenario runs its seeded trials, one
+or more, and writes one log per trial plus a summary. A JSON manifest
+echoing the exact config consumed is always written next to the outputs;
+it records whether the controller failed and why (per trial on chains).
 
 Exit codes: 0 success, 2 bad configuration, 3 controller failure (in any
 trial; a trial that only fails to settle does not count), 4 output I/O
@@ -69,8 +69,8 @@ def main(argv=None) -> int:
 
     stem = f"{scenario.name}_{scenario.scheme.scheme}"
     try:
-        if scenario.trials > 1:
-            summary = randomized_chain_trials(scenario, keep_logs=True)
+        if scenario.model_kind == "chain":
+            summary = randomized_chain_trials(scenario)
             for i, log in enumerate(summary.logs):
                 export_log_csv(log, out / f"{stem}_trial{i}.csv")
             export_summary_csv(summary, out / f"{stem}_summary.csv")

@@ -123,6 +123,9 @@ class ScenarioConfig:
                 and 0.0 <= self.noise_vel < math.inf):
             raise ConfigError("noise amplitudes must be finite and "
                               "nonnegative")
+        if self.model_kind != "chain" and (
+                self.trials != 1 or self.noise_pos or self.noise_vel):
+            raise ConfigError("trials and noise are for chain scenarios only")
         if not 0 < self.stabilize_threshold < math.inf:
             raise ConfigError("stabilize threshold must be finite and "
                               "positive")
@@ -405,34 +408,15 @@ class SimulationLog:
     def n_instants(self) -> int:
         return self.times.size
 
-    def control_inf_norms(self) -> np.ndarray:
-        if self.controls.size == 0:
-            return np.zeros(0)
-        return np.abs(self.controls).max(axis=1)
-
-
-def _collect_log(scenario, times, states, controls, diags, windows,
-                 failed=False, reason="") -> SimulationLog:
-    n_x = scenario.model.n_x
-    n_u = scenario.model.n_u
-    cols = {name: np.array([getattr(d, name) for d in diags], dtype=float)
-            for name in _DIAG_COLUMNS}
-    states_arr = np.array(states) if states else np.zeros((1, n_x))
-    controls_arr = np.array(controls) if controls else np.zeros((0, n_u))
-    windows_arr = np.array(windows) if windows else \
-        np.zeros((0, scenario.horizon + 1, n_x))
-    return SimulationLog(
-        t_s=scenario.t_s, times=np.asarray(times, dtype=float),
-        states=states_arr, controls=controls_arr, diag=cols,
-        ref_windows=windows_arr, failed=failed, failure_reason=reason)
-
 
 def closed_loop_simulate(scenario: ScenarioConfig,
                          x0: Optional[np.ndarray] = None) -> SimulationLog:
     """Run one closed loop; controller failures truncate the log.
 
-    The plant steps the unbatched state, one ``integrate_batch`` call of
-    ``substeps * plant_substep_factor`` RK4 steps per instant.
+    Instant ``i`` writes row ``i`` of the log's arrays, allocated once; a
+    failed loop returns the rows it completed. The plant steps the
+    unbatched state, one ``integrate_batch`` call of ``substeps *
+    plant_substep_factor`` RK4 steps per instant.
 
     :func:`initialize_controller` only sets the state up, so instant 0
     computes every sensitivity block (``refreshed`` 0, ``sens_blocks``
@@ -451,56 +435,57 @@ def closed_loop_simulate(scenario: ScenarioConfig,
     plant_integ = scenario.plant_integrator()
     schedule = scenario.schedule
 
-    x0 = schedule.states[0].copy() if x0 is None \
-        else np.asarray(x0, dtype=float)
+    x0 = schedule.states[0] if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (model.n_x,):
         raise ConfigError("initial state has the wrong dimension")
 
-    times, controls, diags, windows = [], [], [], []
-    states = [x0.copy()]
-    x = x0
-    failed, reason = False, ""
+    n = scenario.n_instants
+    times = Ts * np.arange(n)
+    states = np.empty((n + 1, model.n_x))
+    states[0] = x0
+    controls = np.empty((n, model.n_u))
+    ref_windows = np.empty((n, N + 1, model.n_x))
+    diag = {name: np.empty(n) for name in _DIAG_COLUMNS}
+    done, reason = 0, ""
     try:
         if scenario.scheme.lacks_constants:
             scenario.scheme = scenario.scheme.with_constants(
                 *_nominal_constants(scenario))
         state = initialize_controller(model, integ, scenario.scheme,
                                       *_start_horizon(scenario, x0))
-        for i in range(scenario.n_instants):
-            t = i * Ts
-            refs = schedule.window(t, N, Ts)
-            d = controller_step(state, x, refs)
-            u0 = state.traj.us[0].copy()
-            x = intg.integrate_batch(model, x, u0, plant_integ)[0]
-            times.append(t)
-            controls.append(u0)
-            diags.append(d)
-            windows.append(refs.xs.copy())
-            states.append(x.copy())
+        for i in range(n):
+            refs = schedule.window(times[i], N, Ts)
+            d = controller_step(state, states[i], refs)
+            controls[i] = state.traj.us[0]
+            states[i + 1] = intg.integrate_batch(model, states[i],
+                                                 controls[i], plant_integ)[0]
+            ref_windows[i] = refs.xs
+            for name in _DIAG_COLUMNS:
+                diag[name][i] = getattr(d, name)
+            done = i + 1
     except (NMPCError, np.linalg.LinAlgError) as exc:
-        failed = True
         reason = f"{type(exc).__name__}: {exc}"
-    return _collect_log(scenario, times, states, controls, diags, windows,
-                        failed=failed, reason=reason)
+    return SimulationLog(
+        t_s=Ts, times=times[:done], states=states[:done + 1],
+        controls=controls[:done], ref_windows=ref_windows[:done],
+        diag={name: col[:done] for name, col in diag.items()},
+        failed=bool(reason), failure_reason=reason)
 
 
 # ---------------------------------------------------------------------------
 # stabilizing time and chain trials
 
-def stabilizing_time(log: SimulationLog, threshold: float = 0.1,
-                     cap: float = 50.0) -> float:
+def stabilizing_time(log: SimulationLog, threshold: float,
+                     cap: float) -> float:
     """Earliest time from which the control stays below ``threshold``
     in infinity norm; ``cap`` when that never happens or the run failed."""
     if log.failed:
         return float(cap)
-    norms = log.control_inf_norms()
-    if norms.size == 0:
-        return 0.0
-    exceed = np.nonzero(norms >= threshold)[0]
+    exceed = np.flatnonzero(np.abs(log.controls).max(axis=1) >= threshold)
     if exceed.size == 0:
         return 0.0
     last = exceed[-1]
-    if last == norms.size - 1:
+    if last == log.n_instants - 1:
         return float(cap)
     return float(log.times[last] + log.t_s)
 
@@ -509,13 +494,12 @@ def stabilizing_time(log: SimulationLog, threshold: float = 0.1,
 class TrialSummary:
     """Aggregate of randomized closed-loop trials for one scheme."""
 
-    scenario_name: str
     scheme: str
     seed: int
     t_st: np.ndarray
     failed: np.ndarray
     cap: float
-    logs: Optional[List[SimulationLog]] = None
+    logs: List[SimulationLog]
 
     @property
     def n_failures(self) -> int:
@@ -545,27 +529,20 @@ def perturbed_chain_state(scenario: ScenarioConfig, trial: int) -> np.ndarray:
     return x
 
 
-def randomized_chain_trials(scenario: ScenarioConfig,
-                            trials: Optional[int] = None,
-                            keep_logs: bool = False) -> TrialSummary:
+def randomized_chain_trials(scenario: ScenarioConfig) -> TrialSummary:
+    """``scenario.trials`` closed loops from the perturbed starts of trials
+    0, 1, ..., with their logs."""
     if scenario.model_kind != "chain":
         raise ConfigError("randomized trials are defined for chain scenarios")
-    trials = scenario.trials if trials is None else int(trials)
     cap = scenario.duration
-    t_st = np.empty(trials)
-    failed = np.zeros(trials, dtype=bool)
-    logs = [] if keep_logs else None
-    for trial in range(trials):
-        x0 = perturbed_chain_state(scenario, trial)
-        log = closed_loop_simulate(scenario, x0=x0)
-        t_st[trial] = stabilizing_time(log, scenario.stabilize_threshold, cap)
-        # a loop with no instant has nothing to settle
-        failed[trial] = log.failed or (log.n_instants > 0
-                                       and t_st[trial] >= cap)
-        if keep_logs:
-            logs.append(log)
-    return TrialSummary(scenario_name=scenario.name,
-                        scheme=scenario.scheme.scheme, seed=scenario.seed,
+    logs = [closed_loop_simulate(scenario, perturbed_chain_state(scenario, i))
+            for i in range(scenario.trials)]
+    t_st = np.array([stabilizing_time(log, scenario.stabilize_threshold, cap)
+                     for log in logs])
+    # a loop with no instant has nothing to settle
+    failed = np.array([log.failed or (log.n_instants > 0 and t >= cap)
+                       for log, t in zip(logs, t_st)])
+    return TrialSummary(scheme=scenario.scheme.scheme, seed=scenario.seed,
                         t_st=t_st, failed=failed, cap=float(cap), logs=logs)
 
 

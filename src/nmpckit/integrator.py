@@ -42,8 +42,8 @@ class IntegratorConfig:
     substeps: int = 4
 
     def __post_init__(self):
-        if self.dt <= 0 or self.substeps < 1:
-            raise ValueError("dt must be positive and substeps >= 1")
+        if not 0 < self.dt < np.inf or self.substeps < 1:
+            raise ValueError("dt must be finite and positive, substeps >= 1")
 
 
 def integrate_batch(model: ModelSpec, x, u, cfg: IntegratorConfig):

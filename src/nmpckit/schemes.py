@@ -95,7 +95,6 @@ class StepDiagnostics:
     refreshed: int              # blocks computed before, recomputed now
     refresh_fraction: float
     qp_iterations: int
-    integration_calls: int      # integrate_batch plus adjoint_batch calls
     sens_blocks: int            # forward sensitivity blocks computed
     adjoint_seeds: int          # nodes x seeds of the adjoint sweep
     kappa_max: float = 0.0
@@ -103,9 +102,10 @@ class StepDiagnostics:
     eta_pri: float = np.inf
     eta_dual: float = np.inf
     e_bar: float = np.nan
-    dto_e: float = np.nan       # oracle (track_dto) entries: the distance
-    dto_ebar: float = np.nan    # to the exact-block solution, the tolerance
-    dto_active_match: float = np.nan   # and 1.0 if the active sets agree
+    # oracle (track_dto) entries: the distance to the exact-block solution,
+    # which e_bar bounds, and 1.0 if the two active sets agree
+    dto_e: float = np.nan
+    dto_active_match: float = np.nan
 
 
 @dataclass
@@ -245,8 +245,7 @@ def _linearize(state: ControllerState, x_hat, refs: References):
         instant=state.instant, kkt=float(np.linalg.norm(qp.gradient)),
         dy_norm=np.nan, dw_norm=np.nan, dlam_norm=np.nan,
         refreshed=refreshed, refresh_fraction=refreshed / N,
-        qp_iterations=0, integration_calls=1 + (seeds > 0),
-        sens_blocks=sens_blocks, adjoint_seeds=seeds,
+        qp_iterations=0, sens_blocks=sens_blocks, adjoint_seeds=seeds,
         kappa_max=float(kappa.max(initial=0.0)),
         kappa_dual_max=float(kappa_dual.max(initial=0.0)),
         eta_pri=eta_pri, eta_dual=eta_dual, e_bar=state.e_bar)
@@ -267,7 +266,7 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, mask,
             exact[~mask] = intg.forward_sensitivity_batch(
                 model, _masked_nodes(state, ~mask), state.integ)
         diag.dto_e, match = measure_dto(qp, sol, exact, tol=cfg.qp_tol)
-        diag.dto_ebar, diag.dto_active_match = state.e_bar, float(match)
+        diag.dto_active_match = float(match)
     diag.dy_norm = float(np.linalg.norm(sol.stacked()))
     diag.dw_norm = float(np.linalg.norm(sol.dw))
     diag.dlam_norm = float(np.linalg.norm(sol.dlam))

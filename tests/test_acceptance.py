@@ -90,10 +90,9 @@ def chain_trials():
     runs, elapsed = {}, {}
     for name in ("chain_n40", "chain_n80"):
         for kind in ("rti", "cmon", "adj"):
-            keep = name == "chain_n40" and kind in ("rti", "cmon")
             t0 = time.perf_counter()
             runs[name, kind] = randomized_chain_trials(
-                _scenario(name, scheme=kind), keep_logs=keep)
+                _scenario(name, scheme=kind))
             elapsed[name, kind] = time.perf_counter() - t0
     return runs, elapsed
 
@@ -143,7 +142,7 @@ def test_01_dto_bound_coverage(pendulum_runs):
     budget = 0.0
     for name, runs in pendulum_runs.items():
         d = runs["cmon"].diag
-        e, ebar = d["dto_e"], d["dto_ebar"]
+        e, ebar = d["dto_e"], d["e_bar"]
         match = d["dto_active_match"] > 0.5
         valid = np.isfinite(e)
         held = (e <= ebar)[valid]
@@ -275,7 +274,7 @@ def test_07_chain_kkt_behavior(chain_trials):
     rti, cmo = runs["chain_n40", "rti"], runs["chain_n40", "cmon"]
     s_ml = _scenario("chain_n40", scheme="ml")
     s_ml.scheme = dataclasses.replace(s_ml.scheme, ml_interval=2)
-    ml_summary = randomized_chain_trials(s_ml, keep_logs=True)
+    ml_summary = randomized_chain_trials(s_ml)
     # compare after the standard scheme's own settling point per seed
     worst_ratio = 0.0
     smoother = []

@@ -149,13 +149,13 @@ def test_closed_loop_log_shapes():
     assert not log.failed
     for col in log.diag.values():
         assert col.shape == (n,)
-    # horizon passes per instant: the nominal integration, plus one
-    # adjoint sweep once stale blocks need exact gradient rows
+    # besides the nominal integration, an instant sweeps the horizon in
+    # reverse once stale blocks need exact gradient rows
     x0 = np.array([0.05, 0.1, 0.0, 0.0])
-    for scheme, expect in (("rti", [1, 1, 1]), ("adj", [1, 2, 2])):
+    for scheme, expect in (("rti", [0, 0, 0]), ("adj", [0, 1, 1])):
         log = closed_loop_simulate(_short_pendulum(duration=0.15,
                                                    scheme=scheme), x0)
-        npt.assert_array_equal(log.diag["integration_calls"], expect)
+        npt.assert_array_equal(log.diag["adjoint_seeds"] > 0, expect)
 
 
 @pytest.mark.parametrize("scheme", ["rti", "cmon"])
@@ -446,10 +446,18 @@ def test_export_empty_log_header_only(tmp_path):
     # the documented columns, in StepDiagnostics field order
     assert lines[0] == (
         "time,x0,x1,x2,x3,u0,kkt,dy_norm,dw_norm,dlam_norm,refreshed,"
-        "refresh_fraction,qp_iterations,integration_calls,sens_blocks,"
-        "adjoint_seeds,kappa_max,kappa_dual_max,eta_pri,eta_dual,e_bar,"
-        "dto_e,dto_ebar,dto_active_match")
+        "refresh_fraction,qp_iterations,sens_blocks,adjoint_seeds,"
+        "kappa_max,kappa_dual_max,eta_pri,eta_dual,e_bar,dto_e,"
+        "dto_active_match")
     assert len(lines) == 2      # header plus the initial-state row
+
+
+def test_readme_documents_exactly_the_log_columns():
+    # every StepDiagnostics field after ``instant`` is a log column, so a
+    # new field is a new column; README's column block has to follow
+    text = (SCENARIO_DIR.parent / "README.md").read_text()
+    block = text.split("## Log files")[1].split("```")[1]
+    assert block.replace(",", " ").split() == harness._DIAG_COLUMNS
 
 
 def test_chain_trials_deterministic_and_scheme_independent():
@@ -475,7 +483,8 @@ def test_chain_trials_steady_start_stabilizes_immediately():
     s.noise_pos = 0.0
     s.noise_vel = 0.0
     s.duration = 2.0
-    summary = randomized_chain_trials(s, trials=1)
+    s.trials = 1
+    summary = randomized_chain_trials(s)
     assert summary.n_failures == 0
     assert summary.t_st[0] == 0.0
 
@@ -483,7 +492,10 @@ def test_chain_trials_steady_start_stabilizes_immediately():
 def test_trials_rejected_for_pendulum():
     s = _short_pendulum()
     with pytest.raises(ConfigError):
-        randomized_chain_trials(s, trials=2)
+        randomized_chain_trials(s)
+    # a pendulum never runs trials, so another count does not even load
+    with pytest.raises(ConfigError, match="chain"):
+        dataclasses.replace(s, trials=2)
 
 
 def test_manifest_echoes_config(tmp_path):
@@ -629,6 +641,22 @@ def test_cli_bad_config_exit_code(tmp_path):
 def test_cli_rejects_bad_trial_count(tmp_path):
     scen = SCENARIO_DIR / "pendulum_n40.yaml"
     assert cli.main([str(scen), "--trials", "0"]) == 2
+    # trials are chain-only
+    assert cli.main([str(scen), "--trials", "3"]) == 2
+
+
+def test_cli_chain_run_is_always_seeded_trials(tmp_path):
+    # one trial is trial 0 of a longer run with the same seed, not the
+    # unperturbed start
+    scen = _write_yaml(tmp_path, "short", "chain_n40.yaml",
+                       **{"horizon": 10, "duration": 0.4}, **_NO_CONSTANTS)
+    logs = []
+    for trials in ("1", "2"):
+        out = tmp_path / f"out{trials}"
+        assert cli.main([str(scen), "--trials", trials, "--seed", "5",
+                         "--out", str(out)]) == 0
+        logs.append((out / "short_cmon_trial0.csv").read_bytes())
+    assert logs[0] == logs[1]
 
 
 # two pendulum segments; the cases below give them bad reference controls
@@ -677,6 +705,8 @@ def _chain(**ref):
     ({}, {"stabilize": {"threshold": _INF}}, []),
     ({}, {"noise": {"position_amplitude": -0.1}}, []),
     ({}, {"noise": {"velocity_amplitude": -0.1}}, []),
+    ({}, {"noise": {"position_amplitude": 0.3}}, []),
+    ({}, {"noise": {"velocity_amplitude": 0.3}}, []),
     ({}, {"t_s": float("nan")}, []),
     ({}, {"t_s": True}, []),
     ({}, {"t_s": "0.05"}, []),
@@ -733,7 +763,8 @@ def _chain(**ref):
 ], ids=["c1", "threshold_mode", "min_update_fraction", "alpha", "beta",
         "eps_abs", "eps_rel", "seed", "cli_seed", "controls_1d",
         "controls_width", "stabilize_cap", "stabilize_threshold",
-        "stabilize_threshold_inf", "noise_pos", "noise_vel", "t_s_nan",
+        "stabilize_threshold_inf", "noise_pos", "noise_vel",
+        "noise_pos_pendulum", "noise_vel_pendulum", "t_s_nan",
         "t_s_bool", "t_s_string", "t_s_inf", "duration_nan",
         "duration_inf", "instant_count_overflow", "horizon_float",
         "substeps_float", "plant_substep_factor_float", "seed_float",
@@ -900,7 +931,8 @@ def test_trials_compute_missing_constants_once(monkeypatch):
     constants = schemes.conditioning_constants
     monkeypatch.setattr(schemes, "conditioning_constants",
                         lambda M: calls.append(M) or constants(M))
-    summary = randomized_chain_trials(s, trials=3, keep_logs=True)
+    s.trials = 3
+    summary = randomized_chain_trials(s)
     assert len(calls) == 1
     assert not any(log.failed for log in summary.logs)
     stored = load_scenario(SCENARIO_DIR / "chain_n40.yaml").scheme.cmon

@@ -43,6 +43,12 @@ def _square_model():
                             terminal_weights=np.array([1.0]))
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf])
+def test_config_rejects_non_finite_dt(dt):
+    with pytest.raises(ValueError):
+        intg.IntegratorConfig(dt=dt)
+
+
 def test_fourth_order_convergence_on_linear_ode():
     a, b = -0.7, 1.3
     model = _scalar_linear_model(a, b)

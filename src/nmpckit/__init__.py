@@ -9,9 +9,8 @@ harness for an inverted pendulum and a mass-spring chain.
 
 __version__ = "0.1.0"
 
-from .errors import (AssemblyError, ConfigError, ContractViolationError,
-                     DivergenceError, IntegrationBlowupError,
-                     ModelEvaluationError, NMPCError,
+from .errors import (AssemblyError, ConfigError, DivergenceError,
+                     IntegrationBlowupError, ModelEvaluationError, NMPCError,
                      NearSingularMatrixError, QPInfeasibleError,
                      QPNonconvergenceError, SingularGeometryError)
 from .models import (ChainParams, ModelSpec, PendulumParams,
@@ -30,9 +29,9 @@ from .harness import (ReferenceSchedule, ScenarioConfig, SimulationLog,
 __all__ = [
     "__version__",
     "NMPCError", "ModelEvaluationError", "SingularGeometryError",
-    "IntegrationBlowupError", "AssemblyError", "ContractViolationError",
-    "QPInfeasibleError", "QPNonconvergenceError", "NearSingularMatrixError",
-    "DivergenceError", "ConfigError",
+    "IntegrationBlowupError", "AssemblyError", "QPInfeasibleError",
+    "QPNonconvergenceError", "NearSingularMatrixError", "DivergenceError",
+    "ConfigError",
     "ModelSpec", "PendulumParams", "ChainParams", "make_pendulum_model",
     "make_chain_model", "chain_steady_state",
     "IntegratorConfig",

@@ -75,7 +75,9 @@ class CMoNConfig:
                               "rho0 > 0 and gamma0 >= 1, or neither given")
 
     def floor_count(self, N: int) -> int:
-        return int(math.ceil(self.min_update_fraction * N))
+        """Smallest block count k with ``k / N >= min_update_fraction``."""
+        k = math.ceil(self.min_update_fraction * N)
+        return k - 1 if k and (k - 1) / N >= self.min_update_fraction else k
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -120,19 +122,16 @@ def adjoint_rows(model: ModelSpec, record, cfg: intg.IntegratorConfig,
 
 
 def update_decision(kappa: np.ndarray, kappa_dual: np.ndarray,
-                    eta_pri: float, eta_dual: float, floor_count: int = 0,
-                    invalid: Optional[np.ndarray] = None) -> np.ndarray:
+                    eta_pri: float, eta_dual: float,
+                    floor_count: int = 0) -> np.ndarray:
     """Boolean mask of blocks to recompute.
 
     A block is kept only when both measures sit at or below their
-    thresholds, so a NaN measure refreshes its block; blocks flagged
-    ``invalid`` (not computed yet) are always refreshed. When fewer than
+    thresholds, so a NaN measure refreshes its block. When fewer than
     ``floor_count`` blocks are selected, the largest primal measures
     (lowest index on ties) top up the selection.
     """
     refresh = ~((kappa <= eta_pri) & (kappa_dual <= eta_dual))
-    if invalid is not None:
-        refresh = refresh | invalid
     short = floor_count - int(refresh.sum())
     if short > 0:
         cand = np.flatnonzero(~refresh)
@@ -151,7 +150,8 @@ def thresholds(cfg: CMoNConfig, e_bar: float, v_pri_norm: float,
     """Threshold pair from the tolerance and the conditioning constants
     ``cfg.rho0``/``cfg.gamma0``.
 
-    A zero tolerance forces full updates; a zero direction norm leaves the
+    A zero tolerance gives zero thresholds, which keep only blocks whose
+    measures are exactly zero; a zero direction norm leaves the
     corresponding threshold unbounded (nothing moved in that direction).
     """
     if cfg.threshold_mode == "fixed":

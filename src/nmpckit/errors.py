@@ -32,10 +32,6 @@ class AssemblyError(NMPCError):
     """Subproblem assembly received inconsistently shaped inputs."""
 
 
-class ContractViolationError(NMPCError):
-    """A post-condition of an update rule was violated (e.g. negative multiplier)."""
-
-
 class QPInfeasibleError(NMPCError):
     """Quadratic subproblem detected infeasible."""
 

@@ -440,12 +440,16 @@ def closed_loop_simulate(scenario: ScenarioConfig,
         raise ConfigError("initial state has the wrong dimension")
 
     n = scenario.n_instants
-    times = Ts * np.arange(n)
-    states = np.empty((n + 1, model.n_x))
+    try:
+        times = Ts * np.arange(n)
+        states = np.empty((n + 1, model.n_x))
+        controls = np.empty((n, model.n_u))
+        ref_windows = np.empty((n, N + 1, model.n_x))
+        diag = {name: np.empty(n) for name in _DIAG_COLUMNS}
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"duration / t_s = {scenario.duration / Ts:.3g} "
+                          f"instants, too many to log ({exc})") from exc
     states[0] = x0
-    controls = np.empty((n, model.n_u))
-    ref_windows = np.empty((n, N + 1, model.n_x))
-    diag = {name: np.empty(n) for name in _DIAG_COLUMNS}
     done, reason = 0, ""
     try:
         if scenario.scheme.lacks_constants:
@@ -562,7 +566,7 @@ def export_log_csv(log: SimulationLog, path) -> None:
     parse reproduces the log exactly."""
     path = Path(path)
     n_x = log.states.shape[1]
-    n_u = log.controls.shape[1] if log.controls.ndim == 2 else 0
+    n_u = log.controls.shape[1]
     header = (["time"] + [f"x{j}" for j in range(n_x)]
               + [f"u{j}" for j in range(n_u)] + _DIAG_COLUMNS)
     lines = [",".join(header)]

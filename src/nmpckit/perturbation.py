@@ -84,7 +84,7 @@ def build_m(qp: QPData, sol: QPSolution) -> scipy.sparse.csr_array:
     w, mu = lam + n_x, lam[:N] + n_x + nwk
     J = qp.jacobian_blocks
     # multipliers and linearized bound values at the solution
-    z = qp.mu + sol.dmu.reshape(N, n_r)
+    z = sol.mu
     c = _inequality_at_solution(qp, sol).reshape(N, n_r)
     # bound row r of a stage reads component comp[r] with sign[r]
     comp = np.repeat(qp.bound_index, 2)
@@ -99,7 +99,8 @@ def build_m(qp: QPData, sol: QPSolution) -> scipy.sparse.csr_array:
         _diagonal_blocks(lam, w, eye),
         # stationarity rows: the diagonal H, then the transposed equality
         # and bound Jacobians
-        _diagonal_blocks(w[:N], w[:N], qp.stage_hessians),
+        _diagonal_blocks(w[:N], w[:N],
+                         np.broadcast_to(qp.stage_hessian, (N, nwk))),
         _diagonal_blocks(w[t], w[t], qp.term_hessian[None]),
         _diagonal_blocks(w, lam, eye),
         _dense_blocks(w[:N], lam[1:], J.transpose(0, 2, 1)),
@@ -169,7 +170,7 @@ def measure_dto(qp: QPData, sol: QPSolution, exact_blocks: np.ndarray,
     """Re-solve the subproblem with exact blocks and compare solutions.
 
     Returns ``(e, active_match)``: the distance over the stacked ``(dw,
-    dmu, dlam)`` triple, and whether both solves agree on the binding
+    mu, lam)`` triple, and whether both solves agree on the binding
     inequalities, which is the regime where the tolerance bound applies.
     """
     qp_exact = replace(qp, jacobian_blocks=np.asarray(exact_blocks, dtype=float))

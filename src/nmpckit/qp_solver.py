@@ -22,9 +22,9 @@ guessed set. An active bound pins its component: the factor gives it an
 infinite weight, so its entry of ``Hbar^-1`` is 0 and no step moves it,
 and its multiplier is read off the component's stationarity row.
 
-The stage solver consumes the Lagrangian-gradient form of the subproblem
-and returns *increments* for the primal variables and both multiplier
-sets, converting internally to the equivalent total-multiplier QP.
+The stage solver consumes the Lagrangian-gradient form of the subproblem,
+solves the equivalent total-multiplier QP, and returns the primal step
+with the multipliers of the next iterate.
 """
 
 from dataclasses import dataclass
@@ -45,17 +45,17 @@ _MAX_ITER = 100
 
 @dataclass
 class QPSolution:
-    """Increments for primal variables and multipliers plus diagnostics."""
+    """Primal step, next multipliers and diagnostics."""
 
-    dw: np.ndarray
-    dlam: np.ndarray
-    dmu: np.ndarray
+    dw: np.ndarray          # (n_w,) primal step
+    lam: np.ndarray         # (N+1, n_x) equality multipliers
+    mu: np.ndarray          # (N, n_r) inequality multipliers, nonnegative
     active_set: np.ndarray
     iterations: int
 
     def stacked(self) -> np.ndarray:
-        """Stacked increment triple ``(dw, dmu, dlam)``."""
-        return np.concatenate([self.dw, self.dmu, self.dlam])
+        """Stacked solution triple ``(dw, mu, lam)``."""
+        return np.concatenate([self.dw, self.mu.ravel(), self.lam.ravel()])
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +259,9 @@ class _StageBackend:
 
         # regularized Hessian diagonal: a block whose smallest entry is
         # below the floor is lifted by the floor as a whole
-        stage_h = qp.stage_hessians.copy()
-        stage_h[stage_h.min(axis=1) < _HESS_REG_FLOOR] += _HESS_REG_FLOOR
-        term_h = qp.term_hessian.copy()
-        if term_h.min() < _HESS_REG_FLOOR:
-            term_h += _HESS_REG_FLOOR
-        self.h = np.concatenate([stage_h.ravel(), term_h])
+        stage_h, term_h = (h + _HESS_REG_FLOOR if h.min() < _HESS_REG_FLOOR
+                           else h for h in (qp.stage_hessian, qp.term_hessian))
+        self.h = np.concatenate([np.tile(stage_h, N), term_h])
 
         # objective gradient of the equivalent total-multiplier QP: the
         # Lagrangian gradient less A'lam and C'mu (negation is exact)
@@ -370,15 +367,15 @@ class _StageBackend:
 def solve(qp: QPData, tol: float = 1e-8) -> QPSolution:
     """Solve the stage-structured subproblem to the given KKT tolerance.
 
-    Returns increments ``(dw, dlam, dmu)`` relative to the multipliers
-    stored in ``qp``; totals below the truncation threshold are zeroed
-    before the increment conversion.
+    Returns the primal step ``dw`` and the total multipliers ``lam`` and
+    ``mu``; inequality multipliers below the truncation threshold are
+    zeroed, so every ``mu`` is nonnegative.
     """
     backend = _StageBackend(qp)
     x, y, z, _, iters = _mehrotra(backend, tol)
-    z = z.copy()
     z[z < _MU_TRUNCATE] = 0.0
     slack = backend.d - backend.cmv(x)
     active = (z > _ACTIVE_MU) | (slack < _ACTIVE_SLACK)
-    return QPSolution(dw=x, dlam=y - qp.lam.ravel(), dmu=z - qp.mu.ravel(),
-                      active_set=active, iterations=iters)
+    return QPSolution(dw=x, lam=y.reshape(qp.N + 1, qp.n_x),
+                      mu=z.reshape(qp.N, qp.n_r), active_set=active,
+                      iterations=iters)

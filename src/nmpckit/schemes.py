@@ -7,7 +7,7 @@ horizon problem, in three stages:
    nonlinearity along the previous step;
 2. choose the sensitivity blocks to recompute;
 3. assemble the subproblem with an exactly corrected gradient, solve it,
-   update the measure caches and apply the full increment.
+   update the measure caches and take the full step.
 
 There is no preparation phase: the first step (instant 0) computes every
 block under every scheme. That first computation counts in
@@ -208,24 +208,20 @@ def _linearize(state: ControllerState, x_hat, refs: References):
     kappa = kappa_dual = np.zeros(N)
     eta_pri = eta_dual = np.inf
     swept = ()                  # rows of the sweep, one array per seed
-    if cfg.scheme == "cmon":
-        # before the first step no direction exists; zero norms leave the
-        # automatic thresholds unbounded unless the tolerance is zero
-        v_pri = v_dual = 0.0
-        if not first:
-            kappa = primal_cmon(phis, state.prev_phi, state.prev_dir_pri)
-            # one sweep serves the dual measure and the stale gradient rows
-            swept = adjoint_rows(model, record, integ, state.prev_dlam,
-                                 lam_seeds)
-            kappa_dual = dual_cmon(swept[0], state.prev_dir_dual)
-            v_pri = float(np.linalg.norm(state.prev_dir_pri))
-            v_dual = float(np.linalg.norm(state.prev_dir_dual))
-        eta_pri, eta_dual = thresholds(cfg.cmon, state.e_bar, v_pri, v_dual)
+    if first:
+        mask = np.ones(N, dtype=bool)
+    elif cfg.scheme == "cmon":
+        kappa = primal_cmon(phis, state.prev_phi, state.prev_dir_pri)
+        # one sweep serves the dual measure and the stale gradient rows
+        swept = adjoint_rows(model, record, integ, state.prev_dlam, lam_seeds)
+        kappa_dual = dual_cmon(swept[0], state.prev_dir_dual)
+        eta_pri, eta_dual = thresholds(
+            cfg.cmon, state.e_bar, float(np.linalg.norm(state.prev_dir_pri)),
+            float(np.linalg.norm(state.prev_dir_dual)))
         mask = update_decision(kappa, kappa_dual, eta_pri, eta_dual,
-                               floor_count=cfg.cmon.floor_count(N),
-                               invalid=np.full(N, first))
+                               floor_count=cfg.cmon.floor_count(N))
     else:
-        mask = np.full(N, first or cfg.scheme == "rti" or (
+        mask = np.full(N, cfg.scheme == "rti" or (
             cfg.scheme == "ml" and state.instant % cfg.ml_interval == 0))
         if not mask[0]:
             # kept blocks count as stale, so every gradient row is swept
@@ -267,18 +263,20 @@ def _solve_and_apply(state: ControllerState, qp, phis: np.ndarray, mask,
                 model, _masked_nodes(state, ~mask), state.integ)
         diag.dto_e, match = measure_dto(qp, sol, exact, tol=cfg.qp_tol)
         diag.dto_active_match = float(match)
-    diag.dy_norm = float(np.linalg.norm(sol.stacked()))
+    dlam, dmu = sol.lam - qp.lam, sol.mu - qp.mu
+    diag.dy_norm = float(np.linalg.norm(
+        np.concatenate([sol.dw, dmu.ravel(), dlam.ravel()])))
     diag.dw_norm = float(np.linalg.norm(sol.dw))
-    diag.dlam_norm = float(np.linalg.norm(sol.dlam))
+    diag.dlam_norm = float(np.linalg.norm(dlam))
     diag.qp_iterations = sol.iterations
     if cfg.scheme == "cmon":
         dw_nodes = sol.dw[:N * (model.n_x + model.n_u)].reshape(N, -1)
-        state.prev_dlam = sol.dlam.reshape(N + 1, model.n_x)[1:].copy()
+        state.prev_dlam = dlam[1:]
         state.prev_dir_pri, state.prev_dir_dual = direction_vectors(
             state.blocks, dw_nodes, state.prev_dlam)
         state.prev_phi = phis
         state.e_bar = dto_tolerance(cfg.cmon, state.n_dim, diag.dy_norm)
-    state.traj, state.mult = apply_step(state.traj, state.mult, sol)
+    state.traj, state.mult = apply_step(state.traj, sol)
     state.instant += 1
     return diag
 

@@ -10,8 +10,8 @@ component ``z_i`` of ``z_k = (x_k, u_k)`` gives the rows ``z_i - l_i`` and
 
 The QP objective gradient is the gradient of the problem Lagrangian with
 exact sensitivities, while equality rows may carry stale Jacobian blocks;
-solving the assembled QP therefore yields increments for primal variables
-and both multiplier sets.
+solving the assembled QP yields the primal step and both multiplier sets
+of the next iterate.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AssemblyError, ContractViolationError
+from .errors import AssemblyError
 from .models import ModelSpec
 
 
@@ -88,14 +88,16 @@ class QPData:
     ``jacobian_blocks`` are the per-interval blocks actually placed in the
     equality rows, which may be stale. The Gauss-Newton Hessian of the
     tracking cost is diagonal, constant along the trajectory and free of
-    multipliers; ``stage_hessians`` and ``term_hessian`` hold its diagonals,
+    multipliers; ``stage_hessian`` and ``term_hessian`` hold its diagonals,
     the model's weights. ``bound_index`` names the bounded components of
     each ``(x_k, u_k)``; ``ineq_values`` holds their rows, two per bound
-    (see :func:`bound_rows`). Current multipliers ride along so the solver
-    can return increments.
+    (see :func:`bound_rows`). ``lam`` and ``mu`` are the current
+    multipliers, which the gradient contains; the solver takes them out
+    to solve for the next ones. No field is a copy: each array is the
+    model's or the step's own.
     """
 
-    stage_hessians: np.ndarray       # (N, n_x+n_u) Gauss-Newton diagonals
+    stage_hessian: np.ndarray        # (n_x+n_u,) Gauss-Newton diagonal
     term_hessian: np.ndarray         # (n_x,) terminal diagonal
     gradient: np.ndarray             # (n_w,)
     continuity_residuals: np.ndarray  # (N+1, n_x); row 0 is the embedding
@@ -106,14 +108,13 @@ class QPData:
     mu: np.ndarray                   # (N, n_r)
 
     def __post_init__(self):
-        N, n_x, nwk = (self.jacobian_blocks.shape[0],
-                       self.jacobian_blocks.shape[1],
-                       self.jacobian_blocks.shape[2])
-        if self.stage_hessians.shape != (N, nwk) \
+        N, n_x, nwk = self.jacobian_blocks.shape
+        if self.stage_hessian.shape != (nwk,) \
                 or self.term_hessian.shape != (n_x,) \
                 or self.continuity_residuals.shape != (N + 1, n_x) \
                 or self.gradient.shape != (N * nwk + n_x,) \
                 or self.lam.shape != (N + 1, n_x) \
+                or self.mu.shape != self.ineq_values.shape \
                 or self.ineq_values.shape != (N, 2 * self.bound_index.size):
             raise AssemblyError("inconsistent QP block shapes")
         # the Hessians are the model's weights, which ModelSpec checks
@@ -168,14 +169,6 @@ def bound_rows_t(rows: np.ndarray) -> np.ndarray:
     return rows[:, 0::2] - rows[:, 1::2]
 
 
-def _objective_gradient(traj: Trajectory, model: ModelSpec, refs: References):
-    nodes = traj.nodes()
-    ref_nodes = np.concatenate([refs.xs[:-1], refs.us], axis=1)
-    g_nodes = model.stage_weights[None, :] * (nodes - ref_nodes)
-    g_term = model.terminal_weights * (traj.xs[-1] - refs.xs[-1])
-    return g_nodes, g_term
-
-
 def exact_gradient_rows(seeds: np.ndarray, fresh_mask: np.ndarray,
                         blocks: np.ndarray,
                         swept: Optional[np.ndarray]) -> np.ndarray:
@@ -194,19 +187,22 @@ def exact_gradient_rows(seeds: np.ndarray, fresh_mask: np.ndarray,
     return out
 
 
-def lagrangian_gradient(traj: Trajectory, mult: Multipliers, model: ModelSpec,
-                        refs: References, lam_dphi: np.ndarray) -> np.ndarray:
+def lagrangian_gradient(traj: Trajectory, nodes: np.ndarray,
+                        mult: Multipliers, model: ModelSpec, refs: References,
+                        lam_dphi: np.ndarray) -> np.ndarray:
     """Stacked gradient of the problem Lagrangian with exact sensitivities.
 
-    ``lam_dphi`` holds the exact rows ``lam_{k+1}^T dphi_k``.
+    ``nodes`` is ``traj.nodes()``; ``lam_dphi`` holds the exact rows
+    ``lam_{k+1}^T dphi_k``.
     """
     N, n_x = traj.horizon, model.n_x
-    g_nodes, g_term = _objective_gradient(traj, model, refs)
-    g_nodes = g_nodes + lam_dphi
+    ref_nodes = np.concatenate([refs.xs[:-1], refs.us], axis=1)
+    g_nodes = model.stage_weights * (nodes - ref_nodes) + lam_dphi
     # embedding (+lam_0 on x_0) and continuity (-lam_k on x_k)
     g_nodes[0, :n_x] += mult.lam[0]
     g_nodes[1:, :n_x] -= mult.lam[1:N]
-    g_term = g_term - mult.lam[N]
+    g_term = model.terminal_weights * (traj.xs[-1] - refs.xs[-1]) \
+        - mult.lam[N]
     g_nodes[:, model.bound_index] += bound_rows_t(mult.mu)
     return np.concatenate([g_nodes.ravel(), g_term])
 
@@ -231,35 +227,25 @@ def build_qp(traj: Trajectory, mult: Multipliers, x_hat: np.ndarray,
     x_hat = np.asarray(x_hat, dtype=float)
     if x_hat.shape != (n_x,):
         raise AssemblyError("measurement has wrong dimension")
-    gradient = lagrangian_gradient(traj, mult, model, refs, lam_dphi)
+    nodes = traj.nodes()
+    gradient = lagrangian_gradient(traj, nodes, mult, model, refs, lam_dphi)
     resid = np.empty((N + 1, n_x))
     resid[0] = traj.xs[0] - x_hat
     resid[1:] = phis - traj.xs[1:]
-    ineq_values = bound_rows(model.bound_index, traj.nodes()) \
+    ineq_values = bound_rows(model.bound_index, nodes) \
         - np.repeat(model.bound_limit, 2)
     return QPData(
-        stage_hessians=np.tile(model.stage_weights, (N, 1)),
-        term_hessian=model.terminal_weights.copy(),
-        gradient=gradient,
-        continuity_residuals=resid, jacobian_blocks=np.array(blocks),
+        stage_hessian=model.stage_weights,
+        term_hessian=model.terminal_weights, gradient=gradient,
+        continuity_residuals=resid, jacobian_blocks=blocks,
         bound_index=model.bound_index, ineq_values=ineq_values,
-        lam=mult.lam.copy(), mu=mult.mu.copy())
+        lam=mult.lam, mu=mult.mu)
 
 
-def apply_step(traj: Trajectory, mult: Multipliers, sol):
-    """Apply QP increments; returns new (trajectory, multipliers).
-
-    Inequality multipliers are clamped at zero within a 1e-8 slack; a
-    larger negative total raises :class:`ContractViolationError`.
-    """
-    N, n_x, n_u = traj.horizon, traj.xs.shape[1], traj.us.shape[1]
-    dxs, dus = split_primal(sol.dw, N, n_x, n_u)
-    new_traj = Trajectory(traj.xs + dxs, traj.us + dus)
-    new_lam = mult.lam + sol.dlam.reshape(N + 1, n_x)
-    new_mu = mult.mu + sol.dmu.reshape(mult.mu.shape)
-    low = new_mu.min(initial=0.0)
-    if low < -1e-8:
-        raise ContractViolationError(
-            f"inequality multiplier became negative ({low:.3e})")
-    np.clip(new_mu, 0.0, None, out=new_mu)
-    return new_traj, Multipliers(new_lam, new_mu)
+def apply_step(traj: Trajectory, sol):
+    """The next iterate ``(trajectory, multipliers)``: ``traj`` moved by
+    the QP's primal step, and the QP's multipliers as they are."""
+    dxs, dus = split_primal(sol.dw, traj.horizon, traj.xs.shape[1],
+                            traj.us.shape[1])
+    return (Trajectory(traj.xs + dxs, traj.us + dus),
+            Multipliers(sol.lam, sol.mu))

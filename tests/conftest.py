@@ -206,10 +206,11 @@ def dense_kkt_matrix(qp, sol):
     """Dense oracle of ``perturbation.build_m`` in (w, mu, lam) ordering."""
     n_w, n_in, n_eq = qp.n_w, qp.ineq_values.size, qp.n_eq
     n = n_w + n_in + n_eq
-    H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
+    H = np.diag(np.concatenate([np.tile(qp.stage_hessian, qp.N),
+                                qp.term_hessian]))
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
-    z_tot = sol.dmu + qp.mu.ravel()
+    z_tot = sol.mu.ravel()
     c_sol = pert._inequality_at_solution(qp, sol)
 
     M = np.zeros((n, n))
@@ -362,7 +363,7 @@ def build_n(qp, sol):
     n_p = N * n_x * nwk
     out = np.zeros((n_w + n_in + n_eq, n_p))
     body = sol.dw[:N * nwk].reshape(N, nwk)
-    dlam = sol.dlam.reshape(N + 1, n_x)
+    dlam = sol.lam - qp.lam
     eye = np.eye(nwk)
     for k in range(N):
         pcols = slice(k * n_x * nwk, (k + 1) * n_x * nwk)

@@ -443,7 +443,7 @@ def test_10_numerical_kernels():
     P = rng.standard_normal(qp.jacobian_blocks.shape)
     p = stack_perturbation(P)
     dw_nodes = sol.dw[:qp.N * qp.n_wk].reshape(qp.N, qp.n_wk)
-    dlam = sol.dlam.reshape(qp.N + 1, qp.n_x)
+    dlam = sol.lam - qp.lam
     expect = np.zeros(qp.n_w + qp.ineq_values.size + qp.n_eq)
     for k in range(qp.N):
         expect[k * qp.n_wk:(k + 1) * qp.n_wk] = -P[k].T @ dlam[k + 1]

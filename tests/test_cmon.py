@@ -88,13 +88,6 @@ def test_update_decision_threshold_rule():
     npt.assert_array_equal(refresh, [True, True, True])
 
 
-def test_update_decision_invalid_forces_refresh():
-    kappa = np.zeros(3)
-    refresh = cmon.update_decision(kappa, kappa, 1.0, 1.0,
-                                   invalid=np.array([True, False, False]))
-    npt.assert_array_equal(refresh, [True, False, False])
-
-
 def test_update_decision_floor_tops_up_by_largest_kappa():
     kappa = np.array([0.3, 0.1, 0.5, 0.5, 0.2])
     kappa_dual = np.zeros(5)
@@ -117,6 +110,8 @@ def test_floor_count_rounds_up():
     assert CMoNConfig(min_update_fraction=0.1).floor_count(40) == 4
     assert CMoNConfig(min_update_fraction=0.0).floor_count(40) == 0
     assert CMoNConfig(min_update_fraction=1.0).floor_count(7) == 7
+    # 0.07 * 100 rounds to 7.000000000000001, yet 7 blocks reach 0.07
+    assert CMoNConfig(min_update_fraction=0.07).floor_count(100) == 7
 
 
 def test_dto_tolerance_formula():

@@ -240,8 +240,9 @@ def test_dto_oracle_reuses_the_step_blocks(monkeypatch, kind):
 
 
 def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
-    # from the third subproblem on, one stage Hessian is negative definite;
-    # the KKT factorization fails and the loop records a QP failure
+    # from the third subproblem on, the stage Hessian is negative
+    # definite; the KKT factorization fails and the loop records a QP
+    # failure
     builds = []
     build_qp = schemes.build_qp
 
@@ -249,7 +250,7 @@ def test_nonconvex_subproblem_ends_loop_as_recorded_failure(monkeypatch):
         qp = build_qp(*args)
         builds.append(1)
         if len(builds) >= 3:
-            qp.stage_hessians[3] = -qp.stage_hessians[3]
+            qp.stage_hessian = -qp.stage_hessian
         return qp
 
     monkeypatch.setattr(schemes, "build_qp", poisoned)
@@ -273,7 +274,7 @@ def test_setup_failure_ends_loop_as_recorded_failure(monkeypatch):
 
     def poisoned(*args):
         qp = build_qp(*args)
-        qp.stage_hessians[3] = -qp.stage_hessians[3]
+        qp.stage_hessian = -qp.stage_hessian
         return qp
 
     monkeypatch.setattr(schemes, "build_qp", poisoned)
@@ -458,6 +459,18 @@ def test_readme_documents_exactly_the_log_columns():
     text = (SCENARIO_DIR.parent / "README.md").read_text()
     block = text.split("## Log files")[1].split("```")[1]
     assert block.replace(",", " ").split() == harness._DIAG_COLUMNS
+
+
+def test_readme_python_examples_run(monkeypatch):
+    # README's library examples run as written, from the repository root,
+    # so a renamed or reshaped public name cannot leave them stale
+    root = SCENARIO_DIR.parent
+    text = (root / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    assert len(blocks) == 2
+    monkeypatch.chdir(root)
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def test_chain_trials_deterministic_and_scheme_independent():
@@ -714,6 +727,9 @@ def _chain(**ref):
     ({}, {"duration": float("nan")}, []),
     ({}, {"duration": float("inf")}, []),
     ({}, {"duration": 1e308, "t_s": 1e-300}, []),
+    # counts numpy refuses to allocate, before allocating anything
+    ({}, {"duration": 1.0e20}, []),
+    ({}, {"t_s": 1.0e-300}, []),
     ({}, {"horizon": 40.7}, []),
     ({}, {"substeps": 2.5}, []),
     ({}, {"plant_substep_factor": 1.5}, []),
@@ -766,7 +782,8 @@ def _chain(**ref):
         "stabilize_threshold_inf", "noise_pos", "noise_vel",
         "noise_pos_pendulum", "noise_vel_pendulum", "t_s_nan",
         "t_s_bool", "t_s_string", "t_s_inf", "duration_nan",
-        "duration_inf", "instant_count_overflow", "horizon_float",
+        "duration_inf", "instant_count_overflow", "log_too_long_duration",
+        "log_too_long_t_s", "horizon_float",
         "substeps_float", "plant_substep_factor_float", "seed_float",
         "trials_bool", "ml_interval_float", "ml_interval_bool",
         "track_dto_string", "track_dto_float", "chain_n_float",

@@ -41,7 +41,7 @@ def test_perturbation_matrix_action_identity(pendulum, rng):
     p = stack_perturbation(P)
 
     dw_nodes = sol.dw[:qp.N * qp.n_wk].reshape(qp.N, qp.n_wk)
-    dlam = sol.dlam.reshape(qp.N + 1, qp.n_x)
+    dlam = sol.lam - qp.lam
     lam0 = qp.n_w + qp.ineq_values.size
     expect = np.zeros(lam0 + qp.n_eq)
     for k in range(qp.N):

@@ -139,7 +139,8 @@ def _dense_oracle(qp):
     """Dense-backend totals ``(x, y, z)`` of the stage subproblem."""
     A = dense_equality_jacobian(qp)
     C = dense_inequality_jacobian(qp)
-    H = np.diag(np.concatenate([qp.stage_hessians.ravel(), qp.term_hessian]))
+    H = np.diag(np.concatenate([np.tile(qp.stage_hessian, qp.N),
+                                qp.term_hessian]))
     g_obj = qp.gradient - A.T @ qp.lam.ravel() - C.T @ qp.mu.ravel()
     x, y, z, _ = solve_dense(H, g_obj, A, -qp.continuity_residuals.ravel(),
                              C, -qp.ineq_values.ravel(), tol=1e-10)
@@ -159,8 +160,8 @@ def test_stage_solver_matches_dense_backend(case, pendulum, rng):
         # point runs
         assert qp.n_x == 27 and sol.active_set.any() and sol.iterations > 1
     npt.assert_allclose(sol.dw, x, atol=1e-6)
-    npt.assert_allclose(sol.dlam, y - qp.lam.ravel(), atol=1e-5)
-    npt.assert_allclose(sol.dmu, z - qp.mu.ravel(), atol=1e-5)
+    npt.assert_allclose(sol.lam.ravel(), y, atol=1e-5)
+    npt.assert_allclose(sol.mu.ravel(), z, atol=1e-5)
 
 
 @pytest.mark.parametrize(
@@ -173,24 +174,20 @@ def test_stage_solution_satisfies_kkt(case, pendulum, rng):
     # stationarity, with the Hessian the solver lifts by its floor
     floor = qp_solver._HESS_REG_FLOOR
     H = np.diag(np.concatenate([h + floor if h.min() < floor else h
-                                for h in (*qp.stage_hessians,
+                                for h in (*[qp.stage_hessian] * qp.N,
                                           qp.term_hessian)]))
-    lam_flat = qp.lam.ravel()
-    mu_flat = qp.mu.ravel()
-    g_obj = qp.gradient - A.T @ lam_flat - C.T @ mu_flat
-    stat = H @ sol.dw + g_obj + A.T @ (lam_flat + sol.dlam) \
-        + C.T @ (mu_flat + sol.dmu)
+    g_obj = qp.gradient - A.T @ qp.lam.ravel() - C.T @ qp.mu.ravel()
+    stat = H @ sol.dw + g_obj + A.T @ sol.lam.ravel() + C.T @ sol.mu.ravel()
     assert np.abs(stat).max() <= 1e-8
     # primal feasibility of the increments
     npt.assert_allclose(A @ sol.dw, -qp.continuity_residuals.ravel(),
                         atol=1e-8)
     slack = C @ sol.dw + qp.ineq_values.ravel()
     assert slack.max() <= 1e-8
-    # multiplier totals stay nonnegative
-    mu_tot = sol.dmu + qp.mu.ravel()
-    assert mu_tot.min() >= -1e-10
+    # inequality multipliers are nonnegative as returned
+    assert sol.mu.min(initial=0.0) >= 0.0
     # complementarity
-    assert np.abs(mu_tot * slack).max() <= 1e-7
+    assert np.abs(sol.mu.ravel() * slack).max() <= 1e-7
 
 
 def test_stage_solver_deterministic(pendulum):
@@ -199,8 +196,8 @@ def test_stage_solver_deterministic(pendulum):
     s1 = qp_solver.solve(_pendulum_qp(pendulum, rng1), tol=1e-8)
     s2 = qp_solver.solve(_pendulum_qp(pendulum, rng2), tol=1e-8)
     npt.assert_array_equal(s1.dw, s2.dw)
-    npt.assert_array_equal(s1.dlam, s2.dlam)
-    npt.assert_array_equal(s1.dmu, s2.dmu)
+    npt.assert_array_equal(s1.lam, s2.lam)
+    npt.assert_array_equal(s1.mu, s2.mu)
     assert s1.iterations == s2.iterations
 
 
@@ -270,8 +267,8 @@ def test_solutions_independent_of_previous_shapes(pendulum):
     qp_solver.solve(_chain_qp(np.random.default_rng(7), N=3))
     again = qp_solver.solve(_pendulum_qp(pendulum, np.random.default_rng(5)))
     npt.assert_array_equal(again.dw, first.dw)
-    npt.assert_array_equal(again.dlam, first.dlam)
-    npt.assert_array_equal(again.dmu, first.dmu)
+    npt.assert_array_equal(again.lam, first.lam)
+    npt.assert_array_equal(again.mu, first.mu)
 
 
 @pytest.mark.parametrize("block", [
@@ -281,8 +278,9 @@ def test_solutions_independent_of_previous_shapes(pendulum):
 def test_nonconvex_stage_raises_qp_error(block, pendulum, rng):
     qp = _pendulum_qp(pendulum, rng)
     floor = qp_solver._HESS_REG_FLOOR
-    qp.stage_hessians[3] = (-np.array([20.0, 20.0, 0.2, 0.2, 0.1])
-                            if block == "negative-definite" else -floor)
+    # a new array: the QP holds the model's own weights
+    qp.stage_hessian = (-qp.stage_hessian if block == "negative-definite"
+                        else np.full(qp.n_wk, -floor))
     with pytest.raises(QPNonconvergenceError):
         qp_solver.solve(qp, tol=1e-10)
 
@@ -343,8 +341,8 @@ def test_polish_on_a_wrong_set_returns_none(case, pendulum, rng,
     sol = qp_solver.solve(qp, tol=1e-10)
     assert tried and all(t is None for t in tried)
     npt.assert_array_equal(sol.dw, ref.dw)
-    npt.assert_array_equal(sol.dlam, ref.dlam)
-    npt.assert_array_equal(sol.dmu, ref.dmu)
+    npt.assert_array_equal(sol.lam, ref.lam)
+    npt.assert_array_equal(sol.mu, ref.mu)
     assert sol.iterations == ref.iterations
 
 
@@ -356,4 +354,4 @@ def test_unbounded_model_solves_in_one_iteration(pendulum, rng):
     assert sol.iterations == 1
     x_ref, y_ref, _ = _dense_oracle(qp)
     npt.assert_allclose(sol.dw, x_ref, atol=1e-6)
-    npt.assert_allclose(sol.dlam, y_ref - qp.lam.ravel(), atol=1e-5)
+    npt.assert_allclose(sol.lam.ravel(), y_ref, atol=1e-5)

@@ -272,8 +272,9 @@ def test_solutions_independent_of_previous_shapes(pendulum):
 
 
 @pytest.mark.parametrize("block", [
-    "negative-definite",      # the dual Schur complement is indefinite
-    "singular-after-floor",   # the stage block has no inverse
+    # both fail the positivity check of Hbar before any factor
+    "negative-definite",      # Hbar is negative
+    "singular-after-floor",   # the floor lifts Hbar to exactly 0
 ])
 def test_nonconvex_stage_raises_qp_error(block, pendulum, rng):
     qp = _pendulum_qp(pendulum, rng)
